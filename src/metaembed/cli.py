@@ -58,7 +58,6 @@ from .probes import ProbeConfig, pair_feature_matrix, probe_classification, prob
 from .store import (
     EmbeddingTable,
     SequenceTable,
-    _fmt,
     align_by_id,
     intersect_ids,
     load_sequence_table,
@@ -66,10 +65,11 @@ from .store import (
     save_vector_table,
     sniff_table_kind,
 )
+from .textio import fmt, fmt_row, read_lines, write_lines
 
 __all__ = ["main", "build_parser"]
 
-_MODEL_KINDS = ("SVDMETA", "GCCA", "DME", "CDME")
+_MODEL_CLASSES = {"SVDMETA": SvdMetaModel, "GCCA": GccaModel, "DME": DynamicModel, "CDME": DynamicModel}
 _EVAL_TASKS = ("sts", "sick-r", "sick-e", "nli", "paraphrase")
 _SVD_DEFAULT_CAP = 3072
 
@@ -95,24 +95,22 @@ def _flag_values(args) -> dict:
     return out
 
 
-def _write_manifest(out_paths, manifest_path, args, inputs, metrics=None):
+def _write_manifest(out_paths, manifest_path, args, digests, metrics=None):
     record = {
         "command": args.command,
         "argv": list(getattr(args, "_argv", [])),
         "flags": _flag_values(args),
         "version": __version__,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": digests,
         "outputs": [str(p) for p in out_paths],
         "seed": getattr(args, "seed", None),
         "metrics": metrics or {},
     }
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_lines(manifest_path, [json.dumps(record, indent=2, sort_keys=True)])
 
 
-def _load_vector_tables(paths) -> list[EmbeddingTable]:
-    return [load_vector_table(p) for p in paths]
+def _digests(paths) -> dict:
+    return {str(p): _sha256(p) for p in paths}
 
 
 def _load_sequence_like(paths) -> list[SequenceTable]:
@@ -127,41 +125,54 @@ def _load_sequence_like(paths) -> list[SequenceTable]:
 
 
 def _pair_ids(pairs) -> list[str]:
-    seen = set()
-    out = []
-    for p in pairs:
-        for ident in (p.id_a, p.id_b):
-            if ident not in seen:
-                seen.add(ident)
-                out.append(ident)
-    return out
+    """Every id the pairs mention, once each, in order of first mention."""
+    return list(dict.fromkeys(ident for p in pairs for ident in (p.id_a, p.id_b)))
 
 
-def _load_any_model(path):
+def _load_model(path):
     kind = sniff_model_kind(path)
-    if kind == "SVDMETA":
-        return SvdMetaModel.load(path)
-    if kind == "GCCA":
-        return GccaModel.load(path)
-    if kind in ("DME", "CDME"):
-        return DynamicModel.load(path)
-    raise ValidationError(f"{path}: unknown model kind {kind!r}; expected one of {_MODEL_KINDS}")
+    if kind not in _MODEL_CLASSES:
+        raise ValidationError(
+            f"{path}: unknown model kind {kind!r}; expected one of {tuple(_MODEL_CLASSES)}"
+        )
+    return _MODEL_CLASSES[kind].load(path)
 
 
 def _is_official(path) -> bool:
-    try:
-        with open(path, encoding="utf-8") as f:
-            first = f.readline()
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read file: {exc}") from exc
-    return first.split("\t")[0].strip() == "pair_ID"
+    first = read_lines(path, limit=1)
+    return bool(first) and first[0].split("\t")[0].strip() == "pair_ID"
+
+
+def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
+    """*model*'s vectors for *ids* (default: every shared id) from the tables at *paths*.
+
+    With no model, *paths* holds one table of sentence vectors that must cover *ids*.
+    """
+    if model is None:
+        table = load_vector_table(paths[0])
+        missing = [i for i in ids if i not in table]
+        if missing:
+            raise ValidationError(
+                f"{paths[0]}: missing vector(s) for {len(missing)} pair id(s), e.g. {missing[0]!r}"
+            )
+        return EmbeddingTable(ids, table.lookup(ids))
+    dynamic = isinstance(model, DynamicModel)
+    tables = _load_sequence_like(paths) if dynamic else [load_vector_table(p) for p in paths]
+    if ids is None:
+        ids = intersect_ids(tables)
+        if not ids:
+            sizes = ", ".join(str(len(t)) for t in tables)
+            raise ValidationError(f"no shared ids across the {len(tables)} table(s) (sizes: {sizes})")
+    if dynamic:
+        return embed_table(model, tables, ids)
+    return EmbeddingTable(ids, model.apply([t.lookup(ids) for t in tables]))
 
 
 def cmd_combine(args) -> int:
-    tables = _load_vector_tables(args.inputs)
+    tables = [load_vector_table(p) for p in args.inputs]
     ids, mats = align_by_id(tables)
     save_vector_table(args.out, EmbeddingTable(ids, concat_views(mats)))
-    _write_manifest([args.out], f"{args.out}.manifest.json", args, args.inputs)
+    _write_manifest([args.out], f"{args.out}.manifest.json", args, _digests(args.inputs))
     print(f"wrote {args.out}: {len(ids)} rows, width {sum(t.dim for t in tables)}")
     return 0
 
@@ -169,7 +180,7 @@ def cmd_combine(args) -> int:
 def cmd_fit(args) -> int:
     if args.method != "gcca" and args.tau is not None:
         raise ValidationError("--tau only applies to gcca")
-    tables = _load_vector_tables(args.inputs)
+    tables = [load_vector_table(p) for p in args.inputs]
     ids, mats = align_by_id(tables)
     if args.method == "svd":
         d = args.d
@@ -181,32 +192,19 @@ def cmd_fit(args) -> int:
             raise ValidationError("gcca needs --d (the number of retained components)")
         model = fit_gcca(mats, args.d, DEFAULT_TAU if args.tau is None else args.tau)
     model.save(args.out)
-    _write_manifest([args.out], f"{args.out}.manifest.json", args, args.inputs)
+    _write_manifest([args.out], f"{args.out}.manifest.json", args, _digests(args.inputs))
     print(f"wrote {args.out}: {args.method} model over {len(ids)} rows")
     print(f"retained_d {model.dim}")
     if args.method == "gcca":
-        print("eigenvalues " + " ".join(_fmt(v) for v in model.eigenvalues))
+        print("eigenvalues " + fmt_row(model.eigenvalues))
     return 0
 
 
 def cmd_apply(args) -> int:
-    model = _load_any_model(args.model)
-    if isinstance(model, DynamicModel):
-        tables = _load_sequence_like(args.inputs)
-        ids = intersect_ids(tables)
-        if not ids:
-            sizes = ", ".join(str(len(t)) for t in tables)
-            raise ValidationError(
-                f"no shared ids across the {len(tables)} table(s) (sizes: {sizes})"
-            )
-        out_table = embed_table(model, tables, ids)
-    else:
-        tables = _load_vector_tables(args.inputs)
-        ids, mats = align_by_id(tables)
-        out_table = EmbeddingTable(ids, model.apply(mats))
+    out_table = _sentence_vectors(_load_model(args.model), args.inputs)
     save_vector_table(args.out, out_table)
     _write_manifest([args.out], f"{args.out}.manifest.json", args,
-                    [args.model] + args.inputs)
+                    _digests([args.model] + args.inputs))
     print(f"wrote {args.out}: {len(out_table)} rows, width {out_table.dim}")
     return 0
 
@@ -234,22 +232,17 @@ def cmd_train(args) -> int:
     history = train_dynamic(model, examples, config)
     model.save(args.out)
     loss_csv = f"{args.out}.loss.csv"
-    with open(loss_csv, "w", encoding="utf-8", newline="\n") as f:
-        f.write("epoch,mean_loss\n")
-        for i, loss in enumerate(history):
-            f.write(f"{i + 1},{_fmt(loss)}\n")
+    write_lines(loss_csv, ["epoch,mean_loss"]
+                + [f"{i},{fmt(loss)}" for i, loss in enumerate(history, start=1)])
     metrics: dict = {"epoch_losses": history}
-    train_pairs = [dataset.pairs[i] for i in train_idx]
-    report, _ = evaluate_classification(model, tables, train_pairs, task="train")
-    metrics["train_accuracy"] = report.value
-    print(f"train_accuracy {report.value:.6f}")
-    if dev_idx:
-        dev_pairs = [dataset.pairs[i] for i in dev_idx]
-        report, _ = evaluate_classification(model, tables, dev_pairs, task="dev")
-        metrics["dev_accuracy"] = report.value
-        print(f"dev_accuracy {report.value:.6f}")
+    for part, indices in (("train", train_idx), ("dev", dev_idx)):
+        if indices:
+            pairs = [dataset.pairs[i] for i in indices]
+            report, _ = evaluate_classification(model, tables, pairs, task=part)
+            metrics[f"{part}_accuracy"] = report.value
+            print(f"{part}_accuracy {report.value:.6f}")
     _write_manifest([args.out, loss_csv], f"{args.out}.manifest.json", args,
-                    args.inputs + [args.dataset], metrics=metrics)
+                    _digests(args.inputs + [args.dataset]), metrics=metrics)
     print(f"wrote {args.out}: {args.mode} model, {len(examples)} training pairs, "
           f"classes {' '.join(dataset.classes)}")
     return 0
@@ -269,34 +262,6 @@ def _load_eval_dataset(task: str, path):
     if task in _TASK_RANGES:
         return load_pair_dataset_tsv(path, score_range=_TASK_RANGES[task])
     return load_pair_dataset_tsv(path, classes=TASK_CLASSES[task])
-
-
-def _sentence_vectors(args, pairs) -> EmbeddingTable:
-    """Sentence vectors for every id the pairs mention, from the inputs."""
-    ids = _pair_ids(pairs)
-    if args.model is None:
-        table = load_vector_table(args.inputs[0])
-        missing = [i for i in ids if i not in table]
-        if missing:
-            raise ValidationError(
-                f"{args.inputs[0]}: missing vector(s) for {len(missing)} pair id(s), "
-                f"e.g. {missing[0]!r}"
-            )
-        return EmbeddingTable(ids, table.lookup(ids))
-    model = _load_any_model(args.model)
-    if isinstance(model, DynamicModel):
-        tables = _load_sequence_like(args.inputs)
-        return embed_table(model, tables, ids)
-    tables = _load_vector_tables(args.inputs)
-    return EmbeddingTable(ids, model.apply([t.lookup(ids) for t in tables]))
-
-
-def _write_rows(path, header, rows) -> None:
-    out = ["\t".join(header)]
-    for row in rows:
-        out.append("\t".join(_fmt(c) if isinstance(c, float) else str(c) for c in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(out) + "\n")
 
 
 def _splits_or_drawn(dataset, seed: int):
@@ -325,35 +290,12 @@ def cmd_eval(args) -> int:
     dataset = _load_eval_dataset(args.task, args.dataset)
     probe_config = ProbeConfig(batch_size=args.batch, tenacity=args.tenacity,
                                epoch_size=args.epoch_size, seed=args.seed)
-    input_digests = [_sha256(p) for p in [args.dataset] + args.inputs]
-    if args.model is not None:
-        input_digests.append(_sha256(args.model))
-    rows = []
+    inputs = [args.dataset] + args.inputs + ([args.model] if args.model else [])
+    digests = _digests(inputs)
+    model = None if args.model is None else _load_model(args.model)
     metrics: dict = {}
 
-    if args.task == "sts":
-        table = _sentence_vectors(args, dataset.pairs)
-        report, rows = evaluate_similarity(table, dataset.pairs, dataset.lo, dataset.hi,
-                                           task=args.task)
-    elif args.task == "sick-r":
-        table = _sentence_vectors(args, dataset.pairs)
-        splits, drawn = _splits_or_drawn(dataset, args.seed)
-        parts = {name: [dataset.pairs[i] for i in part]
-                 for name, part in zip(("train", "dev", "test"), splits)}
-        probe = probe_relatedness(
-            pair_feature_matrix(table, parts["train"]), [p.label for p in parts["train"]],
-            pair_feature_matrix(table, parts["dev"]), [p.label for p in parts["dev"]],
-            pair_feature_matrix(table, parts["test"]), [p.label for p in parts["test"]],
-            probe_config,
-        )
-        fingerprint = config_fingerprint(args.task, probe.metric, input_digests,
-                                         list(probe_config), drawn, list(splits))
-        report = EvalReport(args.task, probe.metric, probe.test, probe.n_test, fingerprint)
-        metrics.update(dev=probe.dev, rounds=probe.history.rounds)
-        rows = [(p.id_a, p.id_b, p.label, pred)
-                for p, pred in zip(parts["test"], probe.test_predictions)]
-    elif args.model is not None and sniff_model_kind(args.model) in ("DME", "CDME"):
-        model = _load_any_model(args.model)
+    if isinstance(model, DynamicModel) and dataset.kind == "classes":
         unknown = [c for c in dataset.classes if c not in model.classes]
         if unknown:
             raise ValidationError(
@@ -368,35 +310,39 @@ def cmd_eval(args) -> int:
             eval_pairs = list(dataset.pairs)
         report, rows = evaluate_classification(model, tables, eval_pairs, task=args.task)
     else:
-        table = _sentence_vectors(args, dataset.pairs)
-        splits, drawn = _splits_or_drawn(dataset, args.seed)
-        parts = {name: [dataset.pairs[i] for i in part]
-                 for name, part in zip(("train", "dev", "test"), splits)}
-        probe = probe_classification(
-            pair_feature_matrix(table, parts["train"]), [p.label for p in parts["train"]],
-            pair_feature_matrix(table, parts["dev"]), [p.label for p in parts["dev"]],
-            pair_feature_matrix(table, parts["test"]), [p.label for p in parts["test"]],
-            dataset.classes, probe_config,
-        )
-        fingerprint = config_fingerprint(args.task, probe.metric, input_digests,
-                                         list(probe_config), drawn, list(splits))
-        report = EvalReport(args.task, probe.metric, probe.test, probe.n_test, fingerprint)
-        metrics.update(dev=probe.dev, rounds=probe.history.rounds)
-        rows = [(p.id_a, p.id_b, p.label, pred)
-                for p, pred in zip(parts["test"], probe.test_predictions)]
+        table = _sentence_vectors(model, args.inputs, _pair_ids(dataset.pairs))
+        if args.task == "sts":
+            report, rows = evaluate_similarity(table, dataset.pairs, dataset.lo, dataset.hi,
+                                               task=args.task)
+        else:
+            splits, drawn = _splits_or_drawn(dataset, args.seed)
+            parts = [[dataset.pairs[i] for i in part] for part in splits]
+            data = []
+            for part in parts:
+                data += [pair_feature_matrix(table, part), [p.label for p in part]]
+            if dataset.kind == "score":
+                probe = probe_relatedness(*data, probe_config)
+            else:
+                probe = probe_classification(*data, dataset.classes, probe_config)
+            fingerprint = config_fingerprint(args.task, probe.metric, [digests[str(p)] for p in inputs],
+                                             list(probe_config), drawn, list(splits))
+            report = EvalReport(args.task, probe.metric, probe.test, probe.n_test, fingerprint)
+            metrics.update(dev=probe.dev, rounds=probe.history.rounds)
+            rows = [(p.id_a, p.id_b, p.label, pred) for p, pred in zip(parts[2], probe.test_predictions)]
 
     _emit_report(report)
     metrics.update(metric=report.metric, value=report.value, n=report.n,
                    fingerprint=report.fingerprint)
-    inputs = [args.dataset] + args.inputs + ([args.model] if args.model else [])
     if args.out:
-        _write_rows(args.out, ("id_a", "id_b", "gold", "predicted"), rows)
+        lines = ["id_a\tid_b\tgold\tpredicted"]
+        lines += ["\t".join(fmt(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
+        write_lines(args.out, lines)
         out_paths = [args.out]
         manifest_path = f"{args.out}.manifest.json"
     else:
         out_paths = []
         manifest_path = "metaembed-eval.manifest.json"
-    _write_manifest(out_paths, manifest_path, args, inputs, metrics=metrics)
+    _write_manifest(out_paths, manifest_path, args, digests, metrics=metrics)
     return 0
 
 
@@ -406,20 +352,18 @@ def cmd_info(args) -> int:
         kind = sniff_model_kind(path)
     except MetaEmbedError:
         kind = None
-    if kind in _MODEL_KINDS:
-        model = _load_any_model(path)
+    if kind in _MODEL_CLASSES:
+        model = _MODEL_CLASSES[kind].load(path)
         print(f"kind {kind}")
-        if isinstance(model, SvdMetaModel):
+        if not isinstance(model, DynamicModel):
             print(f"views {len(model.dims)}")
             print("widths " + " ".join(str(d) for d in model.dims))
             print(f"dim {model.dim}")
-            print("singular_values " + " ".join(_fmt(v) for v in model.singular_values))
-        elif isinstance(model, GccaModel):
-            print(f"views {len(model.dims)}")
-            print("widths " + " ".join(str(d) for d in model.dims))
-            print(f"dim {model.dim}")
-            print(f"tau {_fmt(model.tau)}")
-            print("eigenvalues " + " ".join(_fmt(v) for v in model.eigenvalues))
+            if isinstance(model, GccaModel):
+                print(f"tau {fmt(model.tau)}")
+                print("eigenvalues " + fmt_row(model.eigenvalues))
+            else:
+                print("singular_values " + fmt_row(model.singular_values))
         else:
             print(f"sources {len(model.dims)}")
             print("widths " + " ".join(str(d) for d in model.dims))
@@ -432,16 +376,11 @@ def cmd_info(args) -> int:
             print("classes " + " ".join(model.classes))
         return 0
     table_kind = sniff_table_kind(path)
-    if table_kind == "vector":
-        table = load_vector_table(path)
-        print("kind vector-table")
-        print(f"rows {len(table)}")
-        print(f"dim {table.dim}")
-    else:
-        table = load_sequence_table(path)
-        print("kind sequence-table")
-        print(f"rows {len(table)}")
-        print(f"dim {table.dim}")
+    table = (load_sequence_table if table_kind == "sequence" else load_vector_table)(path)
+    print(f"kind {table_kind}-table")
+    print(f"rows {len(table)}")
+    print(f"dim {table.dim}")
+    if table_kind == "sequence":
         print(f"total_steps {sum(m.shape[0] for m in table.matrices)}")
     return 0
 

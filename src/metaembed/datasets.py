@@ -17,7 +17,8 @@ Two tab-separated layouts are read:
 
 Splits are stored as index tuples into the pair list.  Canonical files
 carry no split information; use :func:`random_splits` to draw a
-deterministic seeded partition when a task needs one.
+deterministic seeded partition when a task needs one.  Encoding, line ends
+and atomic writes follow :mod:`metaembed.textio`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .store import _fmt, sequence_views
+from .store import sequence_views
+from .textio import fmt, read_lines, write_lines
 
 __all__ = [
     "Pair",
@@ -153,15 +155,6 @@ def class_dataset(name, pairs, classes, splits=None, sentences=None) -> PairData
                        _check_splits(splits, len(pairs)), _check_sentences(sentences, len(pairs)))
 
 
-def _read_rows(path) -> list[list[str]]:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise FileFormatError(path, 1, f"cannot read file: {exc}") from exc
-    return [line.rstrip("\r").split("\t") for line in text.splitlines()]
-
-
 def _check_id(token: str, path, lineno: int, column: str) -> str:
     if not token or any(ch.isspace() for ch in token):
         raise FileFormatError(path, lineno, f"bad {column} value {token!r}")
@@ -170,7 +163,7 @@ def _check_id(token: str, path, lineno: int, column: str) -> str:
 
 def _parse_canonical_rows(path):
     """Rows of (lineno, id_a, id_b, label, sent_a, sent_b); blank lines skipped."""
-    rows = _read_rows(path)
+    rows = [line.split("\t") for line in read_lines(path)]
     out = []
     for i, row in enumerate(rows, start=1):
         if row == [""]:
@@ -229,10 +222,9 @@ def save_pair_dataset_tsv(path, dataset: PairDataset) -> None:
     """Write a dataset in the canonical five-column layout."""
     out = []
     for p, (sent_a, sent_b) in zip(dataset.pairs, dataset.sentences):
-        label = _fmt(p.label) if dataset.kind == "score" else p.label
+        label = fmt(p.label) if dataset.kind == "score" else p.label
         out.append("\t".join([p.id_a, p.id_b, label, sent_a, sent_b]))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(out) + "\n")
+    write_lines(path, out)
 
 
 def infer_classes(path) -> tuple:
@@ -247,7 +239,7 @@ def load_sick_official(path, name: str = "sick") -> tuple:
     relatedness score in [1, 5] and once with their entailment class.  Both
     share ids, sentences and (when the file carries SemEval_set) splits.
     """
-    rows = _read_rows(path)
+    rows = [line.split("\t") for line in read_lines(path)]
     if not rows or rows == [[""]]:
         raise FileFormatError(path, 1, "empty file; expected a header line")
     header = rows[0]

@@ -31,6 +31,7 @@ from .linalg import (
     thin_svd,
 )
 from .modelio import read_model, write_model
+from .textio import fmt
 
 __all__ = ["concat_views", "SvdMetaModel", "fit_svd_meta", "GccaModel", "fit_gcca", "DEFAULT_TAU"]
 
@@ -166,7 +167,7 @@ class GccaModel:
         return out
 
     def save(self, path) -> None:
-        hyper = "dims " + " ".join(str(d) for d in self.dims) + f" tau {self.tau:.17g}"
+        hyper = "dims " + " ".join(str(d) for d in self.dims) + f" tau {fmt(self.tau)}"
         blocks = []
         for j in range(len(self.dims)):
             blocks.append((f"mean{j}", self.means[j][None, :]))

@@ -184,14 +184,17 @@ def l2_normalize_rows(m) -> np.ndarray:
     Zero rows are passed through unchanged with a :class:`ZeroRowWarning`
     (out-of-vocabulary placeholders may legitimately be zero).  Rows already
     unit-norm within 2.5e-13 are returned untouched, so applying the function
-    twice is bit-for-bit the same as applying it once.
+    twice is bit-for-bit the same as applying it once.  Rows whose squared
+    norm is subnormal or overflows are divided by their largest magnitude
+    first, so the whole float64 range comes out unit-norm.
     """
     a = as_matrix(m)
     sq = np.einsum("ij,ij->i", a, a)
     zero = sq == 0.0
     skip = np.abs(sq - 1.0) <= _UNIT_SKIP_TOL
+    rescale = ((sq > 0.0) & (sq < np.finfo(np.float64).tiny)) | np.isinf(sq)
     scale = np.ones_like(sq)
-    active = ~(zero | skip)
+    active = ~(zero | skip | rescale)
     scale[active] = 1.0 / np.sqrt(sq[active])
     if np.any(zero):
         warnings.warn(
@@ -199,4 +202,8 @@ def l2_normalize_rows(m) -> np.ndarray:
             ZeroRowWarning,
             stacklevel=2,
         )
-    return a * scale[:, None]
+    out = a * scale[:, None]
+    if np.any(rescale):
+        b = a[rescale] / np.abs(a[rescale]).max(axis=1, keepdims=True)
+        out[rescale] = b / np.sqrt(np.einsum("ij,ij->i", b, b))[:, None]
+    return out

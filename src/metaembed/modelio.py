@@ -8,8 +8,8 @@ Every fitted model is stored as plain text:
     ... rows lines of cols values ...
     (further blocks until end of file)
 
-Values carry 17 significant digits, so saving and reloading reproduces the
-arrays bit-for-bit.  The concrete magics, hyperparameter lines and block
+The text codec (encoding, line ends, 17-digit values, atomic writes) is
+:mod:`metaembed.textio`.  The concrete magics, hyperparameter lines and block
 labels are owned by the model classes; this module only knows the envelope.
 """
 
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FileFormatError
-from .store import _fmt, _parse_values, _read_lines
+from .textio import fmt_row, parse_block, read_lines, write_lines
 
 __all__ = ["ModelFile", "write_model", "read_model", "sniff_model_kind"]
 
@@ -42,14 +42,13 @@ def write_model(path, magic: str, hyper: str, blocks) -> None:
             raise ValueError(f"block {label!r} must be 2-d, got ndim={a.ndim}")
         out.append(f"{label} {a.shape[0]} {a.shape[1]}")
         for row in a:
-            out.append(" ".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(out) + "\n")
+            out.append(fmt_row(row))
+    write_lines(path, out)
 
 
 def read_model(path, expected_magic: str | None = None) -> ModelFile:
     """Parse a model file, optionally insisting on a particular magic."""
-    lines = _read_lines(path)
+    lines = read_lines(path)
     if not lines or not lines[0].strip():
         raise FileFormatError(path, 1, "empty file; expected a model header")
     head = lines[0].split()
@@ -80,23 +79,14 @@ def read_model(path, expected_magic: str | None = None) -> ModelFile:
             raise FileFormatError(path, cursor, f"non-integer block shape in {raw!r}") from None
         if rows < 1 or cols < 1:
             raise FileFormatError(path, cursor, f"block shape must be positive, got {rows} {cols}")
-        cursor += 1
-        arr = np.empty((rows, cols), dtype=np.float64)
-        for r in range(rows):
-            if cursor > len(lines):
-                last = max(1, len(lines))
-                raise FileFormatError(
-                    path, last, f"expected {rows} rows in block {label!r}; file ends after line {last}"
-                )
-            arr[r] = _parse_values(lines[cursor - 1].split(), cols, path, cursor)
-            cursor += 1
-        blocks[label] = arr
+        blocks[label] = parse_block(lines, cursor + 1, rows, cols, path, label)
+        cursor += 1 + rows
     return ModelFile(magic, hyper, blocks)
 
 
 def sniff_model_kind(path) -> str:
     """First token of the header line, e.g. ``"GCCA"``."""
-    lines = _read_lines(path)
+    lines = read_lines(path, limit=1)
     if not lines or not lines[0].strip():
         raise FileFormatError(path, 1, "empty file; expected a model header")
     return lines[0].split()[0]

@@ -8,11 +8,10 @@ Two table kinds cover everything the combiners consume:
   sentence.  File format is a header line ``N D`` followed by N blocks,
   each a line ``#id S`` and then S rows of D values.
 
-Files are UTF-8 with LF line endings and single-space separators.  Values
-are written with 17 significant digits so a save/load round trip reproduces
-every float64 bit-for-bit.  Ids are arbitrary non-empty strings without
-whitespace.  Parse failures raise :class:`FileFormatError` carrying the path
-and the 1-based line number.
+Values are separated by single spaces; ids are arbitrary non-empty
+strings without whitespace.  Encoding, line ends, number format and atomic
+writes follow :mod:`metaembed.textio`.  Parse failures raise
+:class:`FileFormatError` carrying the path and the 1-based line number.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import numpy as np
 
 from .errors import FileFormatError, ValidationError
 from .linalg import as_matrix
+from .textio import fmt_row, parse_block, parse_values, read_lines, truncated, write_lines
 
 __all__ = [
     "EmbeddingTable",
@@ -37,10 +37,6 @@ __all__ = [
     "align_by_id",
     "sequence_views",
 ]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _check_ids(ids) -> tuple[str, ...]:
@@ -138,15 +134,6 @@ class SequenceTable:
         return cls(table.ids, [table.vectors[i : i + 1] for i in range(len(table))])
 
 
-def _read_lines(path) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise FileFormatError(path, 1, f"cannot read file: {exc}") from exc
-    return text.splitlines()
-
-
 def _parse_header(lines: list[str], path) -> tuple[int, int]:
     if not lines or not lines[0].strip():
         raise FileFormatError(path, 1, "empty file; expected header 'N D'")
@@ -162,38 +149,15 @@ def _parse_header(lines: list[str], path) -> tuple[int, int]:
     return n, d
 
 
-def _parse_values(tokens: list[str], d: int, path, lineno: int) -> np.ndarray:
-    if len(tokens) != d:
-        raise FileFormatError(path, lineno, f"expected {d} values, got {len(tokens)}")
-    try:
-        return np.array([float(t) for t in tokens], dtype=np.float64)
-    except ValueError:
-        bad = next(t for t in tokens if not _is_float(t))
-        raise FileFormatError(path, lineno, f"could not parse value {bad!r}") from None
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
 def _check_trailing(lines: list[str], used: int, path) -> None:
     for extra in range(used, len(lines)):
         if lines[extra].strip():
             raise FileFormatError(path, extra + 1, "unexpected content after the declared rows")
 
 
-def _truncated(path, lines: list[str], what: str) -> FileFormatError:
-    last = max(1, len(lines))
-    return FileFormatError(path, last, f"{what}; file ends after line {last}")
-
-
 def load_vector_table(path) -> EmbeddingTable:
     """Parse a vector table file."""
-    lines = _read_lines(path)
+    lines = read_lines(path)
     n, d = _parse_header(lines, path)
     ids: list[str] = []
     rows = np.empty((n, d), dtype=np.float64)
@@ -201,7 +165,7 @@ def load_vector_table(path) -> EmbeddingTable:
     for i in range(n):
         lineno = 2 + i
         if lineno > len(lines):
-            raise _truncated(path, lines, f"expected {n} data rows")
+            raise truncated(path, lines, f"expected {n} data rows")
         tokens = lines[lineno - 1].split()
         if not tokens:
             raise FileFormatError(path, lineno, "unexpected blank line")
@@ -209,7 +173,7 @@ def load_vector_table(path) -> EmbeddingTable:
         if ident in seen:
             raise FileFormatError(path, lineno, f"duplicate id {ident!r}")
         seen.add(ident)
-        rows[i] = _parse_values(tokens[1:], d, path, lineno)
+        rows[i] = parse_values(tokens[1:], d, path, lineno)
         ids.append(ident)
     _check_trailing(lines, 1 + n, path)
     if not np.all(np.isfinite(rows)):
@@ -222,14 +186,13 @@ def save_vector_table(path, table: EmbeddingTable) -> None:
     """Write *table* in the vector table format (17 significant digits)."""
     out = [f"{len(table)} {table.dim}"]
     for ident, row in zip(table.ids, table.vectors):
-        out.append(ident + " " + " ".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(out) + "\n")
+        out.append(ident + " " + fmt_row(row))
+    write_lines(path, out)
 
 
 def load_sequence_table(path) -> SequenceTable:
     """Parse a sequence table file."""
-    lines = _read_lines(path)
+    lines = read_lines(path)
     n, d = _parse_header(lines, path)
     ids: list[str] = []
     mats: list[np.ndarray] = []
@@ -237,7 +200,7 @@ def load_sequence_table(path) -> SequenceTable:
     cursor = 2  # 1-based line number of the next unread line
     for _ in range(n):
         if cursor > len(lines):
-            raise _truncated(path, lines, f"expected {n} sequence blocks")
+            raise truncated(path, lines, f"expected {n} sequence blocks")
         tokens = lines[cursor - 1].split()
         if len(tokens) != 2 or not tokens[0].startswith("#"):
             raise FileFormatError(path, cursor, f"expected block header '#id S', got {lines[cursor - 1]!r}")
@@ -253,13 +216,8 @@ def load_sequence_table(path) -> SequenceTable:
             raise FileFormatError(path, cursor, f"expected integer row count, got {tokens[1]!r}") from None
         if steps < 1:
             raise FileFormatError(path, cursor, f"sequence length must be positive, got {steps}")
-        cursor += 1
-        mat = np.empty((steps, d), dtype=np.float64)
-        for s in range(steps):
-            if cursor > len(lines):
-                raise _truncated(path, lines, f"expected {steps} rows in block {ident!r}")
-            mat[s] = _parse_values(lines[cursor - 1].split(), d, path, cursor)
-            cursor += 1
+        mat = parse_block(lines, cursor + 1, steps, d, path, ident)
+        cursor += 1 + steps
         if not np.all(np.isfinite(mat)):
             raise FileFormatError(path, cursor - 1, f"non-finite value in block {ident!r}")
         ids.append(ident)
@@ -274,17 +232,16 @@ def save_sequence_table(path, table: SequenceTable) -> None:
     for ident, mat in zip(table.ids, table.matrices):
         out.append(f"#{ident} {mat.shape[0]}")
         for row in mat:
-            out.append(" ".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(out) + "\n")
+            out.append(fmt_row(row))
+    write_lines(path, out)
 
 
 def sniff_table_kind(path) -> str:
     """Return ``"sequence"`` if the first data line is a block header, else ``"vector"``."""
-    lines = _read_lines(path)
+    lines = read_lines(path, limit=2)
     _parse_header(lines, path)
     if len(lines) < 2:
-        raise _truncated(path, lines, "expected at least one data row")
+        raise truncated(path, lines, "expected at least one data row")
     first = lines[1].split()
     if first and first[0].startswith("#"):
         return "sequence"

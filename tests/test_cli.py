@@ -403,6 +403,13 @@ class TestEval:
         assert code == 2
         assert "exactly one vector table" in stderr
 
+    def test_undecodable_dataset_reports_line(self, tmp_path, rng, capsys):
+        table_path, pairs_path = self.embeddings_fixture(tmp_path, rng)
+        pairs_path.write_bytes(pairs_path.read_bytes().replace(b"-\n", b"caf\xe9\n", 2))
+        code, _, stderr = run(capsys, "eval", "sts", "--inputs", table_path, "--dataset", pairs_path)
+        assert code == 2
+        assert f"error: {pairs_path}:1: invalid UTF-8 byte 0xe9" in stderr and "Traceback" not in stderr
+
     def test_missing_vector_reported(self, tmp_path, rng, capsys):
         table_path, _ = self.embeddings_fixture(tmp_path, rng)
         extra = write_canonical(tmp_path / "extra.tsv", [("zz_A", "zz_B", "3")])
@@ -454,6 +461,13 @@ class TestInfo:
         code, _, stderr = run(capsys, "info", tmp_path / "nope.vec")
         assert code == 2 and "error:" in stderr
 
+    def test_undecodable_table_reports_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.vec"
+        path.write_bytes(b"2 1\na 1\nb\xff 2\n")
+        code, _, stderr = run(capsys, "info", path)
+        assert code == 2
+        assert f"error: {path}:3: invalid UTF-8 byte 0xff" in stderr and "Traceback" not in stderr
+
 
 class TestUsage:
     def test_version(self, capsys):
@@ -471,6 +485,13 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["combine", "--out", "x.vec"])
         assert exc.value.code == 2
+
+    def test_unwritable_output_reported(self, tmp_path, rng, capsys):
+        _, paths = write_vec_tables(tmp_path, rng)
+        out = tmp_path / "missing" / "o.vec"
+        code, _, stderr = run(capsys, "combine", "--method", "con", "--inputs", *paths, "--out", out)
+        assert code == 2
+        assert f"error: {out}: cannot write file" in stderr and "Traceback" not in stderr
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "combine", "--method", "con",

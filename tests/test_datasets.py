@@ -151,6 +151,25 @@ class TestCanonicalFormat:
         with pytest.raises(FileFormatError, match=f"{path}:1.*bad id_a"):
             load_pair_dataset_tsv(path, score_range=(0, 5))
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\f", "\x1c", "\x1e", "\v"])
+    def test_sentence_with_unicode_line_separator(self, tmp_path, sep):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(f"a\tb\t1\tone{sep}two\t-\nc\td\t2\t-\t-\n", encoding="utf-8")
+        ds = load_pair_dataset_tsv(path, score_range=(0, 5))
+        assert ds.sentences[0] == (f"one{sep}two", "-") and len(ds.pairs) == 2
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"a\tb\t1\t-\t-\r\nc\td\t2\t-\tlast\r\n")
+        ds = load_pair_dataset_tsv(path, score_range=(0, 5))
+        assert [p.label for p in ds.pairs] == [1.0, 2.0] and ds.sentences[1] == ("-", "last")
+
+    def test_undecodable_byte_names_line(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(b"a\tb\t1\t-\t-\nc\td\t2\tcaf\xe9\t-\n")
+        with pytest.raises(FileFormatError, match=f"{path}:2.*invalid UTF-8 byte 0xe9"):
+            load_pair_dataset_tsv(path, score_range=(0, 5))
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("a\tb\t1\t-\t-\n\nc\td\t2\t-\t-\n")
@@ -246,6 +265,16 @@ class TestOfficialFormat:
         path.write_text(OFFICIAL_HEADER + "\n1\ta\tb\t3.0\tENTAILMENT\n")
         with pytest.raises(FileFormatError, match="expected 6 fields, got 5"):
             load_sick_official(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_sentence_with_unicode_line_separator(self, tmp_path, newline):
+        rows = self.rows()
+        rows[1] = ("2", "A dog\u2028runs", "A cat\fsleeps", "1.2", "CONTRADICTION", "TRIAL")
+        path = tmp_path / "official.txt"
+        path.write_bytes(newline.join([OFFICIAL_HEADER] + ["\t".join(r) for r in rows]).encode() + b"\n")
+        scores, _ = load_sick_official(path)
+        assert len(scores.pairs) == 4
+        assert scores.sentences[1] == ("A dog\u2028runs", "A cat\fsleeps")
 
     def test_not_official_header(self, tmp_path):
         path = tmp_path / "official.txt"

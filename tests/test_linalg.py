@@ -244,6 +244,20 @@ class TestL2Normalize:
         y = l2_normalize_rows(x)
         assert y.tobytes() == x.tobytes()
 
+    def test_subnormal_squared_norm_comes_out_unit(self):
+        x = np.array([[4.67e-162, 0.0, 0.0], [3e-160, -4e-160, 0.0], [3.0, 4.0, 0.0]])
+        y = l2_normalize_rows(x)
+        assert np.array_equal(y[0], [1.0, 0.0, 0.0])
+        assert np.allclose(y[1], [0.6, -0.8, 0.0], rtol=0, atol=1e-15)
+        assert y[2].tobytes() == (x[2] * (1.0 / np.sqrt(25.0))).tobytes()
+
+    def test_overflowing_squared_norm_comes_out_unit(self):
+        x = np.array([[1e200, 1e200, 0.0], [-1.7e308, 0.0, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = l2_normalize_rows(x)
+        assert np.allclose(y, [[RT2 / 2, RT2 / 2, 0.0], [-RT2 / 2, 0.0, RT2 / 2]], rtol=0, atol=1e-15)
+
     def test_direction_preserved(self, rng):
         x = rng.normal(size=(10, 3))
         y = l2_normalize_rows(x)

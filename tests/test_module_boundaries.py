@@ -1,0 +1,86 @@
+"""Static checks on the package source: one text codec, no private imports."""
+
+import ast
+import pathlib
+
+import metaembed
+
+PACKAGE = pathlib.Path(metaembed.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parsed(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _open_mode(call: ast.Call):
+    """The mode argument of an ``open`` call: a string, None when absent, ... when not a literal."""
+    node = call.args[1] if len(call.args) > 1 else None
+    for kw in call.keywords:
+        if kw.arg == "mode":
+            node = kw.value
+    if node is None:
+        return None
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ...
+
+
+def text_opens(tree):
+    """Line numbers of calls to builtin or ``io.open`` that may open a file in text mode."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "open" or (
+            isinstance(f, ast.Attribute) and f.attr == "open"
+            and isinstance(f.value, ast.Name) and f.value.id == "io"
+        ):
+            mode = _open_mode(node)
+            if not isinstance(mode, str) or "b" not in mode:
+                lines.append(node.lineno)
+        elif isinstance(f, ast.Attribute) and f.attr in ("read_text", "write_text"):
+            lines.append(node.lineno)
+    return lines
+
+
+def private_imports(tree):
+    """``_name`` imported from another module of the package, as (line, module, name)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "metaembed"
+            for alias in node.names if internal else ():
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append((node.lineno, node.module, alias.name))
+    return sorted(found)
+
+
+def offenders(check, modules) -> dict:
+    return {p.name: found for p in modules if (found := check(parsed(p)))}
+
+
+def test_package_modules_found():
+    assert {"textio.py", "store.py", "cli.py"} <= {p.name for p in MODULES}
+
+
+def test_no_private_names_imported_across_modules():
+    assert offenders(private_imports, MODULES) == {}
+
+
+def test_only_textio_opens_text_files():
+    assert offenders(text_opens, [p for p in MODULES if p.name != "textio.py"]) == {}
+
+
+def test_guard_catches_what_it_forbids():
+    tree = ast.parse(
+        "from .store import _fmt\n"
+        "from metaembed.modelio import _x, ok\n"
+        "open(p)\n"
+        "open(p, 'w', encoding='utf-8')\n"
+        "open(p, mode=m)\n"
+        "io.open(p, 'r')\n"
+        "open(p, 'rb')\n"
+        "path.write_text(s)\n"
+    )
+    assert private_imports(tree) == [(1, "store", "_fmt"), (2, "metaembed.modelio", "_x")]
+    assert text_opens(tree) == [3, 4, 5, 6, 8]

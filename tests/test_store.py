@@ -3,6 +3,7 @@ import pytest
 
 from conftest import make_sequence_table, make_vector_table
 from metaembed.errors import FileFormatError, ValidationError
+from metaembed.modelio import sniff_model_kind
 from metaembed.store import (
     EmbeddingTable,
     SequenceTable,
@@ -129,6 +130,18 @@ class TestVectorTableFormat:
         with pytest.raises(FileFormatError, match="positive"):
             load_vector_table(path)
 
+    def test_undecodable_byte_names_line(self, tmp_path):
+        path = tmp_path / "bad.tbl"
+        path.write_bytes(b"2 1\na 1\n\xffb 2\n")
+        with pytest.raises(FileFormatError, match=f"{path}:3.*invalid UTF-8 byte 0xff"):
+            load_vector_table(path)
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "t.tbl"
+        path.write_bytes(b"2 1\r\na 1.5\r\nb -2\r\n")
+        table = load_vector_table(path)
+        assert table.ids == ("a", "b") and table.vectors.tolist() == [[1.5], [-2.0]]
+
 
 class TestSequenceTableFormat:
     def test_round_trip_is_bitwise_exact(self, rng, tmp_path):
@@ -190,6 +203,17 @@ class TestSniff:
         save_sequence_table(spath, make_sequence_table(rng, ["a", "b"], 2))
         assert sniff_table_kind(vpath) == "vector"
         assert sniff_table_kind(spath) == "sequence"
+
+    def test_sniffers_read_only_the_first_lines(self, tmp_path):
+        vpath = tmp_path / "v.tbl"
+        vpath.write_bytes(b"2 1\na 1\n\xff 2\n")
+        spath = tmp_path / "s.seq"
+        spath.write_bytes(b"1 1\n#a 1\n\xff\n")
+        mpath = tmp_path / "m.model"
+        mpath.write_bytes(b"GCCA v1\n\xff\n")
+        assert sniff_table_kind(vpath) == "vector"
+        assert sniff_table_kind(spath) == "sequence"
+        assert sniff_model_kind(mpath) == "GCCA"
 
 
 class TestAlignment:

@@ -1,0 +1,104 @@
+import os
+
+import numpy as np
+import pytest
+
+from metaembed import textio
+from metaembed.errors import FileFormatError, ValidationError
+from metaembed.textio import fmt, fmt_row, parse_block, read_lines, write_lines
+
+
+class TestReadLines:
+    def test_splits_on_lf_only(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("a b\fc\x1cd\x85e\nf\n".encode("utf-8"))
+        assert read_lines(path) == ["a b\fc\x1cd\x85e", "f"]
+
+    def test_crlf_and_missing_final_newline(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a b\r\n\r\nc")
+        assert read_lines(path) == ["a b", "", "c"]
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"")
+        assert read_lines(path) == []
+
+    def test_limit_reads_only_the_first_lines(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"one\r\ntwo\n\xff\n")
+        assert read_lines(path, limit=2) == ["one", "two"]
+        with pytest.raises(FileFormatError, match=r"t.txt:3: invalid UTF-8 byte 0xff"):
+            read_lines(path)
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"ok\nok\ncaf\xe9\n")
+        with pytest.raises(FileFormatError, match=r"t.txt:3: invalid UTF-8 byte 0xe9") as exc:
+            read_lines(path)
+        assert exc.value.line == 3
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileFormatError, match="cannot read file"):
+            read_lines(tmp_path / "nope.txt")
+
+
+class TestWriteLines:
+    def test_lf_terminated_utf8(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_lines(path, ["a", "é"])
+        assert path.read_bytes() == b"a\n\xc3\xa9\n"
+
+    @pytest.mark.parametrize("fail_at", ["lines", "replace"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old contents\n")
+
+        def lines():
+            yield "new"
+            if fail_at == "lines":
+                raise RuntimeError("disk full")
+            yield "more"
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        if fail_at == "replace":
+            monkeypatch.setattr(textio.os, "replace", broken_replace)
+        with pytest.raises((RuntimeError, ValidationError), match="disk full"):
+            write_lines(path, lines())
+        assert path.read_bytes() == b"old contents\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.txt"]
+
+    def test_unwritable_destination_is_named(self, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(ValidationError, match=f"{path}: cannot write file: No such file"):
+            write_lines(path, ["x"])
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_file_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_lines(tmp_path / "out.txt", ["x"])
+            with open(tmp_path / "plain.txt", "w") as f:
+                f.write("x\n")
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "out.txt").st_mode & 0o777
+        assert mode == 0o666 & ~umask
+        assert mode == os.stat(tmp_path / "plain.txt").st_mode & 0o777
+
+
+class TestValues:
+    def test_fmt_round_trips_every_bit(self):
+        values = [0.1, -1e-310, 1.7976931348623157e308, 2.0 / 3.0, 5e-324]
+        assert [float(fmt(v)) for v in values] == values
+        assert fmt_row([1.0, 0.5]) == "1 0.5"
+
+    def test_parse_block_reports_truncation(self, tmp_path):
+        lines = ["hdr", "1 2", "3 4"]
+        assert np.array_equal(parse_block(lines, 2, 2, 2, "f", "w"), [[1, 2], [3, 4]])
+        with pytest.raises(FileFormatError, match=r"f:3: expected 3 rows in block 'w'; file ends after line 3"):
+            parse_block(lines, 2, 3, 2, "f", "w")
+        with pytest.raises(FileFormatError, match=r"f:2: could not parse value 'x'"):
+            parse_block(["1 2", "3 x"], 2, 1, 2, "f", "w")
