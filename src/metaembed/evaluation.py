@@ -34,14 +34,34 @@ __all__ = [
     "embed_table",
 ]
 
+_ZERO_VECTOR = "cosine of a zero vector is undefined"
+
 
 def _vector(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64).reshape(-1)
+    a = np.array(v, dtype=np.float64).reshape(-1)
     if a.size == 0:
         raise ValidationError(f"{name} is empty")
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} contains non-finite entries")
     return a
+
+
+def _row_cosines(a: np.ndarray, b: np.ndarray, zero_a: str, zero_b: str) -> np.ndarray:
+    """Cosine of each row of *a* with the same row of *b*, clamped into [-1, 1].
+
+    Each row is divided by its largest magnitude first, as LAPACK ``dnrm2``
+    does, so no square overflows or underflows anywhere in the float64
+    range.  The division is in place: callers pass fresh arrays.  A zero row
+    raises :class:`ValidationError` with message *zero_a* or *zero_b*.
+    """
+    for m, message in ((a, zero_a), (b, zero_b)):
+        peak = np.maximum(m.max(axis=1), -m.min(axis=1))
+        if not np.all(peak > 0.0):
+            raise ValidationError(message)
+        m /= peak[:, None]
+    dots = np.einsum("ij,ij->i", a, b)
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a) * np.einsum("ij,ij->i", b, b))
+    return np.clip(dots / norms, -1.0, 1.0)
 
 
 def cosine(u, v) -> float:
@@ -50,31 +70,36 @@ def cosine(u, v) -> float:
     b = _vector(v, "v")
     if a.size != b.size:
         raise ValidationError(f"length mismatch: {a.size} vs {b.size}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine of a zero vector is undefined")
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+    return float(_row_cosines(a[None, :], b[None, :], _ZERO_VECTOR, _ZERO_VECTOR)[0])
 
 
-def scale_similarity(cos: float, lo: float = 0.0, hi: float = 5.0) -> float:
-    """Map a cosine onto [lo, hi]: lo + max(0, cos) * (hi - lo).
+def scale_similarity(cos, lo: float = 0.0, hi: float = 5.0):
+    """Map cosines onto [lo, hi]: lo + max(0, cos) * (hi - lo), elementwise.
 
     Cosine 1 is the ceiling and cosine 0 the floor; negative cosines clamp
     to the floor rather than extending the scale below it, because the
     similarity tasks have no notion of "less similar than unrelated".
+    Takes a number or an array and returns the same kind.
     """
     if not hi > lo:
         raise ValidationError(f"range must satisfy hi > lo, got [{lo}, {hi}]")
-    return lo + max(0.0, float(cos)) * (hi - lo)
+    return lo + np.maximum(0.0, cos) * (hi - lo)
+
+
+def _centered_row(a: np.ndarray) -> np.ndarray:
+    """*a* divided by its largest magnitude, then centered, as one row."""
+    peak = np.abs(a).max()
+    if peak > 0.0:
+        a = a / peak  # the mean of samples near the float64 maximum would overflow
+    return (a - a.mean())[None, :]
 
 
 def pearson(x, y) -> float:
     """Pearson correlation of two equal-length samples, clamped into [-1, 1].
 
-    Computed from centered sums (two passes) rather than the raw-moment
-    arrangement; the two are algebraically equal and the centered form does
-    not cancel catastrophically.
+    The cosine of the centered samples (two passes) rather than the
+    raw-moment arrangement; the two are algebraically equal and the centered
+    form does not cancel catastrophically.
     """
     a = _vector(x, "x")
     b = _vector(y, "y")
@@ -82,15 +107,11 @@ def pearson(x, y) -> float:
         raise ValidationError(f"length mismatch: {a.size} vs {b.size}")
     if a.size < 2:
         raise ValidationError("need at least two points")
-    ac = a - a.mean()
-    bc = b - b.mean()
-    na = float(np.linalg.norm(ac))
-    nb = float(np.linalg.norm(bc))
-    if na == 0.0:
-        raise ValidationError("zero variance in x; correlation is undefined")
-    if nb == 0.0:
-        raise ValidationError("zero variance in y; correlation is undefined")
-    return float(np.clip(float(ac @ bc) / (na * nb), -1.0, 1.0))
+    return float(_row_cosines(
+        _centered_row(a), _centered_row(b),
+        "zero variance in x; correlation is undefined",
+        "zero variance in y; correlation is undefined",
+    )[0])
 
 
 def accuracy(golds, preds) -> float:
@@ -185,27 +206,27 @@ def evaluate_similarity(table: EmbeddingTable, pairs, lo: float = 0.0, hi: float
     if not pairs:
         raise ValidationError("no pairs to evaluate")
     _check_pair_ids(table, pairs)
-    golds = []
-    preds = []
-    rows = []
-    for p in pairs:
-        try:
-            gold = float(p.label)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"pair ({p.id_a}, {p.id_b}) has no usable gold score: {p.label!r}"
-            ) from None
-        pred = scale_similarity(cosine(table.row(p.id_a), table.row(p.id_b)), lo, hi)
-        golds.append(gold)
-        preds.append(pred)
-        rows.append((p.id_a, p.id_b, gold, pred))
+    golds = [_gold_score(p) for p in pairs]
+    cos = _row_cosines(table.lookup(p.id_a for p in pairs), table.lookup(p.id_b for p in pairs),
+                       _ZERO_VECTOR, _ZERO_VECTOR)
+    preds = scale_similarity(cos, lo, hi)
     value = pearson(preds, golds)
+    rows = [(p.id_a, p.id_b, g, pred) for p, g, pred in zip(pairs, golds, preds.tolist())]
     fingerprint = config_fingerprint(
         task, "pearson", lo, hi,
-        [(p.id_a, p.id_b, float(p.label)) for p in pairs],
+        [(p.id_a, p.id_b, g) for p, g in zip(pairs, golds)],
         *_table_digest(table),
     )
     return EvalReport(task, "pearson", value, len(pairs), fingerprint), rows
+
+
+def _gold_score(p) -> float:
+    try:
+        return float(p.label)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"pair ({p.id_a}, {p.id_b}) has no usable gold score: {p.label!r}"
+        ) from None
 
 
 def evaluate_classification(model, tables, pairs, task: str = "classification") -> tuple:

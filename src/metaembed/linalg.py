@@ -2,11 +2,12 @@
 
 Thin SVD, symmetric and generalized symmetric-definite eigendecompositions,
 Cholesky factorization, column centering and row normalization.  All
-arithmetic is 64-bit.  The heavy factorizations are backed by LAPACK (via
-numpy) with a deterministic ordering and sign convention layered on top:
-eigenvalues are sorted descending with ties kept in backend output order, and
-each eigenvector is flipped so its largest-magnitude entry is positive.  That
-makes fitted model files reproducible across runs.
+arithmetic is 64-bit.  Each factorization is one LAPACK call (``gesdd``,
+``syevd``, ``sygvd``, ``potrf``) with a deterministic order and sign
+convention on top: eigenvalues descending, ties in backend output order, each
+eigenvector (and each singular pair, by its v_j) flipped so its
+largest-magnitude entry is positive.  Fitted model files therefore do not
+depend on the backend's sign choices.
 
 Every function here is pure: inputs are never mutated and there is no shared
 state, so calls are safe from concurrent workers.
@@ -63,23 +64,27 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    if a.shape[0] != a.shape[1]:
+        raise ValidationError(f"{name} must be square, got shape {a.shape}")
+    asym = float(np.max(np.abs(a - a.T)))
     tol = 1e-10 * max(1.0, float(np.max(np.abs(a))))
     if asym > tol:
         raise ValidationError(f"{name} is not symmetric: max asymmetry {asym:.6g}")
 
 
-def _check_square(a: np.ndarray, name: str) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {a.shape}")
-
-
-def _fix_column_signs(v: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's largest-magnitude entry is positive."""
+def _lead_signs(v: np.ndarray) -> np.ndarray:
+    """Per-column +1/-1 that makes each column's largest-magnitude entry positive."""
     lead = np.argmax(np.abs(v), axis=0)
     signs = np.sign(v[lead, np.arange(v.shape[1])])
     signs[signs == 0] = 1.0
-    return v * signs
+    return signs
+
+
+def _descending(values: np.ndarray, vectors: np.ndarray) -> EigenResult:
+    """Eigenpairs sorted descending (ties in backend order) with fixed signs."""
+    order = np.argsort(-values, kind="stable")
+    vectors = vectors[:, order]
+    return EigenResult(values[order], vectors * _lead_signs(vectors))
 
 
 def thin_svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,7 +92,8 @@ def thin_svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (u, s, v) with u of shape (rows, r), v of shape (cols, r),
     r = min(rows, cols), and s non-negative sorted descending.  Columns of
-    u and v are orthonormal.
+    u and v are orthonormal; each pair (u_j, v_j) is signed so the
+    largest-magnitude entry of v_j is positive.
     """
     a = as_matrix(m)
     try:
@@ -97,7 +103,9 @@ def thin_svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             "thin SVD did not converge within the backend iteration cap "
             f"(LAPACK gesdd, 30 sweeps per superdiagonal): {exc}"
         ) from exc
-    return u, s, vh.T
+    v = vh.T
+    signs = _lead_signs(v)
+    return u * signs, s, v * signs
 
 
 def sym_eig_desc(a) -> EigenResult:
@@ -109,59 +117,45 @@ def sym_eig_desc(a) -> EigenResult:
     largest-magnitude entry is positive.
     """
     m = as_matrix(a)
-    _check_square(m, "matrix")
     _check_symmetric(m, "matrix")
-    values, vectors = np.linalg.eigh(m)
-    order = np.argsort(-values, kind="stable")
-    return EigenResult(values[order], _fix_column_signs(vectors[:, order]))
+    return _descending(*np.linalg.eigh(m))
 
 
 def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L @ L.T = a for symmetric positive definite a.
 
-    Raises :class:`NotPositiveDefiniteError` naming the failing pivot index
-    when the input is not positive definite.
+    LAPACK ``potrf`` on the lower triangle.  Raises
+    :class:`NotPositiveDefiniteError` naming the failing pivot index and its
+    value when the input is not positive definite.
     """
     m = as_matrix(a)
-    _check_square(m, "matrix")
     _check_symmetric(m, "matrix")
-    n = m.shape[0]
-    low = np.zeros_like(m)
-    for j in range(n):
-        pivot = m[j, j] - low[j, :j] @ low[j, :j]
-        if not np.isfinite(pivot) or pivot <= 0.0:
-            raise NotPositiveDefiniteError(j, float(pivot))
-        ljj = np.sqrt(pivot)
-        low[j, j] = ljj
-        if j + 1 < n:
-            low[j + 1 :, j] = (m[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / ljj
+    low, info = scipy.linalg.lapack.dpotrf(m, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(info - 1, float(low[info - 1, info - 1]))
     return low
 
 
 def gen_sym_eig(c, b) -> EigenResult:
     """Solve c @ vec = val * b @ vec for symmetric c and SPD b.
 
-    Implemented by whitening: with L = cholesky(b), the problem reduces to an
-    ordinary symmetric eigenproblem on L^-1 @ c @ L^-T whose eigenvectors are
-    mapped back through L^-T.  Eigenvalues come out descending; sign and tie
-    conventions follow :func:`sym_eig_desc`.
+    One LAPACK ``sygvd`` call; the eigenvectors are b-orthonormal
+    (vec.T @ b @ vec = I).  Eigenvalues come out descending; sign and tie
+    conventions follow :func:`sym_eig_desc`.  A b that is not positive
+    definite raises :class:`NotPositiveDefiniteError` naming its pivot.
     """
     cm = as_matrix(c, "c")
     bm = as_matrix(b, "b")
-    _check_square(cm, "c")
-    _check_square(bm, "b")
-    if cm.shape != bm.shape:
-        raise ValidationError(f"c and b must have the same shape, got {cm.shape} and {bm.shape}")
     _check_symmetric(cm, "c")
     _check_symmetric(bm, "b")
-    low = cholesky(bm)
-    half = scipy.linalg.solve_triangular(low, cm, lower=True)
-    whitened = scipy.linalg.solve_triangular(low, half.T, lower=True).T
-    # exact-arithmetic symmetry is lost to rounding; restore it before eigh
-    whitened = 0.5 * (whitened + whitened.T)
-    values, white_vectors = sym_eig_desc(whitened)
-    vectors = scipy.linalg.solve_triangular(low.T, white_vectors, lower=False)
-    return EigenResult(values, _fix_column_signs(vectors))
+    if cm.shape != bm.shape:
+        raise ValidationError(f"c and b must have the same shape, got {cm.shape} and {bm.shape}")
+    try:
+        values, vectors = scipy.linalg.eigh(cm, bm, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        cholesky(bm)
+        raise ConvergenceError(f"generalized eigensolver (LAPACK sygvd) failed: {exc}") from exc
+    return _descending(values, vectors)
 
 
 def column_means_and_center(m) -> tuple[np.ndarray, np.ndarray]:
@@ -185,14 +179,15 @@ def l2_normalize_rows(m) -> np.ndarray:
     (out-of-vocabulary placeholders may legitimately be zero).  Rows already
     unit-norm within 2.5e-13 are returned untouched, so applying the function
     twice is bit-for-bit the same as applying it once.  Rows whose squared
-    norm is subnormal or overflows are divided by their largest magnitude
-    first, so the whole float64 range comes out unit-norm.
+    norm underflows below the smallest normal number (to zero included) or
+    overflows are divided by their largest magnitude first, so every nonzero
+    row in the float64 range comes out unit-norm.
     """
     a = as_matrix(m)
     sq = np.einsum("ij,ij->i", a, a)
-    zero = sq == 0.0
+    zero = ~np.any(a != 0.0, axis=1)
     skip = np.abs(sq - 1.0) <= _UNIT_SKIP_TOL
-    rescale = ((sq > 0.0) & (sq < np.finfo(np.float64).tiny)) | np.isinf(sq)
+    rescale = ~zero & ((sq < np.finfo(np.float64).tiny) | np.isinf(sq))
     scale = np.ones_like(sq)
     active = ~(zero | skip | rescale)
     scale[active] = 1.0 / np.sqrt(sq[active])

@@ -203,10 +203,10 @@ def relatedness_targets(scores) -> np.ndarray:
     t = np.zeros((s.size, _SCORE_BINS.size))
     low = np.floor(s).astype(int)
     frac = s - low
-    for k in range(s.size):
-        t[k, low[k] - 1] += 1.0 - frac[k]
-        if frac[k] > 0.0:
-            t[k, low[k]] += frac[k]
+    rows = np.arange(s.size)
+    t[rows, low - 1] = 1.0 - frac
+    up = frac > 0.0
+    t[rows[up], low[up]] = frac[up]
     return t
 
 
@@ -244,8 +244,9 @@ def pair_feature_matrix(table: EmbeddingTable, pairs) -> np.ndarray:
     if not pairs:
         raise ValidationError("no pairs")
     out = np.empty((len(pairs), 4 * table.dim))
-    for k, p in enumerate(pairs):
-        u = table.row(p.id_a)
-        v = table.row(p.id_b)
-        out[k] = np.concatenate([u, v, np.abs(u - v), u * v])
+    u, v, dist, prod = np.hsplit(out, 4)  # views into out
+    u[...] = table.vectors[[table.index(p.id_a) for p in pairs]]
+    v[...] = table.vectors[[table.index(p.id_b) for p in pairs]]
+    np.abs(np.subtract(u, v, out=dist), out=dist)
+    np.multiply(u, v, out=prod)
     return out

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metaembed.datasets import Pair
@@ -65,6 +65,37 @@ class TestCosine:
         with pytest.raises(ValidationError, match="non-finite"):
             cosine([np.nan, 1], [1, 0])
 
+    def test_huge_entries(self):
+        # the squared norms overflow unless each vector is scaled first
+        expected = 0.9 / math.sqrt(2.0 * 1.01)
+        assert cosine([1e200, 1e200], [1e200, -1e199]) == pytest.approx(expected, abs=1e-15)
+        assert abs(expected - 0.63324) < 1e-5
+
+    def test_tiny_entries(self):
+        # the squared norms underflow to zero unless each vector is scaled first
+        assert cosine([1e-170, 0.0], [1e-170, 0.0]) == 1.0
+        assert cosine([1e-170, 0.0], [0.0, 3e-300]) == 0.0
+
+    def test_inputs_not_mutated(self):
+        u = np.array([3.0, 4.0])
+        v = np.array([1e-170, 2e-170])
+        cosine(u, v)
+        assert u.tolist() == [3.0, 4.0] and v.tolist() == [1e-170, 2e-170]
+
+    @given(
+        st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+        st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+        st.floats(-300.0, 300.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scale_invariance_over_float64_range(self, u, v, exponent):
+        # entries of magnitude >= 1e-3 stay normal after scaling by 1e-300
+        u = [x if abs(x) >= 1e-3 else 0.0 for x in u]
+        v = [x if abs(x) >= 1e-3 else 0.0 for x in v]
+        assume(any(u) and any(v))
+        c = 10.0 ** exponent
+        assert abs(cosine([c * x for x in u], v) - cosine(u, v)) <= 1e-12
+
 
 class TestScaleSimilarity:
     def test_endpoints_exact(self):
@@ -82,6 +113,11 @@ class TestScaleSimilarity:
     def test_bad_range_rejected(self):
         with pytest.raises(ValidationError, match="hi > lo"):
             scale_similarity(0.0, 5.0, 0.0)
+
+    def test_arrays_elementwise(self):
+        cos = np.array([1.0, 0.25, 0.0, -0.3])
+        out = scale_similarity(cos, 1.0, 5.0)
+        assert out.tolist() == [scale_similarity(c, 1.0, 5.0) for c in cos] == [5.0, 2.0, 1.0, 1.0]
 
     @given(st.floats(min_value=-1.0, max_value=1.0))
     @settings(max_examples=50, deadline=None)
@@ -123,6 +159,18 @@ class TestPearson:
     def test_needs_two_points(self):
         with pytest.raises(ValidationError, match="two points"):
             pearson([1.0], [2.0])
+
+    def test_huge_entries(self):
+        # the centered sum of squares overflows unless the sample is scaled first
+        assert pearson([1e200, 2e200, 3e200], [1.0, 2.0, 3.0]) == 1.0
+        assert pearson([1e-170, 2e-170, 3e-170], [3.0, 2.0, 1.0]) == -1.0
+        # here even the sample mean overflows unless the sample is scaled first
+        assert pearson([1.7e308, 1.6e308, 1.5e308], [1.0, 2.0, 3.0]) == pytest.approx(-1.0, abs=1e-15)
+
+    def test_constant_input_error_at_any_scale(self):
+        for c in (0.1, 1e-300, 1.7e308):
+            with pytest.raises(ValidationError, match="zero variance in x"):
+                pearson([c, c, c], [0.0, 1.0, 2.0])
 
     @given(st.lists(finite, min_size=3, max_size=20))
     @settings(max_examples=50, deadline=None)
@@ -235,6 +283,24 @@ class TestSimilarityDriver:
     def test_empty(self):
         with pytest.raises(ValidationError, match="no pairs"):
             evaluate_similarity(self.make_table(), [])
+
+    def test_matches_per_pair_reference(self, rng):
+        ids = [f"s{i}" for i in range(12)]
+        vectors = rng.normal(size=(12, 5)) * np.logspace(-150, 150, 12)[:, None]
+        table = EmbeddingTable(ids, vectors)
+        picks = rng.integers(0, 12, size=(40, 2))
+        pairs = [Pair(ids[i], ids[j], float(k % 5)) for k, (i, j) in enumerate(picks)]
+        _, rows = evaluate_similarity(table, pairs, 1.0, 5.0)
+        for p, row in zip(pairs, rows):
+            expected = scale_similarity(cosine(table.row(p.id_a), table.row(p.id_b)), 1.0, 5.0)
+            assert row[:3] == (p.id_a, p.id_b, p.label)
+            assert abs(row[3] - expected) <= 1e-15
+            assert type(row[2]) is float and type(row[3]) is float
+
+    def test_zero_vector_rejected(self):
+        table = EmbeddingTable(["s1", "z"], np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="zero vector"):
+            evaluate_similarity(table, [Pair("s1", "s1", 1.0), Pair("s1", "z", 2.0)])
 
 
 class FixedModel:

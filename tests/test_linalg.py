@@ -81,6 +81,26 @@ class TestThinSvd:
         assert np.sum(s > 1e-10 * s[0]) == 2
         assert np.linalg.norm(u @ np.diag(s) @ v.T - m) <= 1e-9 * np.linalg.norm(m)
 
+    def test_sign_convention_and_reconstruction(self, rng):
+        # each pair (u_j, v_j) is flipped together so v_j's largest-magnitude
+        # entry is positive; the product u diag(s) v^T is unchanged by that
+        for rows, cols in [(9, 4), (4, 9), (6, 6), (30, 12)]:
+            m = rng.normal(size=(rows, cols))
+            u, s, v = thin_svd(m)
+            r = min(rows, cols)
+            lead = np.argmax(np.abs(v), axis=0)
+            assert np.all(v[lead, np.arange(r)] > 0)
+            assert np.linalg.norm(u @ np.diag(s) @ v.T - m) <= 1e-12 * np.linalg.norm(m)
+
+    def test_signs_independent_of_input_sign(self, rng):
+        # m and -m have the same v under the convention; only u flips
+        m = rng.normal(size=(7, 5))
+        u1, s1, v1 = thin_svd(m)
+        u2, s2, v2 = thin_svd(-m)
+        assert np.allclose(s1, s2, atol=1e-12)
+        assert np.allclose(v1, v2, atol=1e-10)
+        assert np.allclose(u1, -u2, atol=1e-10)
+
     def test_truncation_beats_random_projections(self, rng):
         # the top-d right-singular directions are the best rank-d column
         # projection in Frobenius norm; no random subspace should win
@@ -166,6 +186,48 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             cholesky(np.zeros((3, 3)))
         assert exc.value.pivot_index == 0
+
+
+def spd_failing_at(rng, n, j):
+    """SPD leading j x j block; pivot j comes out -1 in exact arithmetic.
+
+    Returns the matrix and the pivot a[j, j] - L[j, :j] . L[j, :j] computed
+    from the factor of the leading block.
+    """
+    a = random_spd(rng, n)
+    lead = np.linalg.cholesky(a[:j, :j])
+    row = np.linalg.solve(lead, a[:j, j])
+    a[j, j] = row @ row - 1.0
+    return a, a[j, j] - row @ row
+
+
+class TestCholeskyPastBlockSize:
+    # LAPACK potrf factors in blocks; a failure beyond the first block must
+    # still name the global pivot index and value
+    @pytest.mark.parametrize("j", [257, 299])
+    def test_names_pivot_index_and_value(self, rng, j):
+        a, pivot = spd_failing_at(rng, 300, j)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky(a)
+        assert exc.value.pivot_index == j
+        assert abs(exc.value.pivot_value - pivot) <= 1e-9 * abs(pivot)
+        assert f"pivot {j}" in str(exc.value)
+
+    @pytest.mark.parametrize("j", [257, 299])
+    def test_gen_sym_eig_raises_the_same_error(self, rng, j):
+        a, _ = spd_failing_at(rng, 300, j)
+        with pytest.raises(NotPositiveDefiniteError) as direct:
+            cholesky(a)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            gen_sym_eig(random_symmetric(rng, 300), a)
+        assert exc.value.pivot_index == direct.value.pivot_index == j
+        assert exc.value.pivot_value == direct.value.pivot_value
+
+    def test_large_spd_reconstructs(self, rng):
+        a = random_spd(rng, 300)
+        low = cholesky(a)
+        assert np.array_equal(np.triu(low, 1), np.zeros_like(low))
+        assert np.linalg.norm(low @ low.T - a) <= 1e-12 * np.linalg.norm(a)
 
 
 class TestGenSymEig:
@@ -258,6 +320,14 @@ class TestL2Normalize:
             y = l2_normalize_rows(x)
         assert np.allclose(y, [[RT2 / 2, RT2 / 2, 0.0], [-RT2 / 2, 0.0, RT2 / 2]], rtol=0, atol=1e-15)
 
+    def test_underflowing_squared_norm_is_not_a_zero_row(self):
+        # every entry squares to 0, yet the row is nonzero: no warning, unit out
+        x = np.array([[3e-170, -4e-170, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = l2_normalize_rows(x)
+        assert np.array_equal(y, [[0.6, -0.8, 0.0]])
+
     def test_direction_preserved(self, rng):
         x = rng.normal(size=(10, 3))
         y = l2_normalize_rows(x)
@@ -268,11 +338,10 @@ class TestL2Normalize:
 @settings(max_examples=60, deadline=None)
 @given(arrays(np.float64, (4, 3), elements=st.floats(-1e6, 1e6, allow_nan=False)))
 def test_l2_normalize_property(x):
-    sq = np.einsum("ij,ij->i", x, x)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroRowWarning)
         y = l2_normalize_rows(x)
-    nonzero = sq > 0
+    nonzero = np.any(x != 0, axis=1)
     out = np.einsum("ij,ij->i", y, y)
     assert np.all(np.abs(out[nonzero] - 1.0) <= 1e-12)
     assert np.all(out[~nonzero] == 0.0)

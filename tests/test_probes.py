@@ -43,6 +43,16 @@ class TestTargets:
         back = relatedness_score(relatedness_targets(scores))
         assert np.max(np.abs(back - scores)) <= 1e-12
 
+    def test_matches_per_pair_reference(self, rng):
+        scores = np.concatenate([[1.0, 5.0, 3.0, 4.999999], rng.uniform(1.0, 5.0, size=60)])
+        expected = np.zeros((scores.size, 5))
+        for k, s in enumerate(scores):
+            low = int(np.floor(s))
+            expected[k, low - 1] += 1.0 - (s - low)
+            if s - low > 0.0:
+                expected[k, low] += s - low
+        assert relatedness_targets(scores).tobytes() == expected.tobytes()
+
     def test_rows_sum_to_one(self):
         t = relatedness_targets([1.0, 2.3, 4.99, 5.0])
         assert np.allclose(t.sum(axis=1), 1.0, atol=1e-15)
@@ -214,6 +224,22 @@ class TestPairFeatures:
         feats = pair_feature_matrix(table, [Pair("a", "b", None)])
         assert feats.shape == (1, 8)
         assert np.array_equal(feats[0], [1, 2, 4, 0.5, 3, 1.5, 4, 1])
+
+    def test_many_pairs_match_per_pair_reference(self, rng):
+        ids = [f"s{i}" for i in range(9)]
+        table = EmbeddingTable(ids, rng.normal(size=(9, 6)))
+        picks = rng.integers(0, 9, size=(25, 2))
+        pairs = [Pair(ids[i], ids[j], None) for i, j in picks]
+        expected = np.array([
+            np.concatenate([u, v, np.abs(u - v), u * v])
+            for u, v in ((table.row(p.id_a), table.row(p.id_b)) for p in pairs)
+        ])
+        assert pair_feature_matrix(table, pairs).tobytes() == expected.tobytes()
+
+    def test_unknown_id(self):
+        table = EmbeddingTable(["a"], np.ones((1, 2)))
+        with pytest.raises(ValidationError, match="unknown embedding id 'zz'"):
+            pair_feature_matrix(table, [Pair("a", "zz", None)])
 
     def test_empty(self):
         table = EmbeddingTable(["a"], np.ones((1, 2)))
