@@ -36,7 +36,7 @@ import traceback
 from . import __version__
 from .datasets import (
     TASK_CLASSES,
-    infer_classes,
+    load_class_dataset_tsv,
     load_pair_dataset_tsv,
     load_sick_official,
     make_pair_examples,
@@ -170,9 +170,11 @@ def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
 
 def cmd_combine(args) -> int:
     tables = [load_vector_table(p) for p in args.inputs]
-    ids, mats = align_by_id(tables)
+    aligned = align_by_id(tables)
+    ids, mats = aligned
     save_vector_table(args.out, EmbeddingTable(ids, concat_views(mats)))
-    _write_manifest([args.out], f"{args.out}.manifest.json", args, _digests(args.inputs))
+    _write_manifest([args.out], f"{args.out}.manifest.json", args, _digests(args.inputs),
+                    metrics={"dropped": list(aligned.dropped)})
     print(f"wrote {args.out}: {len(ids)} rows, width {sum(t.dim for t in tables)}")
     return 0
 
@@ -181,7 +183,8 @@ def cmd_fit(args) -> int:
     if args.method != "gcca" and args.tau is not None:
         raise ValidationError("--tau only applies to gcca")
     tables = [load_vector_table(p) for p in args.inputs]
-    ids, mats = align_by_id(tables)
+    aligned = align_by_id(tables)
+    ids, mats = aligned
     if args.method == "svd":
         d = args.d
         if d is None:
@@ -192,7 +195,8 @@ def cmd_fit(args) -> int:
             raise ValidationError("gcca needs --d (the number of retained components)")
         model = fit_gcca(mats, args.d, DEFAULT_TAU if args.tau is None else args.tau)
     model.save(args.out)
-    _write_manifest([args.out], f"{args.out}.manifest.json", args, _digests(args.inputs))
+    _write_manifest([args.out], f"{args.out}.manifest.json", args, _digests(args.inputs),
+                    metrics={"dropped": list(aligned.dropped)})
     print(f"wrote {args.out}: {args.method} model over {len(ids)} rows")
     print(f"retained_d {model.dim}")
     if args.method == "gcca":
@@ -216,7 +220,7 @@ def cmd_train(args) -> int:
     if _is_official(args.dataset):
         _, dataset = load_sick_official(args.dataset)
     else:
-        dataset = load_pair_dataset_tsv(args.dataset, classes=infer_classes(args.dataset))
+        dataset = load_class_dataset_tsv(args.dataset)
     if dataset.splits is not None:
         train_idx = dataset.splits.train
         dev_idx = dataset.splits.dev

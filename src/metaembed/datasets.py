@@ -39,6 +39,7 @@ __all__ = [
     "score_dataset",
     "class_dataset",
     "load_pair_dataset_tsv",
+    "load_class_dataset_tsv",
     "save_pair_dataset_tsv",
     "load_sick_official",
     "random_splits",
@@ -190,9 +191,9 @@ def load_pair_dataset_tsv(path, *, score_range=None, classes=None, name=None) ->
         raise ValidationError("give exactly one of score_range or classes")
     name = str(path) if name is None else str(name)
     rows = _parse_canonical_rows(path)
-    pairs = []
-    sentences = []
     if score_range is not None:
+        pairs = []
+        sentences = []
         lo, hi = float(score_range[0]), float(score_range[1])
         if not hi > lo:
             raise ValidationError(f"score range must satisfy hi > lo, got [{lo}, {hi}]")
@@ -206,8 +207,23 @@ def load_pair_dataset_tsv(path, *, score_range=None, classes=None, name=None) ->
             pairs.append(Pair(id_a, id_b, value))
             sentences.append((sent_a, sent_b))
         return score_dataset(name, pairs, lo, hi, sentences=sentences)
-    inventory = tuple(classes)
+    return _class_rows_dataset(path, rows, tuple(classes), name)
+
+
+def load_class_dataset_tsv(path) -> PairDataset:
+    """Parse a canonical class-labeled TSV whose classes are its own labels.
+
+    The class inventory is :func:`infer_classes` of the file, from the same
+    single parse.  Returns a dataset without splits.
+    """
+    rows = _parse_canonical_rows(path)
+    return _class_rows_dataset(path, rows, _distinct_labels(rows), str(path))
+
+
+def _class_rows_dataset(path, rows, inventory: tuple, name: str) -> PairDataset:
     known = set(inventory)
+    pairs = []
+    sentences = []
     for lineno, id_a, id_b, label, sent_a, sent_b in rows:
         if label not in known:
             raise FileFormatError(
@@ -229,7 +245,11 @@ def save_pair_dataset_tsv(path, dataset: PairDataset) -> None:
 
 def infer_classes(path) -> tuple:
     """Distinct labels of a canonical class-labeled TSV, sorted."""
-    return tuple(sorted({row[3] for row in _parse_canonical_rows(path)}))
+    return _distinct_labels(_parse_canonical_rows(path))
+
+
+def _distinct_labels(rows) -> tuple:
+    return tuple(sorted({row[3] for row in rows}))
 
 
 def load_sick_official(path, name: str = "sick") -> tuple:

@@ -21,17 +21,25 @@ coordinate-by-coordinate against finite differences.
 The attention vector ``a`` and the gate bias start at zero, which makes the
 initial mixture exactly uniform over sources; training breaks the symmetry
 through the gradient on ``a``.
+
+Sentences run in batches.  :meth:`DynamicModel.embed` takes a list of
+sentences and keeps them in the padded, time-major block layout of
+:mod:`metaembed.lstm` from the projections through the pooled vectors; the
+cdme attention recurrence runs over every source of every sentence as one
+batch.  :meth:`DynamicModel.loss_and_grads` embeds a minibatch's 2B
+sentences in one call and runs the pair head as one matrix product.
+Because every product works on fixed-shape blocks, a sentence's vector is
+the same, bit for bit, whichever sentences share its batch.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import NonFiniteLossError, ValidationError
-from .linalg import as_matrix
-from .lstm import PARAM_KEYS, BiLstm
+from .lstm import PARAM_KEYS, BiLstm, pad
 from .modelio import read_model, write_model
 from .optim import Adam, seeded_rngs, xavier_uniform
 
@@ -57,6 +65,19 @@ def _check_classes(classes) -> tuple[str, ...]:
             raise ValidationError(f"duplicate class label {c!r}")
         seen.add(c)
     return out
+
+
+class _Mixture(NamedTuple):
+    """The attention stage of K sentences in the block layout of :func:`metaembed.lstm.pad`."""
+
+    count: int
+    xs: list                # per source: token views, (S, nblocks, R, width)
+    lengths: np.ndarray     # (nblocks, R)
+    proj: np.ndarray        # (S, n, nblocks, R, d')
+    states: np.ndarray | None  # cdme: attention-recurrence states, (S, n * nblocks, R, 2 att_hidden)
+    att_cache: dict | None
+    alpha: np.ndarray       # (S, n, nblocks, R)
+    combined: np.ndarray    # (S, nblocks, R, d')
 
 
 class DynamicModel:
@@ -117,10 +138,13 @@ class DynamicModel:
         return self.kind.upper()
 
     def _check_sentence(self, views) -> list[np.ndarray]:
-        mats = [as_matrix(v, f"source {i}") for i, v in enumerate(views)]
+        """The views as float arrays; :meth:`_mix` checks that their entries are finite."""
+        mats = [np.asarray(v, dtype=np.float64) for v in views]
         if len(mats) != len(self.dims):
             raise ValidationError(f"model expects {len(self.dims)} sources, got {len(mats)}")
         for i, (m, d) in enumerate(zip(mats, self.dims)):
+            if m.ndim != 2:
+                raise ValidationError(f"source {i} must be 2-dimensional, got ndim={m.ndim}")
             if m.shape[1] != d:
                 raise ValidationError(f"source {i} has width {m.shape[1]}, model expects {d}")
         lengths = {m.shape[0] for m in mats}
@@ -128,76 +152,101 @@ class DynamicModel:
             raise ValidationError(f"sources disagree on sequence length: {sorted(lengths)}")
         return mats
 
-    def embed(self, views):
-        """Sentence vector of shape (2*enc_hidden,) plus the backward cache."""
-        mats = self._check_sentence(views)
+    def _mix(self, sentences) -> _Mixture:
+        """Projections, attention weights and combined sequences of K sentences."""
+        sentences = [self._check_sentence(views) for views in sentences]
+        if not sentences:
+            raise ValidationError("need at least one sentence")
         n = len(self.dims)
-        steps = mats[0].shape[0]
-        proj = np.empty((n, steps, self.proj_dim))
+        xs = []
         for i in range(n):
-            proj[i] = mats[i] @ self.params[f"p{i}"].T + self.params["bias"][i]
+            x, lengths = pad([views[i] for views in sentences])
+            if not np.isfinite(x).all():
+                raise ValidationError(f"source {i} contains non-finite entries")
+            xs.append(x)
+        steps, nblocks, rows = xs[0].shape[:3]
+        proj = np.empty((steps, n, nblocks, rows, self.proj_dim))
+        for i in range(n):
+            proj[:, i] = xs[i] @ self.params[f"p{i}"].T + self.params["bias"][i]
         a = self.params["att_a"]
         beta = self.params["att_beta"][0]
         if self.kind == "dme":
             states = None
-            att_caches = None
-            logits = np.einsum("nsd,d->ns", proj, a) + beta
+            att_cache = None
+            logits = proj @ a + beta
         else:
-            states = np.empty((n, steps, 2 * self.att_hidden))
-            att_caches = []
-            for i in range(n):
-                states[i], cache = self.att_lstm.forward(proj[i])
-                att_caches.append(cache)
-            logits = np.einsum("nsh,h->ns", states, a) + beta
-        shifted = np.exp(logits - logits.max(axis=0))
-        alpha = shifted / shifted.sum(axis=0)
-        combined = np.einsum("ns,nsd->sd", alpha, proj)
-        vec, enc_cache = self.encoder.encode(combined)
-        return vec, (mats, proj, states, att_caches, alpha, enc_cache)
+            # one batch over every source of every sentence
+            att_in = proj.reshape(steps, n * nblocks, rows, self.proj_dim)
+            states, att_cache = self.att_lstm.forward_blocks(att_in, np.tile(lengths, (n, 1)))
+            logits = (states @ a + beta).reshape(steps, n, nblocks, rows)
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        alpha = shifted / shifted.sum(axis=1, keepdims=True)
+        combined = (alpha[..., None] * proj).sum(axis=1)
+        return _Mixture(len(sentences), xs, lengths, proj, states, att_cache, alpha, combined)
 
-    def embed_backward(self, cache, d_vec, grads) -> None:
-        """Accumulate gradients of one embed() call into *grads*."""
-        mats, proj, states, att_caches, alpha, enc_cache = cache
-        n = len(self.dims)
-        d_comb, enc_grads = self.encoder.encode_backward(enc_cache, d_vec)
+    def embed(self, sentences):
+        """Vectors (K, 2*enc_hidden) for K sentences, plus the backward cache.
+
+        Each sentence is a list of per-source token views, one (S, width)
+        matrix per source.  The sentences run together in padded blocks
+        (see :mod:`metaembed.lstm`); a sentence's vector does not depend on
+        which other sentences it is embedded with, bit for bit.
+        """
+        mix = self._mix(sentences)
+        vecs, enc_cache = self.encoder.encode_blocks(mix.combined, mix.lengths)
+        return vecs.reshape(-1, self.dim)[: mix.count], (mix, enc_cache)
+
+    def embed_backward(self, cache, d_vecs, grads) -> None:
+        """Accumulate gradients of one embed() call into *grads*; *d_vecs* is (K, 2*enc_hidden).
+
+        A cache serves one backward pass (see :meth:`metaembed.lstm.BiLstm.backward_blocks`).
+        """
+        mix, enc_cache = cache
+        proj, alpha = mix.proj, mix.alpha
+        steps, n, nblocks, rows, width = proj.shape
+        d_pooled = np.zeros((nblocks * rows, self.dim))
+        d_pooled[: mix.count] = d_vecs
+        d_comb, enc_grads = self.encoder.encode_backward_blocks(
+            enc_cache, d_pooled.reshape(nblocks, rows, self.dim))
         for key, g in enc_grads.items():
             grads[f"enc_{key}"] += g
-        d_proj = alpha[:, :, None] * d_comb[None, :, :]
-        d_alpha = np.einsum("sd,nsd->ns", d_comb, proj)
-        inner = np.sum(alpha * d_alpha, axis=0, keepdims=True)
+        d_proj = alpha[..., None] * d_comb[:, None]
+        d_alpha = np.einsum("sbrd,snbrd->snbr", d_comb, proj)
+        inner = np.sum(alpha * d_alpha, axis=1, keepdims=True)
         d_logits = alpha * (d_alpha - inner)
         grads["att_beta"][0] += d_logits.sum()
+        a = self.params["att_a"]
         if self.kind == "dme":
-            grads["att_a"] += np.einsum("ns,nsd->d", d_logits, proj)
-            d_proj += d_logits[:, :, None] * self.params["att_a"][None, None, :]
+            grads["att_a"] += d_logits.reshape(-1) @ proj.reshape(-1, width)
+            d_proj += d_logits[..., None] * a
         else:
-            grads["att_a"] += np.einsum("ns,nsh->h", d_logits, states)
-            a = self.params["att_a"]
-            for i in range(n):
-                d_states = d_logits[i][:, None] * a[None, :]
-                d_in, att_grads = self.att_lstm.backward(att_caches[i], d_states)
-                d_proj[i] += d_in
-                for key, g in att_grads.items():
-                    grads[f"att_{key}"] += g
-        for i in range(n):
-            grads[f"p{i}"] += d_proj[i].T @ mats[i]
-            grads["bias"][i] += d_proj[i].sum(axis=0)
+            grads["att_a"] += d_logits.reshape(-1) @ mix.states.reshape(-1, a.size)
+            d_states = d_logits.reshape(steps, n * nblocks, rows)[..., None] * a
+            d_in, att_grads = self.att_lstm.backward_blocks(mix.att_cache, d_states)
+            d_proj += d_in.reshape(d_proj.shape)
+            for key, g in att_grads.items():
+                grads[f"att_{key}"] += g
+        for i, x in enumerate(mix.xs):
+            d_rows = d_proj[:, i].reshape(-1, width)
+            grads[f"p{i}"] += d_rows.T @ x.reshape(-1, x.shape[-1])
+            grads["bias"][i] += d_rows.sum(axis=0)
 
     def attention(self, views) -> np.ndarray:
-        """Per-token source weights, shape (S, n sources); rows sum to 1."""
-        _, cache = self.embed(views)
-        return cache[4].T.copy()
+        """Per-token source weights of one sentence, shape (S, n sources); rows sum to 1."""
+        return self._mix([views]).alpha[:, :, 0, 0].copy()
 
-    def _pair_logits(self, views_a, views_b):
-        u, cache_a = self.embed(views_a)
-        v, cache_b = self.embed(views_b)
-        z = np.concatenate([u, v, np.abs(u - v), u * v])
-        logits = self.params["head_w"] @ z + self.params["head_b"]
-        return logits, (u, v, z, cache_a, cache_b)
+    def pair_logits(self, u, v):
+        """Class logits (B, classes) for the sentence vectors u, v of B pairs, plus the features.
+
+        The features are [u; v; |u-v|; u*v] per pair, shape (B, 8*enc_hidden).
+        """
+        z = np.hstack([u, v, np.abs(u - v), u * v])
+        return z @ self.params["head_w"].T + self.params["head_b"], z
 
     def predict_proba(self, views_a, views_b) -> np.ndarray:
         """Class probabilities for one sentence pair, ordered like ``classes``."""
-        logits, _ = self._pair_logits(views_a, views_b)
+        vecs, _ = self.embed([views_a, views_b])
+        logits = self.pair_logits(vecs[:1], vecs[1:])[0][0]
         shifted = np.exp(logits - logits.max())
         return shifted / shifted.sum()
 
@@ -207,35 +256,38 @@ class DynamicModel:
     def loss_and_grads(self, batch):
         """Mean cross-entropy over (views_a, views_b, label_index) triples.
 
-        Returns (loss, grads) with one gradient array per parameter; grads
-        for parameters with no influence on the batch come out exactly zero.
+        The batch's 2B sentences are embedded in one call and the pair head
+        runs as one matrix product.  Returns (loss, grads) with one gradient
+        array per parameter; grads for parameters with no influence on the
+        batch come out exactly zero.
         """
         batch = list(batch)
         if not batch:
             raise ValidationError("batch must contain at least one example")
+        labels = np.array([int(label) for _, _, label in batch])
+        bad = labels[(labels < 0) | (labels >= len(self.classes))]
+        if bad.size:
+            raise ValidationError(f"label index {bad[0]} out of range for {len(self.classes)} classes")
+        size = len(batch)
         grads = {key: np.zeros_like(p) for key, p in self.params.items()}
-        total = 0.0
-        scale = 1.0 / len(batch)
-        width = self.dim
-        for views_a, views_b, label in batch:
-            label = int(label)
-            if not 0 <= label < len(self.classes):
-                raise ValidationError(f"label index {label} out of range for {len(self.classes)} classes")
-            logits, (u, v, z, cache_a, cache_b) = self._pair_logits(views_a, views_b)
-            top = logits.max()
-            lse = top + np.log(np.exp(logits - top).sum())
-            total += lse - logits[label]
-            d_logits = np.exp(logits - lse)
-            d_logits[label] -= 1.0
-            d_logits *= scale
-            grads["head_w"] += np.outer(d_logits, z)
-            grads["head_b"] += d_logits
-            dz = self.params["head_w"].T @ d_logits
-            dzu, dzv, dza, dzp = dz[:width], dz[width : 2 * width], dz[2 * width : 3 * width], dz[3 * width :]
-            sign = np.sign(u - v)
-            self.embed_backward(cache_a, dzu + sign * dza + v * dzp, grads)
-            self.embed_backward(cache_b, dzv - sign * dza + u * dzp, grads)
-        return total * scale, grads
+        vecs, cache = self.embed([views_a for views_a, _, _ in batch] + [views_b for _, views_b, _ in batch])
+        u, v = vecs[:size], vecs[size:]
+        logits, z = self.pair_logits(u, v)
+        top = logits.max(axis=1, keepdims=True)
+        lse = top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
+        picked = np.arange(size)
+        scale = 1.0 / size
+        loss = float(np.sum(lse[:, 0] - logits[picked, labels])) * scale
+        d_logits = np.exp(logits - lse)
+        d_logits[picked, labels] -= 1.0
+        d_logits *= scale
+        grads["head_w"] += d_logits.T @ z
+        grads["head_b"] += d_logits.sum(axis=0)
+        dz = d_logits @ self.params["head_w"]
+        dzu, dzv, dza, dzp = np.split(dz, 4, axis=1)
+        sign = np.sign(u - v)
+        self.embed_backward(cache, np.vstack([dzu + sign * dza + v * dzp, dzv - sign * dza + u * dzp]), grads)
+        return loss, grads
 
     def save(self, path) -> None:
         att = self.att_hidden if self.kind == "cdme" else 0

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
+from .lstm import BLOCK_ROWS
 from .store import EmbeddingTable, sequence_views
 
 __all__ = [
@@ -232,25 +233,25 @@ def _gold_score(p) -> float:
 def evaluate_classification(model, tables, pairs, task: str = "classification") -> tuple:
     """Predict a label for every pair with *model* and compare to gold.
 
-    Returns (EvalReport with accuracy in percent, rows of
-    (id_a, id_b, gold, predicted)).
+    Each sentence is embedded once (:func:`embed_table`), then the model's
+    pair head scores every pair from that table in one product.  Returns
+    (EvalReport with accuracy in percent, rows of (id_a, id_b, gold,
+    predicted)).
     """
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("no pairs to evaluate")
     known = set(model.classes)
-    golds = []
-    preds = []
-    rows = []
     for p in pairs:
         if p.label not in known:
             raise ValidationError(
                 f"gold label {p.label!r} is not among the model classes {list(model.classes)}"
             )
-        pred = model.predict_label(sequence_views(tables, p.id_a), sequence_views(tables, p.id_b))
-        golds.append(p.label)
-        preds.append(pred)
-        rows.append((p.id_a, p.id_b, p.label, pred))
+    table = embed_table(model, tables, dict.fromkeys(i for p in pairs for i in (p.id_a, p.id_b)))
+    logits, _ = model.pair_logits(table.lookup(p.id_a for p in pairs), table.lookup(p.id_b for p in pairs))
+    preds = [model.classes[k] for k in np.argmax(logits, axis=1)]
+    golds = [p.label for p in pairs]
+    rows = [(p.id_a, p.id_b, p.label, pred) for p, pred in zip(pairs, preds)]
     value = accuracy(golds, preds)
     fingerprint = config_fingerprint(
         task, "accuracy", model.kind, model.seed,
@@ -261,11 +262,19 @@ def evaluate_classification(model, tables, pairs, task: str = "classification") 
 
 
 def embed_table(model, tables, ids) -> EmbeddingTable:
-    """Sentence vectors for *ids* computed by a dynamic model, as a table."""
+    """Sentence vectors for *ids* computed by a dynamic model, as a table.
+
+    The sentences are sorted by length and embedded one block of
+    :data:`~metaembed.lstm.BLOCK_ROWS` at a time, so a block pads little;
+    each row is bitwise the vector ``model.embed`` gives that sentence alone.
+    """
     ids = list(ids)
     if not ids:
         raise ValidationError("no ids to embed")
+    sentences = [sequence_views(tables, ident) for ident in ids]
+    order = sorted(range(len(ids)), key=lambda k: sentences[k][0].shape[0])
     out = np.empty((len(ids), model.dim))
-    for k, ident in enumerate(ids):
-        out[k] = model.embed(sequence_views(tables, ident))[0]
+    for start in range(0, len(order), BLOCK_ROWS):
+        block = order[start : start + BLOCK_ROWS]
+        out[block] = model.embed([sentences[k] for k in block])[0]
     return EmbeddingTable(ids, out)

@@ -9,101 +9,120 @@ order input, forget, candidate, output:
     c_t = f_t c_{t-1} + i_t g_t
     h_t = o_t tanh(c_t)
 
-One direction reads the sequence as given, the other reads it reversed, and
+One direction reads each sequence as given, the other reads it reversed, and
 the per-step states are concatenated after re-aligning the reversed run, so
 ``states[t]`` is ``[h_fw_t ; h_bw_t]`` for the original position t.  The
 sentence vector is the componentwise max over steps; its gradient flows only
 to the argmax step of each component (first occurrence on ties).
 
-Backward passes are exact backpropagation through time and return parameter
-gradients plus gradients with respect to the inputs, so the layer composes
-with upstream trainable projections.
+Sequences run together, time-major, in padded blocks: :func:`pad` places
+sequence k at row k % R of block k // R of an array of shape
+(S, nblocks, R, d), with S the longest length and R = :data:`BLOCK_ROWS`,
+and records each row's length.  Both directions step together, each with
+one stacked matmul per step over all blocks.  The backward direction
+reverses every sequence within its own length by a gather over index
+arrays, so its padding also sits after its last real step and no real step
+ever reads a padded one.  Padded steps are masked to -inf before the max
+pool, so they never win the argmax; their gradients come out exactly zero.
+Backward passes are exact backpropagation through time; the parameter
+gradients are formed once per direction after the time loop, as
+``dW = dZᵀX``, ``dU = dZᵀH_prev`` and ``db = ΣdZ``, and the gradients with
+respect to the inputs are returned too, so the layer composes with upstream
+trainable projections.
+
+The block shape is fixed because OpenBLAS picks its GEMM kernel by shape: a
+row multiplied inside matrices of different heights can come out different
+in the last bits.  Every product here is a stack of (R, d) blocks, so a
+sequence's states do not depend on which other sequences share its blocks,
+or where it sits among them, bit for bit.  The single-sequence methods
+(:meth:`BiLstm.forward`, :meth:`BiLstm.encode` and their backward passes)
+are one-row calls of the block methods.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
-from scipy.special import expit
 
 from .errors import ValidationError
 from .optim import xavier_uniform
 
-__all__ = ["BiLstm"]
+__all__ = ["BiLstm", "BLOCK_ROWS", "pad"]
 
 PARAM_KEYS = ("w_fw", "u_fw", "b_fw", "w_bw", "u_bw", "b_bw")
 
-
-class _DirCache(NamedTuple):
-    x: np.ndarray   # (S, d) inputs as seen by this direction
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    tc: np.ndarray  # tanh(c_t)
-    c: np.ndarray
-    h: np.ndarray
+# rows per block; 32 holds the 2B sentences of a 16-pair minibatch
+BLOCK_ROWS = 32
 
 
-def _forward_dir(w, u, b, x) -> _DirCache:
-    steps = x.shape[0]
-    m = u.shape[1]
-    i = np.empty((steps, m))
-    f = np.empty((steps, m))
-    g = np.empty((steps, m))
-    o = np.empty((steps, m))
-    c = np.empty((steps, m))
-    tc = np.empty((steps, m))
-    h = np.empty((steps, m))
-    h_prev = np.zeros(m)
-    c_prev = np.zeros(m)
-    for t in range(steps):
-        z = w @ x[t] + u @ h_prev + b
-        i[t] = expit(z[:m])
-        f[t] = expit(z[m : 2 * m])
-        g[t] = np.tanh(z[2 * m : 3 * m])
-        o[t] = expit(z[3 * m :])
-        c[t] = f[t] * c_prev + i[t] * g[t]
-        tc[t] = np.tanh(c[t])
-        h[t] = o[t] * tc[t]
-        h_prev = h[t]
-        c_prev = c[t]
-    return _DirCache(x, i, f, g, o, tc, c, h)
+def pad(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences of shape (S_k, d) as one zero-padded, time-major block array.
+
+    Returns (x, lengths): x has shape (S, nblocks, BLOCK_ROWS, d) with S the
+    longest S_k and sequence k at block k // BLOCK_ROWS, row
+    k % BLOCK_ROWS; lengths (nblocks, BLOCK_ROWS) holds each row's length,
+    0 for the rows past the last sequence.
+    """
+    seqs = [np.asarray(s, dtype=np.float64) for s in seqs]
+    if not seqs:
+        raise ValidationError("need at least one sequence")
+    if any(s.ndim != 2 for s in seqs) or len({s.shape[1] for s in seqs}) != 1:
+        raise ValidationError("sequences must be 2-dimensional with one shared width")
+    lengths = np.array([s.shape[0] for s in seqs], dtype=np.intp)
+    if lengths.min() < 1:
+        raise ValidationError("sequence must have at least one step")
+    count = len(seqs)
+    nblocks = -(-count // BLOCK_ROWS)
+    rows = np.repeat(np.arange(count), lengths)
+    steps = np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    x = np.zeros((int(lengths.max()), nblocks * BLOCK_ROWS, seqs[0].shape[1]))
+    x[steps, rows] = np.concatenate(seqs)
+    row_lengths = np.zeros(nblocks * BLOCK_ROWS, dtype=np.intp)
+    row_lengths[:count] = lengths
+    return x.reshape(x.shape[0], nblocks, BLOCK_ROWS, -1), row_lengths.reshape(nblocks, BLOCK_ROWS)
 
 
-def _backward_dir(w, u, cache: _DirCache, dh_seq):
-    steps, m = cache.h.shape
-    dw = np.zeros_like(w)
-    du = np.zeros_like(u)
-    db = np.zeros(4 * m)
-    dx = np.zeros_like(cache.x)
-    dh_next = np.zeros(m)
-    dc_next = np.zeros(m)
-    zeros = np.zeros(m)
-    for t in range(steps - 1, -1, -1):
-        i, f, g, o, tc = cache.i[t], cache.f[t], cache.g[t], cache.o[t], cache.tc[t]
-        c_prev = cache.c[t - 1] if t > 0 else zeros
-        h_prev = cache.h[t - 1] if t > 0 else zeros
-        dh = dh_seq[t] + dh_next
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
+def _sigmoid(z: np.ndarray) -> None:
+    """The logistic function 1 / (1 + exp(-z)), in place.
+
+    Where exp(-z) overflows to inf the result is 0, its limit; callers
+    silence that overflow.
+    """
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
+
+
+def _reverse(a: np.ndarray, rev: np.ndarray) -> np.ndarray:
+    """*a* (S, nblocks, R, k) with every row reversed within its own length.
+
+    *rev* maps each flat (step, block, row) position to its source position.
+    """
+    return np.take(a.reshape(-1, a.shape[-1]), rev, axis=0).reshape(a.shape)
+
+
+def _gate_gradients(act, c, tc, dh_seq, u):
+    """dZ (2, S, nblocks, R, 4m) by backpropagation through time, written over *act*."""
+    m = c.shape[-1]
+    gates = act.reshape(act.shape[:-1] + (4, m))
+    dh_next = np.zeros_like(dh_seq[:, 0])
+    dc_next = np.zeros_like(dh_next)
+    for step in range(act.shape[1] - 1, -1, -1):
+        i, f, g, o = (gates[:, step, ..., k, :] for k in range(4))
+        tc_t = tc[:, step]
+        dh = dh_seq[:, step] + dh_next
+        dc = dh * o * (1.0 - tc_t * tc_t) + dc_next
+        d_o = dh * tc_t * o * (1.0 - o)
+        d_i = dc * g * i * (1.0 - i)
+        d_g = dc * i * (1.0 - g * g)
+        d_f = dc * c[:, step - 1] * f * (1.0 - f) if step else 0.0
         dc_next = dc * f
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ])
-        dw += np.outer(dz, cache.x[t])
-        du += np.outer(dz, h_prev)
-        db += dz
-        dx[t] = w.T @ dz
-        dh_next = u.T @ dz
-    return dw, du, db, dx
+        i[...] = d_i
+        f[...] = d_f
+        g[...] = d_g
+        o[...] = d_o
+        dh_next = act[:, step] @ u
+    return act
 
 
 class BiLstm:
@@ -126,17 +145,119 @@ class BiLstm:
     def out_dim(self) -> int:
         return 2 * self.hidden
 
-    def forward(self, x):
-        """Per-step states for sequence *x*: (S, 2*hidden) plus a cache."""
+    def _stacked(self, key: str) -> np.ndarray:
+        """Parameter *key* of both directions, forward first: shape (2, ...)."""
+        return np.stack([self.p[f"{key}_fw"], self.p[f"{key}_bw"]])
+
+    def forward_blocks(self, x, lengths):
+        """Per-step states (S, nblocks, R, 2*hidden) for blocks from :func:`pad`, plus a cache.
+
+        States at padded steps are finite but meaningless.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        lengths = np.asarray(lengths)
+        if x.ndim != 4 or x.shape[2] != BLOCK_ROWS or x.shape[3] != self.in_dim:
+            raise ValidationError(
+                f"expected blocks of shape (S, nblocks, {BLOCK_ROWS}, {self.in_dim}), got {x.shape}"
+            )
+        if lengths.shape != x.shape[1:3]:
+            raise ValidationError(f"lengths of shape {lengths.shape} for blocks of shape {x.shape}")
+        m = self.hidden
+        steps = x.shape[0]
+        t = np.arange(steps)[:, None, None]
+        valid = t < lengths
+        cell = np.arange(lengths.size).reshape(lengths.shape)
+        rev = (np.where(valid, lengths - 1 - t, t) * lengths.size + cell).reshape(-1)
+        act = np.empty((2,) + x.shape[:-1] + (4 * m,))
+        np.matmul(x, self.p["w_fw"].T, out=act[0])
+        np.matmul(_reverse(x, rev), self.p["w_bw"].T, out=act[1])
+        act += self._stacked("b")[:, None, None, None]
+        u_t = np.ascontiguousarray(self._stacked("u").transpose(0, 2, 1))[:, None]
+        c = np.empty(act.shape[:-1] + (m,))
+        tc = np.empty_like(c)
+        h = np.empty_like(c)
+        h_prev = np.zeros(c.shape[:1] + c.shape[2:])
+        c_prev = np.zeros_like(h_prev)
+        with np.errstate(over="ignore"):
+            for step in range(steps):
+                z = act[:, step]
+                z += h_prev @ u_t
+                g = z[..., 2 * m : 3 * m]
+                np.tanh(g, out=g)
+                _sigmoid(z[..., : 2 * m])
+                _sigmoid(z[..., 3 * m :])
+                np.multiply(z[..., m : 2 * m], c_prev, out=c[:, step])
+                c[:, step] += z[..., :m] * g
+                np.tanh(c[:, step], out=tc[:, step])
+                np.multiply(z[..., 3 * m :], tc[:, step], out=h[:, step])
+                h_prev = h[:, step]
+                c_prev = c[:, step]
+        states = np.concatenate([h[0], _reverse(h[1], rev)], axis=-1)
+        # what the backward pass needs; shapes (2, S, nblocks, R, k) hold both directions
+        cache = {"valid": valid, "rev": rev, "x": x, "act": act, "c": c, "tc": tc, "h": h}
+        return states, cache
+
+    def backward_blocks(self, cache, d_states):
+        """Gradients for one :meth:`forward_blocks` call.
+
+        Returns (dx, grads): dx has the input's block shape and is exactly
+        zero at padded steps; grads uses the same keys as ``self.p``.  A
+        cache serves one backward pass, which overwrites and releases it.
+        """
+        m = self.hidden
+        return self._backward(cache, np.stack([d_states[..., :m], _reverse(d_states[..., m:], cache["rev"])]))
+
+    def _backward(self, cache, dh_seq):
+        """:meth:`backward_blocks` for state gradients (2, S, nblocks, R, m),
+        each direction's half in the order that direction read its input."""
+        m = self.hidden
+        # arrays leave the cache as soon as they are used: peak memory, not
+        # time, is what the block layout costs
+        dz = _gate_gradients(cache.pop("act"), cache.pop("c"), cache.pop("tc"), dh_seq,
+                             self._stacked("u")[:, None])
+        du = dz[:, 1:].reshape(2, -1, 4 * m).transpose(0, 2, 1) @ cache.pop("h")[:, :-1].reshape(2, -1, m)
+        dz = dz.reshape(2, -1, 4 * m)
+        db = dz.sum(axis=1)
+        x, rev = cache["x"], cache["rev"]
+        grads = {
+            "w_fw": dz[0].T @ x.reshape(-1, self.in_dim), "u_fw": du[0], "b_fw": db[0],
+            "w_bw": dz[1].T @ _reverse(x, rev).reshape(-1, self.in_dim), "u_bw": du[1], "b_bw": db[1],
+        }
+        dx = (dz[0] @ self.p["w_fw"]).reshape(x.shape)
+        dx += _reverse((dz[1] @ self.p["w_bw"]).reshape(x.shape), rev)
+        return dx, grads
+
+    def encode_blocks(self, x, lengths):
+        """Max-pooled vectors (nblocks, R, 2*hidden) plus a cache; empty rows read -inf."""
+        states, cache = self.forward_blocks(x, lengths)
+        states[~cache["valid"]] = -np.inf
+        return states.max(axis=0), (cache, np.argmax(states, axis=0))
+
+    def encode_backward_blocks(self, enc_cache, d_vecs):
+        """Gradients for one :meth:`encode_blocks` call; see :meth:`backward_blocks`."""
+        cache, argmax = enc_cache
+        m = self.hidden
+        valid = cache["valid"]
+        # empty rows (past the last sequence) take no gradient
+        d_vecs = np.where(valid[0, ..., None], d_vecs, 0.0)
+        # flat (step, block, row) position of each component's argmax
+        at = argmax * valid[0].size + np.arange(valid[0].size).reshape(valid[0].shape + (1,))
+        dh = np.zeros((2, valid.size, m))
+        dh[0, at[..., :m], np.arange(m)] = d_vecs[..., :m]
+        # the backward direction read step t as step rev[t] of its own run
+        dh[1, cache["rev"][at[..., m:]], np.arange(m)] = d_vecs[..., m:]
+        return self._backward(cache, dh.reshape((2,) + valid.shape + (m,)))
+
+    def _pad_one(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValidationError(f"expected sequence of shape (S, {self.in_dim}), got {x.shape}")
-        if x.shape[0] < 1:
-            raise ValidationError("sequence must have at least one step")
-        fw = _forward_dir(self.p["w_fw"], self.p["u_fw"], self.p["b_fw"], x)
-        bw = _forward_dir(self.p["w_bw"], self.p["u_bw"], self.p["b_bw"], x[::-1])
-        states = np.hstack([fw.h, bw.h[::-1]])
-        return states, (fw, bw)
+        return pad([x])
+
+    def forward(self, x):
+        """Per-step states for sequence *x*: (S, 2*hidden) plus a cache."""
+        states, cache = self.forward_blocks(*self._pad_one(x))
+        return states[:, 0, 0], cache
 
     def backward(self, cache, d_states):
         """Gradients for one forward() call.
@@ -144,27 +265,19 @@ class BiLstm:
         Returns (dx, grads) where dx has the input's shape and grads uses the
         same keys as ``self.p``.
         """
-        fw, bw = cache
-        m = self.hidden
-        dw_f, du_f, db_f, dx_f = _backward_dir(self.p["w_fw"], self.p["u_fw"], fw, d_states[:, :m])
-        dw_b, du_b, db_b, dx_b = _backward_dir(self.p["w_bw"], self.p["u_bw"], bw, d_states[::-1, m:])
-        dx = dx_f + dx_b[::-1]
-        grads = {
-            "w_fw": dw_f, "u_fw": du_f, "b_fw": db_f,
-            "w_bw": dw_b, "u_bw": du_b, "b_bw": db_b,
-        }
-        return dx, grads
+        d_blocks = np.zeros(cache["valid"].shape + (2 * self.hidden,))
+        d_blocks[:, 0, 0] = d_states
+        dx, grads = self.backward_blocks(cache, d_blocks)
+        return dx[:, 0, 0], grads
 
     def encode(self, x):
         """Max-pooled sentence vector of shape (2*hidden,) plus a cache."""
-        states, cache = self.forward(x)
-        argmax = np.argmax(states, axis=0)
-        vec = states[argmax, np.arange(states.shape[1])]
-        return vec, (cache, argmax, states.shape[0])
+        vecs, cache = self.encode_blocks(*self._pad_one(x))
+        return vecs[0, 0], cache
 
     def encode_backward(self, enc_cache, d_vec):
         """Gradients for one encode() call; see :meth:`backward`."""
-        cache, argmax, steps = enc_cache
-        d_states = np.zeros((steps, 2 * self.hidden))
-        d_states[argmax, np.arange(2 * self.hidden)] = d_vec
-        return self.backward(cache, d_states)
+        d_vecs = np.zeros((1, BLOCK_ROWS, 2 * self.hidden))
+        d_vecs[0, 0] = d_vec
+        dx, grads = self.encode_backward_blocks(enc_cache, d_vecs)
+        return dx[:, 0, 0], grads

@@ -164,6 +164,36 @@ class TestFitApply:
         assert code == 2 and "error:" in stderr
 
 
+class TestDroppedIds:
+    def unequal_tables(self, tmp_path, rng):
+        # 6 shared ids; table a has 2 extra ids, table b 3 others, table c none
+        shared = [f"s{i}" for i in range(6)]
+        specs = {"a": shared + ["a0", "a1"], "b": ["b0"] + shared + ["b1", "b2"], "c": shared}
+        paths = []
+        for name, ids in specs.items():
+            path = tmp_path / f"{name}.vec"
+            save_vector_table(path, EmbeddingTable(ids, rng.normal(size=(len(ids), 3))))
+            paths.append(path)
+        return paths
+
+    @pytest.mark.parametrize("argv", [
+        ("combine", "--method", "con"),
+        ("fit", "--method", "svd", "--d", "2"),
+        ("fit", "--method", "gcca", "--d", "2"),
+    ])
+    def test_manifest_records_dropped_counts_and_reruns_identically(self, tmp_path, rng, capsys, argv):
+        paths = self.unequal_tables(tmp_path, rng)
+        out = tmp_path / "out.file"
+        outputs = []
+        for _ in range(2):
+            code, _, _ = run(capsys, *argv, "--inputs", *paths, "--out", out)
+            assert code == 0
+            outputs.append((out.read_bytes(), (tmp_path / "out.file.manifest.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        manifest = json.loads(outputs[0][1])
+        assert manifest["metrics"]["dropped"] == [2, 3, 0]
+
+
 class TestTrain:
     def train_fixture(self, tmp_path, rng, n=8):
         ids = [f"s{i}" for i in range(n)]
@@ -221,6 +251,35 @@ class TestTrain:
                               "--out", tmp_path / "x.model")
         assert code == 2
         assert "--m only applies to cdme" in stderr
+
+    def test_dataset_is_read_once(self, tmp_path, rng, capsys, monkeypatch):
+        import metaembed.datasets as datasets
+
+        tables, pairs = self.train_fixture(tmp_path, rng)
+        reads = []
+        original = datasets.read_lines
+
+        def counting(path, *args, **kwargs):
+            reads.append(str(path))
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(datasets, "read_lines", counting)
+        code, _, _ = run(capsys, "train", "--mode", "dme", "--inputs", *tables,
+                         "--dataset", pairs, "--d-prime", 4, "--m-enc", 3,
+                         "--epochs", 1, "--out", tmp_path / "m.model")
+        assert code == 0
+        assert reads.count(str(pairs)) == 1
+
+    def test_malformed_row_reported_once_with_its_line(self, tmp_path, rng, capsys):
+        tables, pairs = self.train_fixture(tmp_path, rng)
+        lines = pairs.read_text().splitlines()
+        lines[2] = "\t".join(lines[2].split("\t")[:4])
+        pairs.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = run(capsys, "train", "--mode", "dme", "--inputs", *tables,
+                                   "--dataset", pairs, "--epochs", 1, "--out", tmp_path / "m.model")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.splitlines() == [f"error: {pairs}:3: expected 5 tab-separated columns, got 4"]
 
     def test_official_dataset_uses_train_split_and_classes(self, tmp_path, rng, capsys):
         official, n = write_official(tmp_path / "official.txt")

@@ -8,6 +8,7 @@ from metaembed.datasets import (
     TASK_CLASSES,
     class_dataset,
     infer_classes,
+    load_class_dataset_tsv,
     load_pair_dataset_tsv,
     load_sick_official,
     make_pair_examples,
@@ -181,6 +182,23 @@ class TestCanonicalFormat:
         path.write_text("")
         with pytest.raises(FileFormatError, match="no pair rows"):
             load_pair_dataset_tsv(path, score_range=(0, 5))
+
+    def test_class_dataset_infers_its_classes(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(canonical_lines(
+            ("a", "b", "yes", "sa", "sb"),
+            ("c", "d", "no", "-", "-"),
+            ("e", "f", "yes", "-", "-"),
+        ))
+        ds = load_class_dataset_tsv(path)
+        assert ds.classes == infer_classes(path) == ("no", "yes")
+        assert ds == load_pair_dataset_tsv(path, classes=("no", "yes"))
+
+    def test_class_dataset_reports_malformed_line(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(canonical_lines(("a", "b", "yes", "-", "-"), ("c", "d", "no", "-")))
+        with pytest.raises(FileFormatError, match=r":2: expected 5 tab-separated columns, got 4"):
+            load_class_dataset_tsv(path)
 
     def test_infer_classes_sorted_distinct(self, tmp_path):
         path = tmp_path / "pairs.tsv"

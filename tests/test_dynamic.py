@@ -66,8 +66,8 @@ class TestConstruction:
     def test_single_source_is_allowed(self):
         m = new_dynamic_model("dme", [3], ("a", "b"), proj_dim=4, enc_hidden=2, seed=0)
         assert m.dims == (3,)
-        vec, _ = m.embed([np.ones((2, 3))])
-        assert vec.shape == (m.dim,)
+        vecs, _ = m.embed([[np.ones((2, 3))]])
+        assert vecs.shape == (1, m.dim)
 
     def test_validation(self):
         with pytest.raises(ValidationError, match="kind"):
@@ -285,11 +285,11 @@ class TestPredict:
     def test_sentence_validation(self):
         m = small_model("dme")
         with pytest.raises(ValidationError, match="expects 2 sources"):
-            m.embed([np.ones((2, 3))])
+            m.embed([[np.ones((2, 3))]])
         with pytest.raises(ValidationError, match="width"):
-            m.embed([np.ones((2, 4)), np.ones((2, 4))])
+            m.embed([[np.ones((2, 4)), np.ones((2, 4))]])
         with pytest.raises(ValidationError, match="sequence length"):
-            m.embed([np.ones((2, 3)), np.ones((3, 4))])
+            m.embed([[np.ones((2, 3)), np.ones((3, 4))]])
 
     def test_label_index_validation(self):
         m = small_model("dme")
@@ -360,3 +360,174 @@ class TestSerialization:
         path.write_text("\n".join(lines[:cut]) + "\n")
         with pytest.raises(ValidationError, match="missing block 'head_b'"):
             DynamicModel.load(path)
+
+
+# --- per-example reference: one sentence at a time, one step at a time -------
+
+def _sig(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _ref_run(w, u, b, x):
+    """One LSTM direction over x (S, d); per-step caches."""
+    m = u.shape[1]
+    h_prev, c_prev = np.zeros(m), np.zeros(m)
+    steps = []
+    for t in range(x.shape[0]):
+        z = w @ x[t] + u @ h_prev + b
+        i, f, g, o = _sig(z[:m]), _sig(z[m:2 * m]), np.tanh(z[2 * m:3 * m]), _sig(z[3 * m:])
+        c = f * c_prev + i * g
+        h = o * np.tanh(c)
+        steps.append((i, f, g, o, c_prev, c, h_prev, h))
+        h_prev, c_prev = h, c
+    return steps
+
+
+def _ref_run_backward(w, u, x, steps, dh_seq):
+    m = u.shape[1]
+    dw, du, db, dx = np.zeros_like(w), np.zeros_like(u), np.zeros(4 * m), np.zeros_like(x)
+    dh_next, dc_next = np.zeros(m), np.zeros(m)
+    for t in range(len(steps) - 1, -1, -1):
+        i, f, g, o, c_prev, c, h_prev, _ = steps[t]
+        tc = np.tanh(c)
+        dh = dh_seq[t] + dh_next
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)])
+        dc_next = dc * f
+        dw += np.outer(dz, x[t])
+        du += np.outer(dz, h_prev)
+        db += dz
+        dx[t] = w.T @ dz
+        dh_next = u.T @ dz
+    return dw, du, db, dx
+
+
+def _ref_bilstm(p, prefix, x):
+    fw = _ref_run(p[f"{prefix}_w_fw"], p[f"{prefix}_u_fw"], p[f"{prefix}_b_fw"], x)
+    bw = _ref_run(p[f"{prefix}_w_bw"], p[f"{prefix}_u_bw"], p[f"{prefix}_b_bw"], x[::-1])
+    states = np.hstack([np.array([s[7] for s in fw]), np.array([s[7] for s in bw])[::-1]])
+    return states, (x, fw, bw)
+
+
+def _ref_bilstm_backward(p, prefix, cache, d_states, grads):
+    x, fw, bw = cache
+    m = d_states.shape[1] // 2
+    dw, du, db, dx_f = _ref_run_backward(p[f"{prefix}_w_fw"], p[f"{prefix}_u_fw"], x, fw, d_states[:, :m])
+    grads[f"{prefix}_w_fw"] += dw
+    grads[f"{prefix}_u_fw"] += du
+    grads[f"{prefix}_b_fw"] += db
+    dw, du, db, dx_b = _ref_run_backward(p[f"{prefix}_w_bw"], p[f"{prefix}_u_bw"], x[::-1], bw,
+                                         d_states[::-1, m:])
+    grads[f"{prefix}_w_bw"] += dw
+    grads[f"{prefix}_u_bw"] += du
+    grads[f"{prefix}_b_bw"] += db
+    return dx_f + dx_b[::-1]
+
+
+def _ref_embed(model, views):
+    p = model.params
+    n = len(views)
+    proj = np.array([views[i] @ p[f"p{i}"].T + p["bias"][i] for i in range(n)])
+    if model.kind == "dme":
+        att = None
+        logits = proj @ p["att_a"] + p["att_beta"][0]
+    else:
+        att = [_ref_bilstm(p, "att", proj[i]) for i in range(n)]
+        logits = np.array([s @ p["att_a"] for s, _ in att]) + p["att_beta"][0]
+    alpha = np.exp(logits - logits.max(axis=0))
+    alpha /= alpha.sum(axis=0)
+    combined = np.einsum("ns,nsd->sd", alpha, proj)
+    states, enc = _ref_bilstm(p, "enc", combined)
+    argmax = np.argmax(states, axis=0)
+    vec = states[argmax, np.arange(states.shape[1])]
+    return vec, (views, proj, att, alpha, enc, argmax, states.shape)
+
+
+def _ref_embed_backward(model, cache, d_vec, grads):
+    p = model.params
+    views, proj, att, alpha, enc, argmax, shape = cache
+    d_states = np.zeros(shape)
+    d_states[argmax, np.arange(shape[1])] = d_vec
+    d_comb = _ref_bilstm_backward(p, "enc", enc, d_states, grads)
+    d_proj = alpha[:, :, None] * d_comb[None]
+    d_alpha = np.einsum("sd,nsd->ns", d_comb, proj)
+    d_logits = alpha * (d_alpha - np.sum(alpha * d_alpha, axis=0))
+    grads["att_beta"][0] += d_logits.sum()
+    if model.kind == "dme":
+        grads["att_a"] += np.einsum("ns,nsd->d", d_logits, proj)
+        d_proj += d_logits[:, :, None] * p["att_a"]
+    else:
+        for i, (states, cache_i) in enumerate(att):
+            grads["att_a"] += d_logits[i] @ states
+            d_proj[i] += _ref_bilstm_backward(p, "att", cache_i, np.outer(d_logits[i], p["att_a"]), grads)
+    for i, v in enumerate(views):
+        grads[f"p{i}"] += d_proj[i].T @ v
+        grads["bias"][i] += d_proj[i].sum(axis=0)
+
+
+def reference_loss_and_grads(model, batch):
+    """Mean cross-entropy and its gradients, one pair and one sentence at a time."""
+    p = model.params
+    grads = {key: np.zeros_like(v) for key, v in p.items()}
+    total = 0.0
+    width = model.dim
+    for views_a, views_b, label in batch:
+        u, cache_a = _ref_embed(model, views_a)
+        v, cache_b = _ref_embed(model, views_b)
+        z = np.concatenate([u, v, np.abs(u - v), u * v])
+        logits = p["head_w"] @ z + p["head_b"]
+        lse = logits.max() + np.log(np.exp(logits - logits.max()).sum())
+        total += lse - logits[label]
+        d_logits = np.exp(logits - lse)
+        d_logits[label] -= 1.0
+        d_logits /= len(batch)
+        grads["head_w"] += np.outer(d_logits, z)
+        grads["head_b"] += d_logits
+        dz = p["head_w"].T @ d_logits
+        dzu, dzv, dza, dzp = (dz[k * width:(k + 1) * width] for k in range(4))
+        sign = np.sign(u - v)
+        _ref_embed_backward(model, cache_a, dzu + sign * dza + v * dzp, grads)
+        _ref_embed_backward(model, cache_b, dzv - sign * dza + u * dzp, grads)
+    return total / len(batch), grads
+
+
+class TestBatchedMatchesPerExample:
+    @pytest.mark.parametrize("kind", ["dme", "cdme"])
+    @pytest.mark.parametrize("pairs", [12, 20])
+    def test_loss_and_grads_match_reference(self, kind, pairs):
+        # sentence lengths 1..12 mixed in one minibatch; 20 pairs need two blocks
+        rng = np.random.default_rng(31)
+        m = small_model(kind, seed=3)
+        m.params["att_a"] += 0.5 * rng.normal(size=m.params["att_a"].shape)
+        m.params["att_beta"][0] = -0.2
+
+        def views(steps):
+            return [rng.normal(size=(steps, 3)), rng.normal(size=(steps, 4))]
+
+        batch = [(views(1 + k % 12), views(12 - k % 12), k % 3) for k in range(pairs)]
+        loss, grads = m.loss_and_grads(batch)
+        ref_loss, ref_grads = reference_loss_and_grads(m, batch)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert set(grads) == set(ref_grads)
+        for key, ref in ref_grads.items():
+            if key == "att_beta":
+                continue
+            scale = np.max(np.abs(ref))
+            assert scale > 0.0, key
+            assert np.max(np.abs(grads[key] - ref)) <= 1e-12 * scale, key
+        # a shared shift of every source's logit leaves the softmax unchanged,
+        # so the bias gradient is zero up to rounding in both computations
+        bound = 1e-12 * np.max(np.abs(ref_grads["att_a"]))
+        assert abs(grads["att_beta"][0]) <= bound and abs(ref_grads["att_beta"][0]) <= bound
+
+    def test_sentence_vectors_ignore_batch_mates(self):
+        rng = np.random.default_rng(2)
+        for kind in ("dme", "cdme"):
+            m = small_model(kind, seed=4)
+            m.params["att_a"] += 0.5
+            sentences = [[rng.normal(size=(s, 3)), rng.normal(size=(s, 4))]
+                         for s in rng.integers(1, 10, size=40)]
+            vecs, _ = m.embed(sentences)
+            for k, views in enumerate(sentences):
+                assert vecs[k].tobytes() == m.embed([views])[0][0].tobytes()

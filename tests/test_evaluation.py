@@ -21,6 +21,7 @@ from metaembed.evaluation import (
     pearson,
     scale_similarity,
 )
+from metaembed.lstm import BLOCK_ROWS
 from metaembed.store import EmbeddingTable, SequenceTable
 
 # keep magnitudes in a range where centered norms cannot underflow to zero
@@ -310,9 +311,13 @@ class FixedModel:
     seed = 0
     classes = ("low", "high")
     params: dict = {}
+    dim = 1
 
-    def predict_label(self, views_a, views_b):
-        return "high" if float(views_a[0][0, 0]) >= float(views_b[0][0, 0]) else "low"
+    def embed(self, sentences):
+        return np.array([[views[0][0, 0]] for views in sentences]), None
+
+    def pair_logits(self, u, v):
+        return np.hstack([np.zeros_like(u), np.where(u >= v, 1.0, -1.0)]), None
 
 
 class TestClassificationDriver:
@@ -357,8 +362,26 @@ class TestEmbedTable:
                                   att_hidden=2, seed=1)
         table = embed_table(model, [t1, t2], ids)
         assert table.dim == model.dim
-        direct, _ = model.embed([t1.lookup("b"), t2.lookup("b")])
-        assert np.array_equal(table.row("b"), direct)
+        direct, _ = model.embed([[t1.lookup("b"), t2.lookup("b")]])
+        assert np.array_equal(table.row("b"), direct[0])
+
+    @pytest.mark.parametrize("kind", ["dme", "cdme"])
+    def test_rows_across_blocks_match_embedding_alone(self, kind):
+        # 2R+3 ids of random lengths span three length-sorted blocks; every
+        # row is bitwise the vector of its sentence embedded on its own
+        rng = np.random.default_rng(11)
+        ids = [f"s{k}" for k in range(2 * BLOCK_ROWS + 3)]
+        lengths = rng.integers(1, 13, size=len(ids))
+        t1 = SequenceTable(ids, [rng.normal(size=(s, 2)) for s in lengths])
+        t2 = SequenceTable(ids, [rng.normal(size=(s, 3)) for s in lengths])
+        model = new_dynamic_model(kind, [2, 3], ("x", "y"), proj_dim=4, enc_hidden=3,
+                                  att_hidden=(2 if kind == "cdme" else None), seed=2)
+        model.params["att_a"] += 0.4
+        table = embed_table(model, [t1, t2], ids)
+        assert list(table.ids) == ids
+        for ident in ids:
+            alone, _ = model.embed([[t1.lookup(ident), t2.lookup(ident)]])
+            assert table.row(ident).tobytes() == alone[0].tobytes(), ident
 
     def test_empty_ids(self):
         with pytest.raises(ValidationError, match="no ids"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metaembed.errors import ValidationError
-from metaembed.lstm import BiLstm
+from metaembed.lstm import BLOCK_ROWS, BiLstm, pad
 from metaembed.optim import gradient_check
 
 
@@ -168,3 +168,103 @@ class TestBackward:
         _, grads2 = lstm.backward(cache2, d_states)
         for key in grads:
             assert np.allclose(grads[key], grads2[key], atol=1e-15)
+
+
+def random_sequences(rng, count, in_dim, max_len=9):
+    return [rng.normal(size=(int(rng.integers(1, max_len + 1)), in_dim)) for _ in range(count)]
+
+
+class TestBlocks:
+    def test_pad_layout(self, rng):
+        seqs = random_sequences(rng, 2 * BLOCK_ROWS + 3, 2)
+        x, lengths = pad(seqs)
+        assert x.shape == (max(len(s) for s in seqs), 3, BLOCK_ROWS, 2)
+        assert lengths.shape == (3, BLOCK_ROWS)
+        for k, s in enumerate(seqs):
+            b, r = divmod(k, BLOCK_ROWS)
+            assert lengths[b, r] == len(s)
+            assert np.array_equal(x[: len(s), b, r], s)
+            assert not np.any(x[len(s) :, b, r])
+        assert not np.any(lengths.reshape(-1)[len(seqs) :])
+        assert not np.any(x[:, 2, 3:])
+
+    def test_pad_validation(self):
+        with pytest.raises(ValidationError, match="at least one sequence"):
+            pad([])
+        with pytest.raises(ValidationError, match="at least one step"):
+            pad([np.ones((2, 3)), np.empty((0, 3))])
+        with pytest.raises(ValidationError, match="shared width"):
+            pad([np.ones((2, 3)), np.ones((2, 4))])
+
+    def test_block_states_match_single_runs_bitwise(self, rng):
+        # both directions, every sequence, whatever its block-mates and row
+        lstm = make_lstm(3, 4, seed=12)
+        seqs = random_sequences(rng, 2 * BLOCK_ROWS + 3, 3, max_len=12)
+        states, _ = lstm.forward_blocks(*pad(seqs))
+        vecs, _ = lstm.encode_blocks(*pad(seqs))
+        for k, s in enumerate(seqs):
+            b, r = divmod(k, BLOCK_ROWS)
+            alone, _ = lstm.forward(s)
+            assert states[: len(s), b, r].tobytes() == alone.tobytes()
+            assert vecs[b, r].tobytes() == lstm.encode(s)[0].tobytes()
+
+    def test_negative_sequence_never_pools_a_padded_step(self, rng):
+        # strong negative candidates on real (positive) inputs drive every
+        # state of the short sequence below zero; on the zero inputs of its
+        # padded steps the cell decays towards zero, so those states are
+        # larger and an unmasked max would pick them
+        lstm = make_lstm(1, 2, seed=1)
+        for d in ("fw", "bw"):
+            lstm.p[f"w_{d}"][:] = 0.0
+            lstm.p[f"w_{d}"][4:6, 0] = -3.0
+            lstm.p[f"u_{d}"][:] = 0.0
+            lstm.p[f"b_{d}"][:] = 0.0
+        short = np.ones((2, 1))
+        long = rng.normal(size=(9, 1))
+        x, lengths = pad([short, long])
+        states, _ = lstm.forward_blocks(x, lengths)
+        vecs, _ = lstm.encode_blocks(x, lengths)
+        assert np.all(states[:2, 0, 0] < 0.0)
+        assert np.all(states[2:, 0, 0].max(axis=0) > vecs[0, 0])
+        assert np.array_equal(vecs[0, 0], states[:2, 0, 0].max(axis=0))
+        assert vecs[0, 0].tobytes() == lstm.encode(short)[0].tobytes()
+
+    def test_padded_steps_contribute_exact_zeros(self, rng):
+        # garbage in the padded steps changes no state, vector or gradient,
+        # and the input gradient there is exactly zero
+        lstm = make_lstm(3, 2, seed=8)
+        seqs = random_sequences(rng, BLOCK_ROWS + 5, 3, max_len=7)
+        x, lengths = pad(seqs)
+        noisy = x.copy()
+        padded = np.arange(x.shape[0])[:, None, None] >= lengths
+        noisy[padded] = 1e3 * rng.normal(size=(int(padded.sum()), 3))
+        d_vecs = rng.normal(size=(2, BLOCK_ROWS, 4))
+        results = []
+        for blocks in (x, noisy):
+            vecs, cache = lstm.encode_blocks(blocks, lengths)
+            dx, grads = lstm.encode_backward_blocks(cache, d_vecs)
+            results.append((vecs, dx, grads))
+        (v0, dx0, g0), (v1, dx1, g1) = results
+        assert np.array_equal(v0, v1)
+        assert np.array_equal(dx0, dx1)
+        assert not np.any(dx1[padded])
+        for key in g0:
+            assert np.array_equal(g0[key], g1[key]), key
+
+    def test_block_gradients_sum_single_gradients(self, rng):
+        lstm = make_lstm(3, 2, seed=10)
+        seqs = random_sequences(rng, BLOCK_ROWS + 5, 3, max_len=6)
+        d_vecs = rng.normal(size=(2, BLOCK_ROWS, 4))
+        _, cache = lstm.encode_blocks(*pad(seqs))
+        dx, grads = lstm.encode_backward_blocks(cache, d_vecs)
+        total = {key: np.zeros_like(p) for key, p in lstm.p.items()}
+        for k, s in enumerate(seqs):
+            b, r = divmod(k, BLOCK_ROWS)
+            _, one = lstm.encode(s)
+            dx_one, g_one = lstm.encode_backward(one, d_vecs[b, r])
+            assert np.allclose(dx[: len(s), b, r], dx_one, rtol=0, atol=1e-14)
+            for key in total:
+                total[key] += g_one[key]
+        for key in total:
+            scale = np.max(np.abs(total[key]))
+            assert np.max(np.abs(grads[key] - total[key])) <= 1e-13 * scale, key
