@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
+from .optim import seed_sequence
 from .store import sequence_views
 from .textio import fmt, read_lines, write_lines
 
@@ -43,7 +44,6 @@ __all__ = [
     "save_pair_dataset_tsv",
     "load_sick_official",
     "random_splits",
-    "infer_classes",
     "make_pair_examples",
 ]
 
@@ -213,8 +213,8 @@ def load_pair_dataset_tsv(path, *, score_range=None, classes=None, name=None) ->
 def load_class_dataset_tsv(path) -> PairDataset:
     """Parse a canonical class-labeled TSV whose classes are its own labels.
 
-    The class inventory is :func:`infer_classes` of the file, from the same
-    single parse.  Returns a dataset without splits.
+    The class inventory is the file's distinct labels, sorted.  Returns a
+    dataset without splits.
     """
     rows = _parse_canonical_rows(path)
     return _class_rows_dataset(path, rows, _distinct_labels(rows), str(path))
@@ -241,11 +241,6 @@ def save_pair_dataset_tsv(path, dataset: PairDataset) -> None:
         label = fmt(p.label) if dataset.kind == "score" else p.label
         out.append("\t".join([p.id_a, p.id_b, label, sent_a, sent_b]))
     write_lines(path, out)
-
-
-def infer_classes(path) -> tuple:
-    """Distinct labels of a canonical class-labeled TSV, sorted."""
-    return _distinct_labels(_parse_canonical_rows(path))
 
 
 def _distinct_labels(rows) -> tuple:
@@ -327,7 +322,7 @@ def random_splits(n: int, seed: int = 0, ratios=(0.7, 0.1, 0.2)) -> Splits:
         raise ValidationError(f"need at least one pair to split, got {n}")
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValidationError(f"ratios must be three non-negative numbers summing to 1, got {ratios}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed_sequence(seed))
     order = rng.permutation(n)
     n_train = int(n * ratios[0])
     n_dev = int(n * ratios[1])

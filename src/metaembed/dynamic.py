@@ -52,6 +52,9 @@ DEFAULT_ATT_HIDDEN = 2
 # same table is used at init and in training so the streams never collide
 _RNG_COMPONENTS = ("proj", "att", "enc", "head", "shuffle")
 
+# the hyperparameter fields of a DME or CDME file, in order
+_FIELDS = ("n", "dims", "proj", "att", "enc", "seed", "classes")
+
 
 def _check_classes(classes) -> tuple[str, ...]:
     out = tuple(classes)
@@ -109,6 +112,7 @@ class DynamicModel:
         rngs = seeded_rngs(self.seed, _RNG_COMPONENTS)
         n = len(self.dims)
         c = len(self.classes)
+        # the insertion order is the block order of the model file
         self.params: dict[str, np.ndarray] = {}
         for i, d in enumerate(self.dims):
             self.params[f"p{i}"] = xavier_uniform(rngs["proj"], self.proj_dim, d)
@@ -290,86 +294,29 @@ class DynamicModel:
         return loss, grads
 
     def save(self, path) -> None:
-        att = self.att_hidden if self.kind == "cdme" else 0
-        hyper = f"n {len(self.dims)} dims " + " ".join(str(d) for d in self.dims)
-        hyper += f" proj {self.proj_dim} att {att} enc {self.enc_hidden} seed {self.seed}"
-        hyper += " classes " + " ".join(self.classes)
-        blocks = [(f"p{i}", self.params[f"p{i}"]) for i in range(len(self.dims))]
-        blocks.append(("bias", self.params["bias"]))
-        blocks.append(("att_a", self.params["att_a"][None, :]))
-        blocks.append(("att_beta", self.params["att_beta"][None, :]))
-        prefixes = ["att"] if self.kind == "cdme" else []
-        prefixes.append("enc")
-        for prefix in prefixes:
-            for key in PARAM_KEYS:
-                arr = self.params[f"{prefix}_{key}"]
-                blocks.append((f"{prefix}_{key}", arr if arr.ndim == 2 else arr[None, :]))
-        blocks.append(("head_w", self.params["head_w"]))
-        blocks.append(("head_b", self.params["head_b"][None, :]))
-        write_model(path, self.magic, hyper, blocks)
+        values = (len(self.dims), self.dims, self.proj_dim, self.att_hidden or 0, self.enc_hidden,
+                  self.seed, self.classes)
+        write_model(path, self.magic, zip(_FIELDS, values), self.params.items())
 
     @classmethod
     def load(cls, path) -> "DynamicModel":
-        mf = read_model(path)
-        if mf.magic not in ("DME", "CDME"):
-            raise ValidationError(f"{path}: expected a DME or CDME model, found {mf.magic}")
+        mf = read_model(path, ("DME", "CDME"), _FIELDS)
         kind = mf.magic.lower()
-        dims, proj_dim, enc_hidden, att_hidden, seed, classes = _parse_dynamic_hyper(mf.hyper, path, kind)
-        model = cls(kind, dims, classes, proj_dim, enc_hidden,
-                    att_hidden if kind == "cdme" else None, seed=seed)
-        for key, p in model.params.items():
-            block = mf.blocks.get(key)
-            if block is None:
-                raise ValidationError(f"{path}: model file is missing block {key!r}")
-            value = block if p.ndim == 2 else block[0]
-            if value.shape != p.shape:
-                raise ValidationError(
-                    f"{path}: block {key!r} has shape {block.shape}, expected {p.shape if p.ndim == 2 else (1,) + p.shape}"
-                )
-            p[...] = value
-        unexpected = [lab for lab in mf.blocks if lab not in model.params]
-        if unexpected:
-            raise ValidationError(f"{path}: model file has unexpected block(s) {', '.join(unexpected)}")
-        return model
-
-
-def _parse_dynamic_hyper(hyper: list[str], path, kind: str):
-    markers = ["n", "dims", "proj", "att", "enc", "seed", "classes"]
-    positions = []
-    for mark in markers:
-        if mark not in hyper:
-            raise ValidationError(f"{path}: hyperparameter line is missing {mark!r}")
-        positions.append(hyper.index(mark))
-    if positions != sorted(positions) or positions[0] != 0:
-        raise ValidationError(f"{path}: hyperparameter fields out of order")
-    fields = {}
-    for k, mark in enumerate(markers):
-        stop = positions[k + 1] if k + 1 < len(markers) else len(hyper)
-        fields[mark] = hyper[positions[k] + 1 : stop]
-    try:
-        n = int(_single(fields["n"], path, "n"))
-        dims = [int(t) for t in fields["dims"]]
-        proj_dim = int(_single(fields["proj"], path, "proj"))
-        att = int(_single(fields["att"], path, "att"))
-        enc_hidden = int(_single(fields["enc"], path, "enc"))
-        seed = int(_single(fields["seed"], path, "seed"))
-    except ValueError:
-        raise ValidationError(f"{path}: non-integer value in hyperparameter line") from None
-    if n != len(dims):
-        raise ValidationError(f"{path}: hyperparameter line claims {n} sources but lists {len(dims)} widths")
-    if kind == "dme":
-        if att != 0:
+        n, dims = mf.one("n"), mf.ints("dims")
+        if n != len(dims):
+            raise ValidationError(f"{path}: hyperparameter line claims {n} sources but lists {len(dims)} widths")
+        att = mf.one("att")
+        if kind == "dme" and att != 0:
             raise ValidationError(f"{path}: a DME model must record att 0, got {att}")
-        att_hidden = None
-    else:
-        att_hidden = att
-    return dims, proj_dim, enc_hidden, att_hidden, seed, fields["classes"]
-
-
-def _single(tokens: list[str], path, name: str) -> str:
-    if len(tokens) != 1:
-        raise ValidationError(f"{path}: expected exactly one value for {name!r}")
-    return tokens[0]
+        model = mf.build(cls, kind, dims, mf.fields["classes"], mf.one("proj"), mf.one("enc"),
+                         att if kind == "cdme" else None, seed=mf.one("seed"))
+        mf.expect_blocks(model.params)
+        for key, p in model.params.items():
+            block, expected = mf.blocks[key], np.atleast_2d(p).shape
+            if block.shape != expected:
+                raise ValidationError(f"{path}: block {key!r} has shape {block.shape}, expected {expected}")
+            p[...] = block.reshape(p.shape)
+        return model
 
 
 def new_dynamic_model(kind: str, dims, classes, proj_dim: int, enc_hidden: int,

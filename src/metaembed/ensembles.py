@@ -31,7 +31,6 @@ from .linalg import (
     thin_svd,
 )
 from .modelio import read_model, write_model
-from .textio import fmt
 
 __all__ = ["concat_views", "SvdMetaModel", "fit_svd_meta", "GccaModel", "fit_gcca", "DEFAULT_TAU"]
 
@@ -54,6 +53,20 @@ def _check_views(views, min_views: int, min_rows: int = 1) -> list[np.ndarray]:
     return mats
 
 
+def _check_dims(dims) -> tuple[int, ...]:
+    out = tuple(int(d) for d in dims)
+    if not out or min(out) < 1:
+        raise ValidationError(f"view widths must be positive integers, got {out}")
+    return out
+
+
+def _check_tau(tau) -> float:
+    tau = float(tau)
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValidationError(f"tau must be finite and non-negative, got {tau}")
+    return tau
+
+
 def _check_widths(mats: list[np.ndarray], dims) -> None:
     if len(mats) != len(dims):
         raise ValidationError(f"model expects {len(dims)} views, got {len(mats)}")
@@ -74,7 +87,7 @@ class SvdMetaModel:
     MAGIC = "SVDMETA"
 
     def __init__(self, dims, mean, projection, singular_values):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = _check_dims(dims)
         self.mean = np.asarray(mean, dtype=np.float64)
         self.projection = np.asarray(projection, dtype=np.float64)
         self.singular_values = np.asarray(singular_values, dtype=np.float64)
@@ -100,23 +113,14 @@ class SvdMetaModel:
         return l2_normalize_rows(x @ self.projection)
 
     def save(self, path) -> None:
-        write_model(
-            path,
-            self.MAGIC,
-            "dims " + " ".join(str(d) for d in self.dims),
-            [
-                ("mean", self.mean[None, :]),
-                ("proj", self.projection),
-                ("sing", self.singular_values[None, :]),
-            ],
-        )
+        write_model(path, self.MAGIC, [("dims", self.dims)],
+                    [("mean", self.mean), ("proj", self.projection), ("sing", self.singular_values)])
 
     @classmethod
     def load(cls, path) -> "SvdMetaModel":
-        mf = read_model(path, cls.MAGIC)
-        dims = _parse_dims_hyper(mf.hyper, path)
-        blocks = _require_blocks(mf, path, ["mean", "proj", "sing"])
-        return cls(dims, blocks["mean"][0], blocks["proj"], blocks["sing"][0])
+        mf = read_model(path, (cls.MAGIC,), ["dims"])
+        mf.expect_blocks(["mean", "proj", "sing"])
+        return mf.build(cls, mf.ints("dims"), mf.row("mean"), mf.blocks["proj"], mf.row("sing"))
 
 
 def fit_svd_meta(views, dim: int) -> SvdMetaModel:
@@ -137,8 +141,8 @@ class GccaModel:
     MAGIC = "GCCA"
 
     def __init__(self, dims, tau, means, projections, eigenvalues):
-        self.dims = tuple(int(d) for d in dims)
-        self.tau = float(tau)
+        self.dims = _check_dims(dims)
+        self.tau = _check_tau(tau)
         self.means = [np.asarray(m, dtype=np.float64) for m in means]
         self.projections = [np.asarray(p, dtype=np.float64) for p in projections]
         self.eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
@@ -152,6 +156,8 @@ class GccaModel:
                     f"projection {j} must have shape ({d}, {self.dim}), "
                     f"got {self.projections[j].shape}"
                 )
+        if self.eigenvalues.shape != (self.dim,):
+            raise ValidationError(f"eigenvalues must have shape ({self.dim},), got {self.eigenvalues.shape}")
 
     @property
     def dim(self) -> int:
@@ -167,24 +173,21 @@ class GccaModel:
         return out
 
     def save(self, path) -> None:
-        hyper = "dims " + " ".join(str(d) for d in self.dims) + f" tau {fmt(self.tau)}"
         blocks = []
         for j in range(len(self.dims)):
-            blocks.append((f"mean{j}", self.means[j][None, :]))
+            blocks.append((f"mean{j}", self.means[j]))
             blocks.append((f"proj{j}", self.projections[j]))
-        blocks.append(("eigs", self.eigenvalues[None, :]))
-        write_model(path, self.MAGIC, hyper, blocks)
+        blocks.append(("eigs", self.eigenvalues))
+        write_model(path, self.MAGIC, [("dims", self.dims), ("tau", self.tau)], blocks)
 
     @classmethod
     def load(cls, path) -> "GccaModel":
-        mf = read_model(path, cls.MAGIC)
-        dims, tau = _parse_dims_tau_hyper(mf.hyper, path)
-        labels = [f"mean{j}" for j in range(len(dims))]
-        labels += [f"proj{j}" for j in range(len(dims))]
-        blocks = _require_blocks(mf, path, labels + ["eigs"])
-        means = [blocks[f"mean{j}"][0] for j in range(len(dims))]
-        projections = [blocks[f"proj{j}"] for j in range(len(dims))]
-        return cls(dims, tau, means, projections, blocks["eigs"][0])
+        mf = read_model(path, (cls.MAGIC,), ["dims", "tau"])
+        views = range(len(mf.fields["dims"]))
+        mf.expect_blocks([f"mean{j}" for j in views] + [f"proj{j}" for j in views] + ["eigs"])
+        means = [mf.row(f"mean{j}") for j in views]
+        projections = [mf.blocks[f"proj{j}"] for j in views]
+        return mf.build(cls, mf.ints("dims"), mf.one("tau", float), means, projections, mf.row("eigs"))
 
 
 def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
@@ -195,13 +198,12 @@ def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
     top *dim* generalized eigenvectors.  Each kept eigenpair is checked
     against the residual bound ||C t - rho B t|| <= 1e-7 (1 + |rho|) ||B||_F.
     """
+    tau = _check_tau(tau)
     mats = _check_views(views, min_views=2, min_rows=2)
     widths = [m.shape[1] for m in mats]
     k = sum(widths)
     if not 1 <= dim <= k:
         raise ValidationError(f"dim must be in [1, {k}], got {dim}")
-    if tau < 0:
-        raise ValidationError(f"tau must be non-negative, got {tau}")
     n = mats[0].shape[0]
     means = []
     centered = []
@@ -237,39 +239,3 @@ def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
             )
     projections = [theta[offsets[j] : offsets[j + 1]].copy() for j in range(len(mats))]
     return GccaModel(widths, tau, means, projections, rho)
-
-
-def _parse_dims_hyper(hyper: list[str], path) -> list[int]:
-    if not hyper or hyper[0] != "dims":
-        raise ValidationError(f"{path}: hyperparameter line must start with 'dims'")
-    try:
-        dims = [int(t) for t in hyper[1:]]
-    except ValueError:
-        raise ValidationError(f"{path}: non-integer view width in hyperparameter line") from None
-    if not dims or any(d < 1 for d in dims):
-        raise ValidationError(f"{path}: view widths must be positive integers")
-    return dims
-
-
-def _parse_dims_tau_hyper(hyper: list[str], path) -> tuple[list[int], float]:
-    if "tau" not in hyper:
-        raise ValidationError(f"{path}: hyperparameter line is missing 'tau'")
-    cut = hyper.index("tau")
-    dims = _parse_dims_hyper(hyper[:cut], path)
-    if cut + 2 != len(hyper):
-        raise ValidationError(f"{path}: expected exactly one value after 'tau'")
-    try:
-        tau = float(hyper[cut + 1])
-    except ValueError:
-        raise ValidationError(f"{path}: could not parse tau value {hyper[cut + 1]!r}") from None
-    return dims, tau
-
-
-def _require_blocks(mf, path, labels) -> dict[str, np.ndarray]:
-    missing = [lab for lab in labels if lab not in mf.blocks]
-    if missing:
-        raise ValidationError(f"{path}: model file is missing block(s) {', '.join(missing)}")
-    unexpected = [lab for lab in mf.blocks if lab not in labels]
-    if unexpected:
-        raise ValidationError(f"{path}: model file has unexpected block(s) {', '.join(unexpected)}")
-    return mf.blocks

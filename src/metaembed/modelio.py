@@ -3,14 +3,18 @@
 Every fitted model is stored as plain text:
 
     <MAGIC> v1
-    <one model-specific hyperparameter line>
+    <one hyperparameter line>
     <label> <rows> <cols>
     ... rows lines of cols values ...
     (further blocks until end of file)
 
-The text codec (encoding, line ends, 17-digit values, atomic writes) is
-:mod:`metaembed.textio`.  The concrete magics, hyperparameter lines and block
-labels are owned by the model classes; this module only knows the envelope.
+The hyperparameter line has one grammar for every kind: each field name is
+followed by its values, and the fields come in a fixed order per kind (for
+GCCA, ``dims 300 200 tau 10``).  A 1-D parameter is stored as a one-row
+block.  The text codec (encoding, line ends, 17-digit values, atomic writes)
+is :mod:`metaembed.textio`.  The model classes own their magics, field names
+and block labels, and the checks that mean something for one kind only;
+this module is the only one that formats or splits the file itself.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FileFormatError
-from .textio import fmt_row, parse_block, read_lines, write_lines
+from .errors import FileFormatError, ValidationError
+from .textio import fmt, fmt_row, parse_block, read_lines, write_lines
 
 __all__ = ["ModelFile", "write_model", "read_model", "sniff_model_kind"]
 
@@ -28,26 +32,82 @@ FORMAT_VERSION = "v1"
 
 
 class ModelFile(NamedTuple):
+    """A parsed model file: field name -> value tokens, block label -> 2-d array."""
+
+    path: str
     magic: str
-    hyper: list[str]
+    fields: dict[str, list[str]]
     blocks: dict[str, np.ndarray]
 
+    def ints(self, name: str) -> list[int]:
+        """The values of field *name* as integers."""
+        try:
+            return [int(t) for t in self.fields[name]]
+        except ValueError:
+            raise ValidationError(
+                f"{self.path}: non-integer value in field {name!r}: {' '.join(self.fields[name])}"
+            ) from None
 
-def write_model(path, magic: str, hyper: str, blocks) -> None:
-    """Write a model file; *blocks* is an iterable of (label, 2-d array)."""
-    out = [f"{magic} {FORMAT_VERSION}", hyper]
+    def one(self, name: str, convert=int):
+        """The single value of field *name*, passed through *convert*."""
+        values = self.fields[name]
+        if len(values) != 1:
+            raise ValidationError(f"{self.path}: expected exactly one value for {name!r}, got {len(values)}")
+        try:
+            return convert(values[0])
+        except ValueError:
+            raise ValidationError(f"{self.path}: could not parse {name!r} value {values[0]!r}") from None
+
+    def row(self, label: str) -> np.ndarray:
+        """The one-row block *label* as a 1-d array."""
+        block = self.blocks[label]
+        if block.shape[0] != 1:
+            raise ValidationError(f"{self.path}: block {label!r} has shape {block.shape}, expected one row")
+        return block[0]
+
+    def expect_blocks(self, labels) -> None:
+        """Check that the file holds exactly the blocks *labels*."""
+        missing = [lab for lab in labels if lab not in self.blocks]
+        if missing:
+            raise ValidationError(f"{self.path}: model file is missing block {missing[0]!r}")
+        unexpected = [lab for lab in self.blocks if lab not in labels]
+        if unexpected:
+            raise ValidationError(f"{self.path}: model file has unexpected block {unexpected[0]!r}")
+
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, naming this file in any ValidationError it raises."""
+        try:
+            return make(*args, **kwargs)
+        except ValidationError as exc:
+            raise ValidationError(f"{self.path}: {exc}") from None
+
+
+def write_model(path, magic: str, fields, blocks) -> None:
+    """Write a model file.
+
+    *fields* is an iterable of (name, values) pairs in the kind's order; a
+    value is an int, a float (written with :func:`metaembed.textio.fmt`) or
+    a string, and *values* is one value or a sequence of them.  *blocks* is
+    an iterable of (label, 1-d or 2-d array).
+    """
+    hyper = []
+    for name, values in fields:
+        hyper.append(name)
+        for v in values if isinstance(values, (list, tuple)) else [values]:
+            hyper.append(fmt(v) if isinstance(v, float) else str(v))
+    out = [f"{magic} {FORMAT_VERSION}", " ".join(hyper)]
     for label, arr in blocks:
-        a = np.asarray(arr, dtype=np.float64)
+        a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
         if a.ndim != 2:
-            raise ValueError(f"block {label!r} must be 2-d, got ndim={a.ndim}")
+            raise ValueError(f"block {label!r} must be 1-d or 2-d, got ndim={a.ndim}")
         out.append(f"{label} {a.shape[0]} {a.shape[1]}")
         for row in a:
             out.append(fmt_row(row))
     write_lines(path, out)
 
 
-def read_model(path, expected_magic: str | None = None) -> ModelFile:
-    """Parse a model file, optionally insisting on a particular magic."""
+def read_model(path, magics: tuple, names) -> ModelFile:
+    """Parse a model file whose magic is one of *magics* and whose fields are *names*, in order."""
     lines = read_lines(path)
     if not lines or not lines[0].strip():
         raise FileFormatError(path, 1, "empty file; expected a model header")
@@ -55,11 +115,11 @@ def read_model(path, expected_magic: str | None = None) -> ModelFile:
     if len(head) != 2 or head[1] != FORMAT_VERSION:
         raise FileFormatError(path, 1, f"expected '<KIND> {FORMAT_VERSION}' header, got {lines[0]!r}")
     magic = head[0]
-    if expected_magic is not None and magic != expected_magic:
-        raise FileFormatError(path, 1, f"expected a {expected_magic} model, found {magic}")
+    if magic not in magics:
+        raise FileFormatError(path, 1, f"expected a {' or '.join(magics)} model, found {magic}")
     if len(lines) < 2:
         raise FileFormatError(path, 1, "file ends before the hyperparameter line")
-    hyper = lines[1].split()
+    fields = _split_fields(lines[1].split(), list(names), path)
     blocks: dict[str, np.ndarray] = {}
     cursor = 3  # 1-based line number of the next unread line
     while cursor <= len(lines):
@@ -81,7 +141,21 @@ def read_model(path, expected_magic: str | None = None) -> ModelFile:
             raise FileFormatError(path, cursor, f"block shape must be positive, got {rows} {cols}")
         blocks[label] = parse_block(lines, cursor + 1, rows, cols, path, label)
         cursor += 1 + rows
-    return ModelFile(magic, hyper, blocks)
+    return ModelFile(str(path), magic, fields, blocks)
+
+
+def _split_fields(tokens: list[str], names: list[str], path) -> dict[str, list[str]]:
+    """Each field's value tokens: those between its name and the next field's name."""
+    missing = [name for name in names if name not in tokens]
+    if missing:
+        raise ValidationError(f"{path}: hyperparameter line is missing {missing[0]!r}")
+    starts = [tokens.index(name) for name in names]
+    if starts[0] != 0 or starts != sorted(starts):
+        raise ValidationError(
+            f"{path}: hyperparameter fields out of order; expected {', '.join(map(repr, names))}"
+        )
+    ends = starts[1:] + [len(tokens)]
+    return {name: tokens[s + 1 : e] for name, s, e in zip(names, starts, ends)}
 
 
 def sniff_model_kind(path) -> str:

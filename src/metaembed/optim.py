@@ -14,13 +14,20 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["Adam", "seeded_rngs", "xavier_uniform", "GradCheckReport", "gradient_check"]
+__all__ = ["Adam", "seed_sequence", "seeded_rngs", "xavier_uniform", "GradCheckReport", "gradient_check"]
+
+
+def seed_sequence(seed: int) -> np.random.SeedSequence:
+    """The root of every random stream drawn from *seed*, a non-negative integer."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence(seed)
 
 
 def seeded_rngs(seed: int, labels) -> dict[str, np.random.Generator]:
     """One independent Generator per label, all derived from *seed*."""
     labels = list(labels)
-    children = np.random.SeedSequence(seed).spawn(len(labels))
+    children = seed_sequence(seed).spawn(len(labels))
     return {lab: np.random.default_rng(child) for lab, child in zip(labels, children)}
 
 

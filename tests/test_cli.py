@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from metaembed.store import (
     save_sequence_table,
     save_vector_table,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -151,6 +154,15 @@ class TestFitApply:
         assert code == 2
         assert "error: --tau only applies to gcca" in stderr
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-5"])
+    def test_gcca_rejects_tau_that_is_not_finite_and_non_negative(self, tmp_path, rng, capsys, tau):
+        _, paths = write_vec_tables(tmp_path, rng)
+        code, _, stderr = run(capsys, "fit", "--method", "gcca", "--inputs", *paths,
+                              "--d", 2, "--tau", tau, "--out", tmp_path / "m.model")
+        assert code == 2
+        assert "error: tau must be finite and non-negative" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "m.model").exists()
+
     def test_gcca_requires_d(self, tmp_path, rng, capsys):
         _, paths = write_vec_tables(tmp_path, rng)
         code, _, stderr = run(capsys, "fit", "--method", "gcca", "--inputs", *paths,
@@ -243,6 +255,15 @@ class TestTrain:
                               "--epochs", 2, "--lr", "inf", "--out", tmp_path / "x.model")
         assert code == 3
         assert "non-finite" in stderr
+
+    def test_negative_seed_exits_2(self, tmp_path, rng, capsys):
+        tables, pairs = self.train_fixture(tmp_path, rng)
+        code, _, stderr = run(capsys, "train", "--mode", "dme", "--inputs", *tables,
+                              "--dataset", pairs, "--epochs", 1, "--seed", -1,
+                              "--out", tmp_path / "x.model")
+        assert code == 2
+        assert "error: seed must be a non-negative integer, got -1" in stderr
+        assert "Traceback" not in stderr
 
     def test_m_rejected_for_dme(self, tmp_path, rng, capsys):
         tables, pairs = self.train_fixture(tmp_path, rng)
@@ -398,6 +419,15 @@ class TestEval:
         manifest = json.loads((tmp_path / "metaembed-eval.manifest.json").read_text())
         assert manifest["metrics"]["rounds"] >= 1
 
+    def test_probe_negative_seed_exits_2(self, tmp_path, rng, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        table_path, pairs_path = self.embeddings_fixture(tmp_path, rng, n_pairs=40)
+        code, _, stderr = run(capsys, "eval", "sick-r", "--inputs", table_path,
+                              "--dataset", pairs_path, "--seed", -1)
+        assert code == 2
+        assert "error: seed must be a non-negative integer, got -1" in stderr
+        assert "Traceback" not in stderr
+
     def test_probe_seed_changes_split(self, tmp_path, rng, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         table_path, pairs_path = self.embeddings_fixture(tmp_path, rng, n_pairs=40)
@@ -515,6 +545,22 @@ class TestInfo:
         assert "att_hidden 2" in lines
         assert "seed 4" in lines
         assert "classes no yes" in lines
+
+    @pytest.mark.parametrize("kind", ["dme", "cdme"])
+    def test_dynamic_model_with_negative_seed(self, tmp_path, capsys, kind):
+        path = tmp_path / f"{kind}.model"
+        path.write_text((GOLDEN / f"{kind}.model").read_text().replace(" seed 5 ", " seed -1 ", 1))
+        code, stdout, stderr = run(capsys, "info", path)
+        assert code == 2 and stdout == ""
+        assert f"error: {path}: seed must be a non-negative integer, got -1" in stderr
+        assert "Traceback" not in stderr
+
+    def test_gcca_model_with_bad_tau(self, tmp_path, capsys):
+        path = tmp_path / "gcca.model"
+        path.write_text((GOLDEN / "gcca.model").read_text().replace("tau 0\n", "tau nan\n", 1))
+        code, _, stderr = run(capsys, "info", path)
+        assert code == 2
+        assert f"error: {path}: tau must be finite and non-negative, got nan" in stderr
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "info", tmp_path / "nope.vec")

@@ -7,7 +7,6 @@ from metaembed.datasets import (
     Splits,
     TASK_CLASSES,
     class_dataset,
-    infer_classes,
     load_class_dataset_tsv,
     load_pair_dataset_tsv,
     load_sick_official,
@@ -191,7 +190,7 @@ class TestCanonicalFormat:
             ("e", "f", "yes", "-", "-"),
         ))
         ds = load_class_dataset_tsv(path)
-        assert ds.classes == infer_classes(path) == ("no", "yes")
+        assert ds.classes == ("no", "yes")
         assert ds == load_pair_dataset_tsv(path, classes=("no", "yes"))
 
     def test_class_dataset_reports_malformed_line(self, tmp_path):
@@ -200,14 +199,15 @@ class TestCanonicalFormat:
         with pytest.raises(FileFormatError, match=r":2: expected 5 tab-separated columns, got 4"):
             load_class_dataset_tsv(path)
 
-    def test_infer_classes_sorted_distinct(self, tmp_path):
+    def test_class_dataset_classes_are_sorted_distinct_labels(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text(canonical_lines(
             ("a", "b", "yes", "-", "-"),
             ("c", "d", "no", "-", "-"),
             ("e", "f", "yes", "-", "-"),
+            ("g", "h", "maybe", "-", "-"),
         ))
-        assert infer_classes(path) == ("no", "yes")
+        assert load_class_dataset_tsv(path).classes == ("maybe", "no", "yes")
 
 
 OFFICIAL_HEADER = "pair_ID\tsentence_A\tsentence_B\trelatedness_score\tentailment_judgment\tSemEval_set"
@@ -311,6 +311,15 @@ class TestRandomSplits:
     def test_deterministic_in_seed(self):
         assert random_splits(50, seed=9) == random_splits(50, seed=9)
         assert random_splits(50, seed=9) != random_splits(50, seed=10)
+
+    def test_permutation_comes_from_the_seed_sequence(self):
+        order = np.random.default_rng(np.random.SeedSequence(4)).permutation(10)
+        s = random_splits(10, seed=4)
+        assert s.train + s.dev + s.test == tuple(int(i) for i in order)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+            random_splits(10, seed=-1)
 
     def test_custom_ratios(self):
         s = random_splits(10, seed=0, ratios=(0.9, 0.1, 0.0))

@@ -1,9 +1,13 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from metaembed.dynamic import DynamicModel, TrainConfig, new_dynamic_model, train_dynamic
 from metaembed.errors import NonFiniteLossError, ValidationError
 from metaembed.optim import gradient_check
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def small_model(kind, seed=7):
@@ -360,6 +364,18 @@ class TestSerialization:
         path.write_text("\n".join(lines[:cut]) + "\n")
         with pytest.raises(ValidationError, match="missing block 'head_b'"):
             DynamicModel.load(path)
+
+
+class TestGoldenFiles:
+    @pytest.mark.parametrize("kind", ["dme", "cdme"])
+    def test_golden_loads_and_resaves_byte_identical(self, kind, tmp_path):
+        model = DynamicModel.load(GOLDEN / f"{kind}.model")
+        assert model.kind == kind and model.dims == (3, 4) and model.classes == ("a", "b", "c")
+        assert model.proj_dim == 2 and model.enc_hidden == 2 and model.seed == 5
+        assert model.att_hidden == (2 if kind == "cdme" else None)
+        rewritten = tmp_path / f"{kind}.model"
+        model.save(rewritten)
+        assert rewritten.read_bytes() == (GOLDEN / f"{kind}.model").read_bytes()
 
 
 # --- per-example reference: one sentence at a time, one step at a time -------

@@ -187,6 +187,23 @@ class TestGcca:
         assert len(model.projections) == 3
 
 
+class TestTau:
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -5.0])
+    def test_fit_rejects_before_any_work(self, tau, monkeypatch):
+        import metaembed.ensembles as ensembles
+
+        monkeypatch.setattr(ensembles, "_check_views", None)
+        with pytest.raises(ValidationError, match="tau must be finite and non-negative"):
+            fit_gcca([np.ones((3, 1)), np.ones((3, 1))], dim=1, tau=tau)
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-5"])
+    def test_load_rejects_and_names_the_path(self, tau, tmp_path):
+        path = tmp_path / "gcca.model"
+        path.write_text((GOLDEN / "gcca.model").read_text().replace("tau 0\n", f"tau {tau}\n", 1))
+        with pytest.raises(ValidationError, match=f"{path}: tau must be finite and non-negative"):
+            GccaModel.load(path)
+
+
 class TestGoldenFiles:
     def test_svdmeta_golden_loads_and_applies(self, tmp_path):
         model = SvdMetaModel.load(GOLDEN / "svdmeta.model")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metaembed.errors import ValidationError
-from metaembed.optim import Adam, gradient_check, seeded_rngs, xavier_uniform
+from metaembed.optim import Adam, gradient_check, seed_sequence, seeded_rngs, xavier_uniform
 
 
 class TestSeededRngs:
@@ -20,6 +20,18 @@ class TestSeededRngs:
         a = seeded_rngs(0, ("p", "q"))
         b = seeded_rngs(0, ("q", "p"))
         assert a["p"].normal(size=3).tobytes() == b["q"].normal(size=3).tobytes()
+
+    def test_streams_come_from_the_seed_sequence(self):
+        children = np.random.SeedSequence(7).spawn(2)
+        rngs = seeded_rngs(7, ("x", "y"))
+        for child, label in zip(children, ("x", "y")):
+            expected = np.random.default_rng(child).normal(size=3)
+            assert rngs[label].normal(size=3).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("make", [seed_sequence, lambda seed: seeded_rngs(seed, ("x",))])
+    def test_negative_seed_rejected(self, make):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+            make(-1)
 
 
 class TestXavier:
