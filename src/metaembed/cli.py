@@ -239,12 +239,13 @@ def cmd_train(args) -> int:
     write_lines(loss_csv, ["epoch,mean_loss"]
                 + [f"{i},{fmt(loss)}" for i, loss in enumerate(history, start=1)])
     metrics: dict = {"epoch_losses": history}
-    for part, indices in (("train", train_idx), ("dev", dev_idx)):
-        if indices:
-            pairs = [dataset.pairs[i] for i in indices]
-            report, _ = evaluate_classification(model, tables, pairs, task=part)
-            metrics[f"{part}_accuracy"] = report.value
-            print(f"{part}_accuracy {report.value:.6f}")
+    parts = [(part, [dataset.pairs[i] for i in indices])
+             for part, indices in (("train", train_idx), ("dev", dev_idx)) if indices]
+    table = embed_table(model, tables, _pair_ids(p for _, pairs in parts for p in pairs))
+    for part, pairs in parts:
+        report, _ = evaluate_classification(model, table, pairs, task=part)
+        metrics[f"{part}_accuracy"] = report.value
+        print(f"{part}_accuracy {report.value:.6f}")
     _write_manifest([args.out, loss_csv], f"{args.out}.manifest.json", args,
                     _digests(args.inputs + [args.dataset]), metrics=metrics)
     print(f"wrote {args.out}: {args.mode} model, {len(examples)} training pairs, "
@@ -299,40 +300,39 @@ def cmd_eval(args) -> int:
     model = None if args.model is None else _load_model(args.model)
     metrics: dict = {}
 
-    if isinstance(model, DynamicModel) and dataset.kind == "classes":
+    # a dynamic model scores a class task with its own pair head, on the test split if there is one
+    head = isinstance(model, DynamicModel) and dataset.kind == "classes"
+    eval_pairs = dataset.pairs
+    if head:
         unknown = [c for c in dataset.classes if c not in model.classes]
         if unknown:
             raise ValidationError(
                 f"model classes {list(model.classes)} do not cover task classes {list(dataset.classes)}"
             )
-        tables = _load_sequence_like(args.inputs)
         if dataset.splits is not None:
             eval_pairs = dataset.split_pairs("test")
             if not eval_pairs:
                 raise ValidationError(f"{args.dataset}: no pairs in the test split")
-        else:
-            eval_pairs = list(dataset.pairs)
-        report, rows = evaluate_classification(model, tables, eval_pairs, task=args.task)
+    table = _sentence_vectors(model, args.inputs, _pair_ids(eval_pairs))
+    if head:
+        report, rows = evaluate_classification(model, table, eval_pairs, task=args.task)
+    elif args.task == "sts":
+        report, rows = evaluate_similarity(table, dataset.pairs, dataset.lo, dataset.hi, task=args.task)
     else:
-        table = _sentence_vectors(model, args.inputs, _pair_ids(dataset.pairs))
-        if args.task == "sts":
-            report, rows = evaluate_similarity(table, dataset.pairs, dataset.lo, dataset.hi,
-                                               task=args.task)
+        splits, drawn = _splits_or_drawn(dataset, args.seed)
+        parts = [[dataset.pairs[i] for i in part] for part in splits]
+        data = []
+        for part in parts:
+            data += [pair_feature_matrix(table, part), [p.label for p in part]]
+        if dataset.kind == "score":
+            probe = probe_relatedness(*data, probe_config)
         else:
-            splits, drawn = _splits_or_drawn(dataset, args.seed)
-            parts = [[dataset.pairs[i] for i in part] for part in splits]
-            data = []
-            for part in parts:
-                data += [pair_feature_matrix(table, part), [p.label for p in part]]
-            if dataset.kind == "score":
-                probe = probe_relatedness(*data, probe_config)
-            else:
-                probe = probe_classification(*data, dataset.classes, probe_config)
-            fingerprint = config_fingerprint(args.task, probe.metric, [digests[str(p)] for p in inputs],
-                                             list(probe_config), drawn, list(splits))
-            report = EvalReport(args.task, probe.metric, probe.test, probe.n_test, fingerprint)
-            metrics.update(dev=probe.dev, rounds=probe.history.rounds)
-            rows = [(p.id_a, p.id_b, p.label, pred) for p, pred in zip(parts[2], probe.test_predictions)]
+            probe = probe_classification(*data, dataset.classes, probe_config)
+        fingerprint = config_fingerprint(args.task, probe.metric, [digests[str(p)] for p in inputs],
+                                         list(probe_config), drawn, list(splits))
+        report = EvalReport(args.task, probe.metric, probe.test, probe.n_test, fingerprint)
+        metrics.update(dev=probe.dev, rounds=probe.history.rounds)
+        rows = [(p.id_a, p.id_b, p.label, pred) for p, pred in zip(parts[2], probe.test_predictions)]
 
     _emit_report(report)
     metrics.update(metric=report.metric, value=report.value, n=report.n,
@@ -357,27 +357,7 @@ def cmd_info(args) -> int:
     except MetaEmbedError:
         kind = None
     if kind in _MODEL_CLASSES:
-        model = _MODEL_CLASSES[kind].load(path)
-        print(f"kind {kind}")
-        if not isinstance(model, DynamicModel):
-            print(f"views {len(model.dims)}")
-            print("widths " + " ".join(str(d) for d in model.dims))
-            print(f"dim {model.dim}")
-            if isinstance(model, GccaModel):
-                print(f"tau {fmt(model.tau)}")
-                print("eigenvalues " + fmt_row(model.eigenvalues))
-            else:
-                print("singular_values " + fmt_row(model.singular_values))
-        else:
-            print(f"sources {len(model.dims)}")
-            print("widths " + " ".join(str(d) for d in model.dims))
-            print(f"proj_dim {model.proj_dim}")
-            print(f"enc_hidden {model.enc_hidden}")
-            if model.kind == "cdme":
-                print(f"att_hidden {model.att_hidden}")
-            print(f"seed {model.seed}")
-            print(f"sentence_dim {model.dim}")
-            print("classes " + " ".join(model.classes))
+        print("\n".join([f"kind {kind}"] + _MODEL_CLASSES[kind].load(path).describe()))
         return 0
     table_kind = sniff_table_kind(path)
     table = (load_sequence_table if table_kind == "sequence" else load_vector_table)(path)

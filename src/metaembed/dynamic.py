@@ -254,9 +254,6 @@ class DynamicModel:
         shifted = np.exp(logits - logits.max())
         return shifted / shifted.sum()
 
-    def predict_label(self, views_a, views_b) -> str:
-        return self.classes[int(np.argmax(self.predict_proba(views_a, views_b)))]
-
     def loss_and_grads(self, batch):
         """Mean cross-entropy over (views_a, views_b, label_index) triples.
 
@@ -293,6 +290,13 @@ class DynamicModel:
         self.embed_backward(cache, np.vstack([dzu + sign * dza + v * dzp, dzv - sign * dza + u * dzp]), grads)
         return loss, grads
 
+    def describe(self) -> list[str]:
+        """The ``info`` lines after the kind line."""
+        att = [f"att_hidden {self.att_hidden}"] if self.kind == "cdme" else []
+        return [f"sources {len(self.dims)}", "widths " + " ".join(map(str, self.dims)),
+                f"proj_dim {self.proj_dim}", f"enc_hidden {self.enc_hidden}", *att, f"seed {self.seed}",
+                f"sentence_dim {self.dim}", "classes " + " ".join(self.classes)]
+
     def save(self, path) -> None:
         values = (len(self.dims), self.dims, self.proj_dim, self.att_hidden or 0, self.enc_hidden,
                   self.seed, self.classes)
@@ -326,61 +330,40 @@ def new_dynamic_model(kind: str, dims, classes, proj_dim: int, enc_hidden: int,
 
 
 class TrainConfig(NamedTuple):
-    """Hyperparameters for :func:`train_dynamic`.
-
-    ``epochs`` = 0 is a valid no-op (parameters untouched).  ``patience``
-    > 0 stops training once the mean epoch loss has failed to improve for
-    that many consecutive epochs; 0 runs every epoch.
+    """Hyperparameters for :func:`train_dynamic`: Adam at rate ``lr`` with
+    its default betas, minibatches of ``batch_size`` pairs, and an order
+    shuffled afresh each epoch from ``seed``.  ``epochs`` = 0 is a valid
+    no-op (parameters untouched).
     """
 
     epochs: int
     lr: float = 1e-3
     batch_size: int = 16
-    betas: tuple = (0.9, 0.999)
     seed: int = 0
-    patience: int = 0
-    shuffle: bool = True
 
 
-def _check_train_config(config: TrainConfig) -> None:
+def train_dynamic(model: DynamicModel, examples, config: TrainConfig) -> list[float]:
+    """Minibatch Adam training; returns the mean loss of each epoch.
+
+    *examples* is a sequence of (views_a, views_b, label_index) triples.
+    The shuffle order is driven by ``config.seed`` alone, so a rerun with
+    the same seed and data reproduces the parameter trajectory exactly.  A
+    non-finite batch loss aborts with :class:`NonFiniteLossError`.
+    """
     if config.epochs < 0:
         raise ValidationError(f"epochs must be non-negative, got {config.epochs}")
     if not config.lr > 0:
         raise ValidationError(f"learning rate must be positive, got {config.lr}")
     if config.batch_size < 1:
         raise ValidationError(f"batch_size must be positive, got {config.batch_size}")
-    if len(config.betas) != 2 or not all(0.0 <= b < 1.0 for b in config.betas):
-        raise ValidationError(f"betas must be two values in [0, 1), got {config.betas}")
-    if config.patience < 0:
-        raise ValidationError(f"patience must be non-negative, got {config.patience}")
-
-
-def train_dynamic(model: DynamicModel, examples, config: TrainConfig | None = None,
-                  **overrides) -> list[float]:
-    """Minibatch Adam training; returns the mean loss of each epoch.
-
-    *examples* is a sequence of (views_a, views_b, label_index) triples.
-    Settings come either from a :class:`TrainConfig` or from keyword
-    overrides (``epochs`` is then required).  The shuffle order is driven
-    by the config seed alone, so a rerun with the same seed and data
-    reproduces the parameter trajectory exactly.  A non-finite batch loss
-    aborts with :class:`NonFiniteLossError`.
-    """
-    if config is None:
-        config = TrainConfig(**overrides)
-    elif overrides:
-        raise ValidationError("give a TrainConfig or keyword settings, not both")
-    _check_train_config(config)
     examples = list(examples)
     if not examples:
         raise ValidationError("no training examples")
     rng = seeded_rngs(config.seed, _RNG_COMPONENTS)["shuffle"]
-    adam = Adam(model.params, lr=config.lr, beta1=config.betas[0], beta2=config.betas[1])
+    adam = Adam(model.params, lr=config.lr)
     history: list[float] = []
-    best = np.inf
-    bad_epochs = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(len(examples)) if config.shuffle else np.arange(len(examples))
+        order = rng.permutation(len(examples))
         epoch_loss = 0.0
         for b, start in enumerate(range(0, len(examples), config.batch_size)):
             batch = [examples[i] for i in order[start : start + config.batch_size]]
@@ -389,13 +372,5 @@ def train_dynamic(model: DynamicModel, examples, config: TrainConfig | None = No
                 raise NonFiniteLossError(epoch + 1, b + 1, float(loss))
             adam.step(grads)
             epoch_loss += loss * len(batch)
-        mean_loss = epoch_loss / len(examples)
-        history.append(mean_loss)
-        if mean_loss < best:
-            best = mean_loss
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-        if config.patience and bad_epochs >= config.patience:
-            break
+        history.append(epoch_loss / len(examples))
     return history

@@ -31,6 +31,7 @@ from .linalg import (
     thin_svd,
 )
 from .modelio import read_model, write_model
+from .textio import fmt, fmt_row
 
 __all__ = ["concat_views", "SvdMetaModel", "fit_svd_meta", "GccaModel", "fit_gcca", "DEFAULT_TAU"]
 
@@ -112,6 +113,11 @@ class SvdMetaModel:
         x = np.hstack(mats) - self.mean
         return l2_normalize_rows(x @ self.projection)
 
+    def describe(self) -> list[str]:
+        """The ``info`` lines after the kind line."""
+        return [f"views {len(self.dims)}", "widths " + " ".join(map(str, self.dims)), f"dim {self.dim}",
+                "singular_values " + fmt_row(self.singular_values)]
+
     def save(self, path) -> None:
         write_model(path, self.MAGIC, [("dims", self.dims)],
                     [("mean", self.mean), ("proj", self.projection), ("sing", self.singular_values)])
@@ -171,6 +177,11 @@ class GccaModel:
         for m, mu, proj in zip(mats, self.means, self.projections):
             out += (m - mu) @ proj
         return out
+
+    def describe(self) -> list[str]:
+        """The ``info`` lines after the kind line."""
+        return [f"views {len(self.dims)}", "widths " + " ".join(map(str, self.dims)), f"dim {self.dim}",
+                f"tau {fmt(self.tau)}", "eigenvalues " + fmt_row(self.eigenvalues)]
 
     def save(self, path) -> None:
         blocks = []

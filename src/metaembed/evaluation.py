@@ -230,13 +230,13 @@ def _gold_score(p) -> float:
         ) from None
 
 
-def evaluate_classification(model, tables, pairs, task: str = "classification") -> tuple:
-    """Predict a label for every pair with *model* and compare to gold.
+def evaluate_classification(model, table: EmbeddingTable, pairs, task: str = "classification") -> tuple:
+    """Predict a label for every pair with *model*'s pair head and compare to gold.
 
-    Each sentence is embedded once (:func:`embed_table`), then the model's
-    pair head scores every pair from that table in one product.  Returns
-    (EvalReport with accuracy in percent, rows of (id_a, id_b, gold,
-    predicted)).
+    *table* maps sentence ids to the model's sentence vectors (see
+    :func:`embed_table`); every pair is scored from it in one product.
+    Returns (EvalReport with accuracy in percent, rows of (id_a, id_b,
+    gold, predicted)).
     """
     pairs = list(pairs)
     if not pairs:
@@ -247,7 +247,7 @@ def evaluate_classification(model, tables, pairs, task: str = "classification") 
             raise ValidationError(
                 f"gold label {p.label!r} is not among the model classes {list(model.classes)}"
             )
-    table = embed_table(model, tables, dict.fromkeys(i for p in pairs for i in (p.id_a, p.id_b)))
+    _check_pair_ids(table, pairs)
     logits, _ = model.pair_logits(table.lookup(p.id_a for p in pairs), table.lookup(p.id_b for p in pairs))
     preds = [model.classes[k] for k in np.argmax(logits, axis=1)]
     golds = [p.label for p in pairs]

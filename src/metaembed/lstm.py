@@ -34,9 +34,8 @@ The block shape is fixed because OpenBLAS picks its GEMM kernel by shape: a
 row multiplied inside matrices of different heights can come out different
 in the last bits.  Every product here is a stack of (R, d) blocks, so a
 sequence's states do not depend on which other sequences share its blocks,
-or where it sits among them, bit for bit.  The single-sequence methods
-(:meth:`BiLstm.forward`, :meth:`BiLstm.encode` and their backward passes)
-are one-row calls of the block methods.
+or where it sits among them, bit for bit.  There is no single-sequence
+API: one sequence runs as ``pad([x])``, a block with one used row.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ def _gate_gradients(act, c, tc, dh_seq, u):
 
 
 class BiLstm:
-    """A bidirectional LSTM layer over (S, in_dim) sequences."""
+    """A bidirectional LSTM layer over blocks of (S, in_dim) sequences from :func:`pad`."""
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
         if in_dim < 1 or hidden < 1:
@@ -140,10 +139,6 @@ class BiLstm:
             self.p[f"w_{direction}"] = xavier_uniform(rng, 4 * hidden, in_dim)
             self.p[f"u_{direction}"] = xavier_uniform(rng, 4 * hidden, hidden)
             self.p[f"b_{direction}"] = b
-
-    @property
-    def out_dim(self) -> int:
-        return 2 * self.hidden
 
     def _stacked(self, key: str) -> np.ndarray:
         """Parameter *key* of both directions, forward first: shape (2, ...)."""
@@ -247,37 +242,3 @@ class BiLstm:
         # the backward direction read step t as step rev[t] of its own run
         dh[1, cache["rev"][at[..., m:]], np.arange(m)] = d_vecs[..., m:]
         return self._backward(cache, dh.reshape((2,) + valid.shape + (m,)))
-
-    def _pad_one(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValidationError(f"expected sequence of shape (S, {self.in_dim}), got {x.shape}")
-        return pad([x])
-
-    def forward(self, x):
-        """Per-step states for sequence *x*: (S, 2*hidden) plus a cache."""
-        states, cache = self.forward_blocks(*self._pad_one(x))
-        return states[:, 0, 0], cache
-
-    def backward(self, cache, d_states):
-        """Gradients for one forward() call.
-
-        Returns (dx, grads) where dx has the input's shape and grads uses the
-        same keys as ``self.p``.
-        """
-        d_blocks = np.zeros(cache["valid"].shape + (2 * self.hidden,))
-        d_blocks[:, 0, 0] = d_states
-        dx, grads = self.backward_blocks(cache, d_blocks)
-        return dx[:, 0, 0], grads
-
-    def encode(self, x):
-        """Max-pooled sentence vector of shape (2*hidden,) plus a cache."""
-        vecs, cache = self.encode_blocks(*self._pad_one(x))
-        return vecs[0, 0], cache
-
-    def encode_backward(self, enc_cache, d_vec):
-        """Gradients for one encode() call; see :meth:`backward`."""
-        d_vecs = np.zeros((1, BLOCK_ROWS, 2 * self.hidden))
-        d_vecs[0, 0] = d_vec
-        dx, grads = self.encode_backward_blocks(enc_cache, d_vecs)
-        return dx[:, 0, 0], grads

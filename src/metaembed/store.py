@@ -218,8 +218,6 @@ def load_sequence_table(path) -> SequenceTable:
             raise FileFormatError(path, cursor, f"sequence length must be positive, got {steps}")
         mat = parse_block(lines, cursor + 1, steps, d, path, ident)
         cursor += 1 + steps
-        if not np.all(np.isfinite(mat)):
-            raise FileFormatError(path, cursor - 1, f"non-finite value in block {ident!r}")
         ids.append(ident)
         mats.append(mat)
     _check_trailing(lines, cursor - 1, path)

@@ -96,12 +96,15 @@ def parse_values(tokens: list[str], d: int, path, lineno: int) -> np.ndarray:
 
 
 def parse_block(lines: list[str], start: int, rows: int, cols: int, path, label: str) -> np.ndarray:
-    """Lines ``start .. start + rows - 1`` (1-based) as a (rows, cols) array."""
+    """Lines ``start .. start + rows - 1`` (1-based) as a (rows, cols) array of finite values."""
     out = np.empty((rows, cols), dtype=np.float64)
     for r in range(rows):
         if start + r > len(lines):
             raise truncated(path, lines, f"expected {rows} rows in block {label!r}")
         out[r] = parse_values(lines[start + r - 1].split(), cols, path, start + r)
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise FileFormatError(path, start + int(np.argmax(bad)), f"non-finite value in block {label!r}")
     return out
 
 

@@ -17,6 +17,17 @@ from metaembed.store import (
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
+# what `info` prints for each golden model file
+GOLDEN_INFO = {
+    "svdmeta": "kind SVDMETA\nviews 2\nwidths 2 1\ndim 2\nsingular_values 2 1\n",
+    "gcca": "kind GCCA\nviews 2\nwidths 1 1\ndim 1\ntau 0\neigenvalues 1\n",
+    "dme": ("kind DME\nsources 2\nwidths 3 4\nproj_dim 2\nenc_hidden 2\nseed 5\nsentence_dim 4\n"
+            "classes a b c\n"),
+    "cdme": ("kind CDME\nsources 2\nwidths 3 4\nproj_dim 2\nenc_hidden 2\natt_hidden 2\nseed 5\n"
+             "sentence_dim 4\nclasses a b c\n"),
+}
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -206,6 +217,23 @@ class TestDroppedIds:
         assert manifest["metrics"]["dropped"] == [2, 3, 0]
 
 
+def record_embedded_ids(monkeypatch):
+    """The ids of every embed_table call, whichever module makes it."""
+    import metaembed.cli as cli
+    import metaembed.evaluation as evaluation
+
+    calls = []
+    original = evaluation.embed_table
+
+    def recording(model, tables, ids):
+        calls.append(list(ids))
+        return original(model, tables, calls[-1])
+
+    monkeypatch.setattr(cli, "embed_table", recording)
+    monkeypatch.setattr(evaluation, "embed_table", recording)
+    return calls
+
+
 class TestTrain:
     def train_fixture(self, tmp_path, rng, n=8):
         ids = [f"s{i}" for i in range(n)]
@@ -290,6 +318,21 @@ class TestTrain:
                          "--epochs", 1, "--out", tmp_path / "m.model")
         assert code == 0
         assert reads.count(str(pairs)) == 1
+
+    def test_sentences_shared_by_train_and_dev_are_embedded_once(self, tmp_path, rng, capsys, monkeypatch):
+        # every pair mentions s0, so the one dev pair of the 9/1 draw shares it with train
+        ids = [f"s{i}" for i in range(11)]
+        tables = write_seq_tables(tmp_path, rng, ids)
+        pairs = write_canonical(tmp_path / "p.tsv",
+                                [("s0", f"s{i}", "yes" if i % 2 else "no") for i in range(1, 11)])
+        calls = record_embedded_ids(monkeypatch)
+        code, stdout, _ = run(capsys, "train", "--mode", "dme", "--inputs", *tables,
+                              "--dataset", pairs, "--d-prime", 4, "--m-enc", 3,
+                              "--epochs", 1, "--out", tmp_path / "m.model")
+        assert code == 0
+        assert "train_accuracy " in stdout and "dev_accuracy " in stdout
+        embedded = [i for call in calls for i in call]
+        assert sorted(embedded) == sorted(ids)
 
     def test_malformed_row_reported_once_with_its_line(self, tmp_path, rng, capsys):
         tables, pairs = self.train_fixture(tmp_path, rng)
@@ -474,6 +517,24 @@ class TestEval:
         assert report["n"] == 3  # official TEST rows only
         assert 0.0 <= report["value"] <= 100.0
 
+    def test_dynamic_model_embeds_only_the_eval_pairs(self, tmp_path, rng, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ids = [f"s{i}" for i in range(10)]
+        tables = write_seq_tables(tmp_path, rng, ids)
+        train = write_canonical(tmp_path / "train.tsv", [
+            ("s0", "s1", "entailment"), ("s2", "s3", "neutral"), ("s4", "s5", "contradiction")])
+        model = tmp_path / "m.model"
+        code, _, _ = run(capsys, "train", "--mode", "dme", "--inputs", *tables, "--dataset", train,
+                         "--d-prime", 4, "--m-enc", 3, "--epochs", 1, "--out", model)
+        assert code == 0
+        test = write_canonical(tmp_path / "test.tsv", [
+            ("s7", "s2", "neutral"), ("s2", "s9", "entailment"), ("s9", "s7", "contradiction")])
+        calls = record_embedded_ids(monkeypatch)
+        code, stdout, _ = run(capsys, "eval", "nli", model, "--inputs", *tables, "--dataset", test)
+        assert code == 0
+        assert report_of(stdout)["n"] == 3
+        assert calls == [["s7", "s2", "s9"]]
+
     def test_sts_accepts_official_scores(self, tmp_path, rng, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         official, n = write_official(tmp_path / "official.txt")
@@ -545,6 +606,19 @@ class TestInfo:
         assert "att_hidden 2" in lines
         assert "seed 4" in lines
         assert "classes no yes" in lines
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_INFO))
+    def test_golden_model_output_is_pinned(self, capsys, kind):
+        code, stdout, _ = run(capsys, "info", GOLDEN / f"{kind}.model")
+        assert code == 0
+        assert stdout == GOLDEN_INFO[kind]
+
+    def test_non_finite_model_block_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "svdmeta.model"
+        path.write_text((GOLDEN / "svdmeta.model").read_text().replace("mean 1 3\n1 2 3\n", "mean 1 3\nnan 2 3\n"))
+        code, stdout, stderr = run(capsys, "info", path)
+        assert code == 2 and stdout == ""
+        assert stderr.splitlines() == [f"error: {path}:4: non-finite value in block 'mean'"]
 
     @pytest.mark.parametrize("kind", ["dme", "cdme"])
     def test_dynamic_model_with_negative_seed(self, tmp_path, capsys, kind):

@@ -311,16 +311,15 @@ class FixedModel:
     seed = 0
     classes = ("low", "high")
     params: dict = {}
-    dim = 1
-
-    def embed(self, sentences):
-        return np.array([[views[0][0, 0]] for views in sentences]), None
 
     def pair_logits(self, u, v):
         return np.hstack([np.zeros_like(u), np.where(u >= v, 1.0, -1.0)]), None
 
 
 class TestClassificationDriver:
+    def make_table(self):
+        return EmbeddingTable(["a", "b"], np.array([[3.0], [1.0]]))
+
     def make_tables(self):
         ids = ["a", "b"]
         t1 = SequenceTable(ids, [np.full((1, 2), 3.0), np.full((1, 2), 1.0)])
@@ -332,7 +331,7 @@ class TestClassificationDriver:
             Pair("a", "b", "high"),
             Pair("b", "a", "high"),
         ]
-        report, rows = evaluate_classification(FixedModel(), self.make_tables(), pairs)
+        report, rows = evaluate_classification(FixedModel(), self.make_table(), pairs)
         assert report.metric == "accuracy"
         assert report.n == 2
         assert rows[0] == ("a", "b", "high", "high")
@@ -342,14 +341,20 @@ class TestClassificationDriver:
     def test_gold_label_must_be_known(self):
         pairs = [Pair("a", "b", "medium")]
         with pytest.raises(ValidationError, match="'medium' is not among the model classes"):
-            evaluate_classification(FixedModel(), self.make_tables(), pairs)
+            evaluate_classification(FixedModel(), self.make_table(), pairs)
 
     def test_real_model_round(self):
         model = new_dynamic_model("dme", [2, 1], ("x", "y"), proj_dim=3, enc_hidden=2, seed=0)
         pairs = [Pair("a", "b", "x"), Pair("b", "a", "y")]
-        report, rows = evaluate_classification(model, self.make_tables(), pairs)
+        table = embed_table(model, self.make_tables(), ["a", "b"])
+        report, rows = evaluate_classification(model, table, pairs)
         assert report.n == 2
         assert all(r[3] in ("x", "y") for r in rows)
+
+    def test_pair_id_without_vector_reported(self):
+        pairs = [Pair("a", "b", "high"), Pair("a", "zz", "low")]
+        with pytest.raises(ValidationError, match="1 pair id\\(s\\) have no vector: 'zz'"):
+            evaluate_classification(FixedModel(), self.make_table(), pairs)
 
 
 class TestEmbedTable:

@@ -16,6 +16,36 @@ def make_lstm(in_dim, hidden, seed=0):
     return BiLstm(in_dim, hidden, np.random.default_rng(seed))
 
 
+# one sequence through the block methods, as row 0 of a one-block batch
+
+def forward(lstm, x):
+    """Per-step states (S, 2*hidden) of sequence *x*, plus the block cache."""
+    states, cache = lstm.forward_blocks(*pad([x]))
+    return states[:, 0, 0], cache
+
+
+def backward(lstm, cache, d_states):
+    """(dx, grads) for one :func:`forward` call; dx has the sequence's shape."""
+    d_blocks = np.zeros(cache["valid"].shape + (2 * lstm.hidden,))
+    d_blocks[:, 0, 0] = d_states
+    dx, grads = lstm.backward_blocks(cache, d_blocks)
+    return dx[:, 0, 0], grads
+
+
+def encode(lstm, x):
+    """Max-pooled vector (2*hidden,) of sequence *x*, plus the block cache."""
+    vecs, cache = lstm.encode_blocks(*pad([x]))
+    return vecs[0, 0], cache
+
+
+def encode_backward(lstm, cache, d_vec):
+    """(dx, grads) for one :func:`encode` call."""
+    d_vecs = np.zeros((1, BLOCK_ROWS, 2 * lstm.hidden))
+    d_vecs[0, 0] = d_vec
+    dx, grads = lstm.encode_backward_blocks(cache, d_vecs)
+    return dx[:, 0, 0], grads
+
+
 class TestForward:
     def test_init_biases(self):
         lstm = make_lstm(3, 4)
@@ -38,7 +68,7 @@ class TestForward:
         lstm.p["w_fw"][:, 0] = [0.5, 0.5, 1.0, 0.5]
         lstm.p["u_fw"][:, 0] = 0.0
         lstm.p["b_fw"][:] = 0.0
-        states, _ = lstm.forward(np.array([[1.0]]))
+        states, _ = forward(lstm, np.array([[1.0]]))
         i = sig(0.5)
         g = math.tanh(1.0)
         c1 = i * g
@@ -50,7 +80,7 @@ class TestForward:
         lstm.p["w_fw"][:, 0] = [0.5, 0.5, 1.0, 0.5]
         lstm.p["u_fw"][:, 0] = 0.2
         lstm.p["b_fw"][:] = [0.0, 1.0, 0.0, 0.0]
-        states, _ = lstm.forward(np.array([[1.0], [-1.0]]))
+        states, _ = forward(lstm, np.array([[1.0], [-1.0]]))
         i1 = sig(0.5)
         f1 = sig(1.5)
         g1 = math.tanh(1.0)
@@ -69,29 +99,29 @@ class TestForward:
     def test_state_shape_and_alignment(self, rng):
         lstm = make_lstm(3, 2, seed=4)
         x = rng.normal(size=(5, 3))
-        states, _ = lstm.forward(x)
+        states, _ = forward(lstm, x)
         assert states.shape == (5, 4)
         # left half is the forward direction: its first step only sees x[0]
-        solo, _ = lstm.forward(x[:1])
+        solo, _ = forward(lstm, x[:1])
         assert np.array_equal(states[0, :2], solo[0, :2])
         # right half is the backward direction: its value at the last step
         # only sees x[-1]
-        solo_last, _ = lstm.forward(x[-1:])
+        solo_last, _ = forward(lstm, x[-1:])
         assert np.array_equal(states[-1, 2:], solo_last[0, 2:])
 
     def test_encode_is_componentwise_max(self, rng):
         lstm = make_lstm(3, 2, seed=9)
         x = rng.normal(size=(6, 3))
-        states, _ = lstm.forward(x)
-        vec, _ = lstm.encode(x)
+        states, _ = forward(lstm, x)
+        vec, _ = encode(lstm, x)
         assert np.array_equal(vec, states.max(axis=0))
 
     def test_validation(self, rng):
         lstm = make_lstm(3, 2)
         with pytest.raises(ValidationError, match="shape"):
-            lstm.forward(rng.normal(size=(4, 2)))
+            forward(lstm, rng.normal(size=(4, 2)))
         with pytest.raises(ValidationError, match="at least one step"):
-            lstm.forward(np.empty((0, 3)))
+            forward(lstm, np.empty((0, 3)))
 
 
 class TestReversal:
@@ -104,12 +134,12 @@ class TestReversal:
             mirrored.p[f"{key}_fw"] = lstm.p[f"{key}_bw"].copy()
             mirrored.p[f"{key}_bw"] = lstm.p[f"{key}_fw"].copy()
         x = rng.normal(size=(7, 4))
-        states, _ = lstm.forward(x)
-        swapped, _ = mirrored.forward(x[::-1])
+        states, _ = forward(lstm, x)
+        swapped, _ = forward(mirrored, x[::-1])
         realigned = np.hstack([swapped[::-1, 3:], swapped[::-1, :3]])
         assert states.tobytes() == realigned.tobytes()
-        vec, _ = lstm.encode(x)
-        vec_sw, _ = mirrored.encode(x[::-1])
+        vec, _ = encode(lstm, x)
+        vec_sw, _ = encode(mirrored, x[::-1])
         assert vec.tobytes() == np.concatenate([vec_sw[3:], vec_sw[:3]]).tobytes()
 
 
@@ -120,8 +150,8 @@ class TestBackward:
         probe = rng.normal(size=4)
 
         def func():
-            vec, cache = lstm.encode(x)
-            _, grads = lstm.encode_backward(cache, probe)
+            vec, cache = encode(lstm, x)
+            _, grads = encode_backward(lstm, cache, probe)
             return float(vec @ probe), grads
 
         report = gradient_check(func, lstm.p, epsilon=1e-5, seed=3)
@@ -135,11 +165,11 @@ class TestBackward:
         probe = rng.normal(size=4)
 
         def loss(xv):
-            vec, _ = lstm.encode(xv)
+            vec, _ = encode(lstm, xv)
             return float(vec @ probe)
 
-        vec, cache = lstm.encode(x)
-        dx, _ = lstm.encode_backward(cache, probe)
+        vec, cache = encode(lstm, x)
+        dx, _ = encode_backward(lstm, cache, probe)
         eps = 1e-6
         for t in range(3):
             for k in range(2):
@@ -154,18 +184,18 @@ class TestBackward:
     def test_pooling_routes_gradient_to_argmax_step(self, rng):
         lstm = make_lstm(2, 1, seed=7)
         x = rng.normal(size=(4, 2))
-        states, _ = lstm.forward(x)
-        vec, cache = lstm.encode(x)
+        states, _ = forward(lstm, x)
+        vec, cache = encode(lstm, x)
         picked = np.argmax(states, axis=0)
         d_vec = np.array([1.0, 0.0])
         # zero gradient on the second component: nothing flows through the
         # backward direction's pooled position for it
-        _, grads = lstm.encode_backward(cache, d_vec)
+        _, grads = encode_backward(lstm, cache, d_vec)
         # the same probe through forward() at only the argmax row matches
         d_states = np.zeros_like(states)
         d_states[picked[0], 0] = 1.0
-        _, cache2 = lstm.forward(x)
-        _, grads2 = lstm.backward(cache2, d_states)
+        _, cache2 = forward(lstm, x)
+        _, grads2 = backward(lstm, cache2, d_states)
         for key in grads:
             assert np.allclose(grads[key], grads2[key], atol=1e-15)
 
@@ -204,9 +234,9 @@ class TestBlocks:
         vecs, _ = lstm.encode_blocks(*pad(seqs))
         for k, s in enumerate(seqs):
             b, r = divmod(k, BLOCK_ROWS)
-            alone, _ = lstm.forward(s)
+            alone, _ = forward(lstm, s)
             assert states[: len(s), b, r].tobytes() == alone.tobytes()
-            assert vecs[b, r].tobytes() == lstm.encode(s)[0].tobytes()
+            assert vecs[b, r].tobytes() == encode(lstm, s)[0].tobytes()
 
     def test_negative_sequence_never_pools_a_padded_step(self, rng):
         # strong negative candidates on real (positive) inputs drive every
@@ -227,7 +257,7 @@ class TestBlocks:
         assert np.all(states[:2, 0, 0] < 0.0)
         assert np.all(states[2:, 0, 0].max(axis=0) > vecs[0, 0])
         assert np.array_equal(vecs[0, 0], states[:2, 0, 0].max(axis=0))
-        assert vecs[0, 0].tobytes() == lstm.encode(short)[0].tobytes()
+        assert vecs[0, 0].tobytes() == encode(lstm, short)[0].tobytes()
 
     def test_padded_steps_contribute_exact_zeros(self, rng):
         # garbage in the padded steps changes no state, vector or gradient,
@@ -260,8 +290,8 @@ class TestBlocks:
         total = {key: np.zeros_like(p) for key, p in lstm.p.items()}
         for k, s in enumerate(seqs):
             b, r = divmod(k, BLOCK_ROWS)
-            _, one = lstm.encode(s)
-            dx_one, g_one = lstm.encode_backward(one, d_vecs[b, r])
+            _, one = encode(lstm, s)
+            dx_one, g_one = encode_backward(lstm, one, d_vecs[b, r])
             assert np.allclose(dx[: len(s), b, r], dx_one, rtol=0, atol=1e-14)
             for key in total:
                 total[key] += g_one[key]

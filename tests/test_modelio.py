@@ -54,6 +54,8 @@ CASES = [
     ("svdmeta", "unexpected block", append("extra 1 1\n0\n"), ["unexpected block", "extra"]),
     ("svdmeta", "wrong block shape", replace_block("mean", "1 2", ["1 2"]), ["mean", "shape"]),
     ("svdmeta", "1-d block with two rows", replace_block("mean", "2 3", ["1 2 3", "1 2 3"]), ["mean", "one row"]),
+    ("svdmeta", "nan in a block", replace("mean 1 3\n1 2 3\n", "mean 1 3\nnan 2 3\n"),
+     [":4: non-finite value in block 'mean'"]),
     ("gcca", "wrong magic", replace("GCCA v1", "GLUE v1"), ["GLUE"]),
     ("gcca", "missing field", replace(" tau 0\n", "\n"), ["'tau'"]),
     ("gcca", "fields out of order", replace("dims 1 1 tau 0\n", "tau 0 dims 1 1\n"), ["'dims'"]),
@@ -63,6 +65,8 @@ CASES = [
     ("gcca", "unexpected block", append("extra 1 1\n0\n"), ["unexpected block", "extra"]),
     ("gcca", "wrong block shape", replace_block("mean1", "1 2", ["-1 1"]), ["mean", "shape"]),
     ("gcca", "wrong eigenvalue count", replace_block("eigs", "1 2", ["1 1"]), ["eigenvalues", "shape"]),
+    ("gcca", "inf in a block", replace("proj0 1 1\n0.5\n", "proj0 1 1\ninf\n"),
+     [":6: non-finite value in block 'proj0'"]),
     ("dme", "wrong magic", replace("DME v1", "GLUE v1"), ["GLUE"]),
     ("dme", "missing field", replace(" seed 5 ", " "), ["'seed'"]),
     ("dme", "fields out of order", replace(" proj 2 att 0 ", " att 0 proj 2 "), ["out of order"]),
@@ -71,6 +75,8 @@ CASES = [
     ("dme", "missing block", drop_block("head_b"), ["missing block", "head_b"]),
     ("dme", "unexpected block", append("extra 1 1\n0\n"), ["unexpected block", "extra"]),
     ("dme", "wrong block shape", replace_block("head_b", "1 2", ["0 0"]), ["head_b", "shape"]),
+    ("dme", "nan in a block's second row", replace(" 0.13239287735506242\n", " nan\n"),
+     [":5: non-finite value in block 'p0'"]),
     ("cdme", "wrong magic", replace("CDME v1", "GLUE v1"), ["GLUE"]),
     ("cdme", "missing field", replace(" enc 2 ", " "), ["'enc'"]),
     ("cdme", "fields out of order", replace(" att 2 enc 2 ", " enc 2 att 2 "), ["out of order"]),

@@ -183,6 +183,12 @@ class TestSequenceTableFormat:
         with pytest.raises(FileFormatError, match=f"{path}:4.*duplicate id"):
             load_sequence_table(path)
 
+    def test_non_finite_names_its_line_and_block(self, tmp_path):
+        path = tmp_path / "bad.seq"
+        path.write_text("2 2\n#a 1\n1 2\n#b 3\n1 2\nnan 4\n5 6\n")
+        with pytest.raises(FileFormatError, match=f"{path}:6: non-finite value in block 'b'"):
+            load_sequence_table(path)
+
     def test_from_vector_table(self, rng):
         vt = make_vector_table(rng, 5, 3)
         st = SequenceTable.from_vector_table(vt)
