@@ -34,14 +34,7 @@ import sys
 import traceback
 
 from . import __version__
-from .datasets import (
-    TASK_CLASSES,
-    load_class_dataset_tsv,
-    load_pair_dataset_tsv,
-    load_sick_official,
-    make_pair_examples,
-    random_splits,
-)
+from .datasets import TASKS, load_dataset, make_pair_examples, random_splits
 from .dynamic import DynamicModel, TrainConfig, new_dynamic_model, train_dynamic
 from .ensembles import DEFAULT_TAU, GccaModel, SvdMetaModel, concat_views, fit_gcca, fit_svd_meta
 from .errors import MetaEmbedError, NonFiniteLossError, ValidationError
@@ -60,21 +53,16 @@ from .store import (
     SequenceTable,
     align_by_id,
     intersect_ids,
-    load_sequence_table,
+    load_table,
     load_vector_table,
     save_vector_table,
-    sniff_table_kind,
 )
-from .textio import fmt, fmt_row, read_lines, write_lines
+from .textio import fmt, fmt_row, write_lines
 
 __all__ = ["main", "build_parser"]
 
 _MODEL_CLASSES = {"SVDMETA": SvdMetaModel, "GCCA": GccaModel, "DME": DynamicModel, "CDME": DynamicModel}
-_EVAL_TASKS = ("sts", "sick-r", "sick-e", "nli", "paraphrase")
 _SVD_DEFAULT_CAP = 3072
-
-# score ranges for the score-labeled tasks when read from canonical files
-_TASK_RANGES = {"sts": (0.0, 5.0), "sick-r": (1.0, 5.0)}
 
 
 def _sha256(path) -> str:
@@ -115,13 +103,8 @@ def _digests(paths) -> dict:
 
 def _load_sequence_like(paths) -> list[SequenceTable]:
     """Load each path as a sequence table, viewing vector tables as length-1 sequences."""
-    out = []
-    for p in paths:
-        if sniff_table_kind(p) == "sequence":
-            out.append(load_sequence_table(p))
-        else:
-            out.append(SequenceTable.from_vector_table(load_vector_table(p)))
-    return out
+    tables = [load_table(p) for p in paths]
+    return [t if isinstance(t, SequenceTable) else SequenceTable.from_vector_table(t) for t in tables]
 
 
 def _pair_ids(pairs) -> list[str]:
@@ -136,11 +119,6 @@ def _load_model(path):
             f"{path}: unknown model kind {kind!r}; expected one of {tuple(_MODEL_CLASSES)}"
         )
     return _MODEL_CLASSES[kind].load(path)
-
-
-def _is_official(path) -> bool:
-    first = read_lines(path, limit=1)
-    return bool(first) and first[0].split("\t")[0].strip() == "pair_ID"
 
 
 def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
@@ -217,10 +195,7 @@ def cmd_train(args) -> int:
     if args.mode == "dme" and args.m is not None:
         raise ValidationError("--m only applies to cdme (the attention recurrence width)")
     tables = _load_sequence_like(args.inputs)
-    if _is_official(args.dataset):
-        _, dataset = load_sick_official(args.dataset)
-    else:
-        dataset = load_class_dataset_tsv(args.dataset)
+    dataset = load_dataset(args.dataset)
     if dataset.splits is not None:
         train_idx = dataset.splits.train
         dev_idx = dataset.splits.dev
@@ -253,22 +228,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_dataset(task: str, path):
-    """The task-appropriate dataset from a canonical or official file."""
-    if _is_official(path):
-        if task in ("sts", "sick-r"):
-            return load_sick_official(path)[0]
-        if task == "sick-e":
-            return load_sick_official(path)[1]
-        raise ValidationError(
-            f"an official export carries relatedness scores and entailment classes; "
-            f"task {task!r} needs a canonical file"
-        )
-    if task in _TASK_RANGES:
-        return load_pair_dataset_tsv(path, score_range=_TASK_RANGES[task])
-    return load_pair_dataset_tsv(path, classes=TASK_CLASSES[task])
-
-
 def _splits_or_drawn(dataset, seed: int):
     """The dataset's own splits, or a seeded 70/10/20 draw when it has none."""
     drawn = dataset.splits is None
@@ -292,7 +251,7 @@ def cmd_eval(args) -> int:
         raise ValidationError("--inputs is required")
     if args.model is None and len(args.inputs) != 1:
         raise ValidationError("without a model, give exactly one vector table of sentence vectors")
-    dataset = _load_eval_dataset(args.task, args.dataset)
+    dataset = load_dataset(args.dataset, args.task)
     probe_config = ProbeConfig(batch_size=args.batch, tenacity=args.tenacity,
                                epoch_size=args.epoch_size, seed=args.seed)
     inputs = [args.dataset] + args.inputs + ([args.model] if args.model else [])
@@ -351,21 +310,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_info(args) -> int:
-    path = args.path
     try:
-        kind = sniff_model_kind(path)
+        kind = sniff_model_kind(args.path)
     except MetaEmbedError:
         kind = None
     if kind in _MODEL_CLASSES:
-        print("\n".join([f"kind {kind}"] + _MODEL_CLASSES[kind].load(path).describe()))
-        return 0
-    table_kind = sniff_table_kind(path)
-    table = (load_sequence_table if table_kind == "sequence" else load_vector_table)(path)
-    print(f"kind {table_kind}-table")
-    print(f"rows {len(table)}")
-    print(f"dim {table.dim}")
-    if table_kind == "sequence":
-        print(f"total_steps {sum(m.shape[0] for m in table.matrices)}")
+        described = _MODEL_CLASSES[kind].load(args.path)
+    else:
+        described = load_table(args.path)
+        kind = described.KIND
+    print("\n".join([f"kind {kind}"] + described.describe()))
     return 0
 
 
@@ -422,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate on a sentence-pair task")
-    p.add_argument("task", choices=_EVAL_TASKS)
+    p.add_argument("task", choices=TASKS)
     p.add_argument("model", nargs="?", default=None,
                    help="fitted model producing sentence vectors (omit to evaluate --inputs directly)")
     add_inputs(p, "one vector table of sentence vectors, or the model's source tables")

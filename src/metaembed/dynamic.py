@@ -42,6 +42,7 @@ from .errors import NonFiniteLossError, ValidationError
 from .lstm import PARAM_KEYS, BiLstm, pad
 from .modelio import read_model, write_model
 from .optim import Adam, seeded_rngs, xavier_uniform
+from .probes import pair_features
 
 __all__ = ["DynamicModel", "new_dynamic_model", "TrainConfig", "train_dynamic", "DEFAULT_ATT_HIDDEN"]
 
@@ -242,9 +243,9 @@ class DynamicModel:
     def pair_logits(self, u, v):
         """Class logits (B, classes) for the sentence vectors u, v of B pairs, plus the features.
 
-        The features are [u; v; |u-v|; u*v] per pair, shape (B, 8*enc_hidden).
+        The features are :func:`~metaembed.probes.pair_features`, shape (B, 8*enc_hidden).
         """
-        z = np.hstack([u, v, np.abs(u - v), u * v])
+        z = pair_features(u, v)
         return z @ self.params["head_w"].T + self.params["head_b"], z
 
     def predict_proba(self, views_a, views_b) -> np.ndarray:

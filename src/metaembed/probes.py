@@ -40,6 +40,7 @@ __all__ = [
     "probe_relatedness",
     "relatedness_targets",
     "relatedness_score",
+    "pair_features",
     "pair_feature_matrix",
 ]
 
@@ -238,15 +239,30 @@ def probe_relatedness(train_x, train_scores, dev_x, dev_scores, test_x, test_sco
     return ProbeReport("pearson", dev, test, len(tx), len(dx), len(sx), history, test_pred.tolist())
 
 
+def pair_features(u, v, out=None) -> np.ndarray:
+    """Features [u; v; |u-v|; u*v] (B, 4D) of B pairs from their sentence vectors u, v (B, D).
+
+    They are written into *out* when it is given; *u* and *v* may already be
+    views of its first two quarters.
+    """
+    if out is None:
+        out = np.empty((u.shape[0], 4 * u.shape[1]))
+    a, b, dist, prod = np.hsplit(out, 4)  # views into out
+    a[...] = u  # a no-op when u is a
+    b[...] = v
+    np.abs(np.subtract(u, v, out=dist), out=dist)
+    np.multiply(u, v, out=prod)
+    return out
+
+
 def pair_feature_matrix(table: EmbeddingTable, pairs) -> np.ndarray:
-    """Features [u; v; |u-v|; u*v] for each pair's sentence vectors."""
+    """:func:`pair_features` for each pair's sentence vectors in *table*."""
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("no pairs")
     out = np.empty((len(pairs), 4 * table.dim))
-    u, v, dist, prod = np.hsplit(out, 4)  # views into out
+    # each side is gathered straight into out, so at most one gathered copy is alive
+    u, v = np.hsplit(out, 4)[:2]
     u[...] = table.vectors[[table.index(p.id_a) for p in pairs]]
     v[...] = table.vectors[[table.index(p.id_b) for p in pairs]]
-    np.abs(np.subtract(u, v, out=dist), out=dist)
-    np.multiply(u, v, out=prod)
-    return out
+    return pair_features(u, v, out)

@@ -32,6 +32,7 @@ __all__ = [
     "load_sequence_table",
     "save_sequence_table",
     "sniff_table_kind",
+    "load_table",
     "intersect_ids",
     "AlignedViews",
     "align_by_id",
@@ -55,6 +56,8 @@ def _check_ids(ids) -> tuple[str, ...]:
 
 class EmbeddingTable:
     """An ordered id -> vector mapping backed by one (N, D) float64 matrix."""
+
+    KIND = "vector-table"
 
     def __init__(self, ids, vectors):
         self.vectors = as_matrix(vectors, "vectors")
@@ -95,9 +98,15 @@ class EmbeddingTable:
         rows = np.fromiter((self._index[i] for i in ids), dtype=np.intp, count=len(ids))
         return self.vectors[rows].copy()
 
+    def describe(self) -> list[str]:
+        """The ``info`` lines after the kind line."""
+        return [f"rows {len(self)}", f"dim {self.dim}"]
+
 
 class SequenceTable:
     """An ordered id -> (S, D) matrix mapping; all matrices share D."""
+
+    KIND = "sequence-table"
 
     def __init__(self, ids, matrices):
         self.ids = _check_ids(ids)
@@ -127,6 +136,11 @@ class SequenceTable:
             return self.matrices[self._index[ident]]
         except KeyError:
             raise ValidationError(f"unknown sequence id {ident!r}") from None
+
+    def describe(self) -> list[str]:
+        """The ``info`` lines after the kind line."""
+        return [f"rows {len(self)}", f"dim {self.dim}",
+                f"total_steps {sum(m.shape[0] for m in self.matrices)}"]
 
     @classmethod
     def from_vector_table(cls, table: EmbeddingTable) -> "SequenceTable":
@@ -244,6 +258,11 @@ def sniff_table_kind(path) -> str:
     if first and first[0].startswith("#"):
         return "sequence"
     return "vector"
+
+
+def load_table(path) -> EmbeddingTable | SequenceTable:
+    """Parse a vector or sequence table, whichever :func:`sniff_table_kind` finds."""
+    return (load_sequence_table if sniff_table_kind(path) == "sequence" else load_vector_table)(path)
 
 
 def intersect_ids(tables) -> list[str]:

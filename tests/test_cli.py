@@ -345,6 +345,15 @@ class TestTrain:
         assert stdout == ""
         assert stderr.splitlines() == [f"error: {pairs}:3: expected 5 tab-separated columns, got 4"]
 
+    def test_one_class_dataset_names_the_file(self, tmp_path, rng, capsys):
+        tables, _ = self.train_fixture(tmp_path, rng)
+        pairs = write_canonical(tmp_path / "one.tsv", [("s0", "s1", "x"), ("s2", "s3", "x")])
+        code, stdout, stderr = run(capsys, "train", "--mode", "dme", "--inputs", *tables,
+                                   "--dataset", pairs, "--epochs", 1, "--out", tmp_path / "m.model")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.splitlines() == [f"error: {pairs}: need at least two distinct classes, got ['x']"]
+
     def test_official_dataset_uses_train_split_and_classes(self, tmp_path, rng, capsys):
         official, n = write_official(tmp_path / "official.txt")
         ids = [f"{k}_{side}" for k in range(1, n + 1) for side in ("A", "B")]
@@ -545,6 +554,48 @@ class TestEval:
                               "--dataset", official)
         assert code == 0
         assert report_of(stdout)["n"] == n
+
+    def test_official_export_refused_for_nli(self, tmp_path, rng, capsys):
+        official, n = write_official(tmp_path / "official.txt")
+        ids = [f"{k}_{side}" for k in range(1, n + 1) for side in ("A", "B")]
+        save_vector_table(tmp_path / "sent.vec", EmbeddingTable(ids, rng.normal(size=(len(ids), 4))))
+        code, stdout, stderr = run(capsys, "eval", "nli", "--inputs", tmp_path / "sent.vec",
+                                   "--dataset", official)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            "error: an official export carries relatedness scores and entailment classes; "
+            "task 'nli' needs a canonical file"
+        ]
+
+    def test_model_classes_must_cover_the_task(self, tmp_path, rng, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        official, n = write_official(tmp_path / "official.txt")
+        ids = [f"{k}_{side}" for k in range(1, n + 1) for side in ("A", "B")]
+        tables = write_seq_tables(tmp_path, rng, ids)
+        train = write_canonical(tmp_path / "train.tsv", [("1_A", "1_B", "yes"), ("2_A", "2_B", "no")])
+        model = tmp_path / "m.model"
+        code, _, _ = run(capsys, "train", "--mode", "dme", "--inputs", *tables, "--dataset", train,
+                         "--d-prime", 4, "--m-enc", 3, "--epochs", 1, "--out", model)
+        assert code == 0
+        code, stdout, stderr = run(capsys, "eval", "sick-e", model, "--inputs", *tables,
+                                   "--dataset", official)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            "error: model classes ['no', 'yes'] do not cover task classes "
+            "['ENTAILMENT', 'NEUTRAL', 'CONTRADICTION']"
+        ]
+
+    def test_pair_id_header_with_a_trailing_space_is_not_official(self, tmp_path, rng, capsys):
+        official, n = write_official(tmp_path / "official.txt")
+        official.write_text(official.read_text().replace("pair_ID", "pair_ID ", 1))
+        ids = [f"{k}_{side}" for k in range(1, n + 1) for side in ("A", "B")]
+        save_vector_table(tmp_path / "sent.vec", EmbeddingTable(ids, rng.normal(size=(len(ids), 4))))
+        code, _, stderr = run(capsys, "eval", "sick-e", "--inputs", tmp_path / "sent.vec",
+                              "--dataset", official)
+        assert code == 2
+        assert stderr.splitlines() == [f"error: {official}:1: expected 5 tab-separated columns, got 6"]
 
     def test_without_model_exactly_one_input(self, tmp_path, rng, capsys):
         _, paths = write_vec_tables(tmp_path, rng)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,14 @@ from metaembed.datasets import (
     PairDataset,
     Splits,
     TASK_CLASSES,
-    class_dataset,
+    TASK_RANGES,
+    TASKS,
     load_class_dataset_tsv,
+    load_dataset,
     load_pair_dataset_tsv,
     load_sick_official,
     make_pair_examples,
     random_splits,
-    save_pair_dataset_tsv,
-    score_dataset,
 )
 from metaembed.errors import FileFormatError, ValidationError
 from metaembed.store import SequenceTable
@@ -23,95 +25,81 @@ def canonical_lines(*rows):
     return "\n".join("\t".join(r) for r in rows) + "\n"
 
 
+def canonical_file(tmp_path, *rows):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(canonical_lines(*rows))
+    return path
+
+
 class TestConstructors:
-    def test_score_dataset_basics(self):
-        ds = score_dataset("toy", [Pair("a", "b", 3.0), Pair("b", "c", 0.5)], 0.0, 5.0)
-        assert ds.kind == "score" and ds.name == "toy"
+    def test_score_dataset_basics(self, tmp_path):
+        path = canonical_file(tmp_path, ("a", "b", "3", "-", "-"), ("b", "c", "0.5", "-", "-"))
+        ds = load_pair_dataset_tsv(path, score_range=(0.0, 5.0))
+        assert ds.kind == "score" and ds.name == str(path)
         assert ds.lo == 0.0 and ds.hi == 5.0 and ds.classes is None
         assert len(ds.pairs) == 2 and ds.pairs[0].label == 3.0
-        assert ds.sentences == (("-", "-"), ("-", "-"))
+        assert ds.splits is None
 
-    def test_score_out_of_range(self):
-        with pytest.raises(ValidationError, match=r"outside \[1.0, 5.0\]"):
-            score_dataset("toy", [Pair("a", "b", 0.5)], 1.0, 5.0)
+    def test_score_out_of_range(self, tmp_path):
+        path = canonical_file(tmp_path, ("a", "b", "0.5", "-", "-"))
+        with pytest.raises(FileFormatError, match=r"pairs.tsv:1: score 0.5 outside \[1, 5\]"):
+            load_pair_dataset_tsv(path, score_range=(1.0, 5.0))
 
-    def test_score_bad_range(self):
-        with pytest.raises(ValidationError, match="hi > lo"):
-            score_dataset("toy", [Pair("a", "b", 1.0)], 5.0, 0.0)
+    def test_score_bad_range(self, tmp_path):
+        path = canonical_file(tmp_path, ("a", "b", "1", "-", "-"))
+        with pytest.raises(ValidationError, match=r"hi > lo, got \[5.0, 0.0\]"):
+            load_pair_dataset_tsv(path, score_range=(5.0, 0.0))
+        with pytest.raises(ValidationError, match=r"hi > lo, got \[0.0, inf\]"):
+            load_pair_dataset_tsv(path, score_range=(0.0, float("inf")))
 
-    def test_class_dataset_basics(self):
-        ds = class_dataset("toy", [Pair("a", "b", "yes")], ("no", "yes"))
+    def test_class_dataset_basics(self, tmp_path):
+        path = canonical_file(tmp_path, ("a", "b", "yes", "-", "-"))
+        ds = load_pair_dataset_tsv(path, classes=("no", "yes"))
         assert ds.kind == "classes" and ds.classes == ("no", "yes")
         assert ds.lo is None and ds.hi is None
+        assert ds.pairs == (Pair("a", "b", "yes"),)
 
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValidationError, match="'maybe' is not in"):
-            class_dataset("toy", [Pair("a", "b", "maybe")], ("no", "yes"))
+    def test_unknown_class_rejected(self, tmp_path):
+        path = canonical_file(tmp_path, ("a", "b", "maybe", "-", "-"))
+        with pytest.raises(FileFormatError, match=":1: unknown class 'maybe'; expected one of no, yes"):
+            load_pair_dataset_tsv(path, classes=("no", "yes"))
 
-    def test_needs_two_distinct_classes(self):
-        with pytest.raises(ValidationError, match="two distinct classes"):
-            class_dataset("toy", [Pair("a", "b", "x")], ("x", "x"))
+    def test_needs_two_distinct_classes(self, tmp_path):
+        path = canonical_file(tmp_path, ("a", "b", "x", "-", "-"))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: need at least two distinct classes, got ['x', 'x']")):
+            load_pair_dataset_tsv(path, classes=("x", "x"))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: need at least two distinct classes, got ['x']")):
+            load_class_dataset_tsv(path)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError, match="no pairs"):
-            score_dataset("toy", [], 0.0, 5.0)
+    def test_empty_rejected(self, tmp_path):
+        path = tmp_path / "blank.tsv"
+        path.write_text("\n\n")
+        with pytest.raises(FileFormatError, match="blank.tsv:2: no pair rows"):
+            load_pair_dataset_tsv(path, score_range=(0.0, 5.0))
 
-    def test_bad_id_rejected(self):
-        with pytest.raises(ValidationError, match="bad id"):
-            score_dataset("toy", [Pair("a b", "c", 1.0)], 0.0, 5.0)
+    def test_bad_id_rejected(self, tmp_path):
+        path = canonical_file(tmp_path, ("a", "b", "1", "-", "-"), ("c", "d e", "1", "-", "-"))
+        with pytest.raises(FileFormatError, match=":2: bad id_b value 'd e'"):
+            load_pair_dataset_tsv(path, score_range=(0.0, 5.0))
 
-    def test_splits_checked_for_overlap(self):
-        pairs = [Pair("a", "b", 1.0), Pair("b", "c", 2.0)]
-        with pytest.raises(ValidationError, match="more than one split"):
-            score_dataset("toy", pairs, 0.0, 5.0, splits=Splits((0,), (0,), (1,)))
-
-    def test_splits_checked_for_range(self):
-        pairs = [Pair("a", "b", 1.0)]
-        with pytest.raises(ValidationError, match="out of range"):
-            score_dataset("toy", pairs, 0.0, 5.0, splits=Splits((0,), (), (5,)))
-
-    def test_split_pairs(self):
-        pairs = [Pair("a", "b", 1.0), Pair("b", "c", 2.0), Pair("c", "d", 3.0)]
-        ds = score_dataset("toy", pairs, 0.0, 5.0, splits=Splits((2, 0), (), (1,)))
-        assert [p.label for p in ds.split_pairs("train")] == [3.0, 1.0]
+    def test_split_pairs(self, tmp_path):
+        rows = [("1", "a", "b", "1.0", "NEUTRAL", "TEST"),
+                ("2", "a", "b", "2.0", "NEUTRAL", "TRAIN"),
+                ("3", "a", "b", "3.0", "NEUTRAL", "TRAIN")]
+        ds, _ = load_sick_official(official_file(tmp_path, rows))
+        assert [p.label for p in ds.split_pairs("train")] == [2.0, 3.0]
         assert ds.split_pairs("dev") == []
+        assert ds.split_pairs("test") == [Pair("1_A", "1_B", 1.0)]
 
-    def test_split_pairs_without_splits(self):
-        ds = score_dataset("toy", [Pair("a", "b", 1.0)], 0.0, 5.0)
+    def test_split_pairs_without_splits(self, tmp_path):
+        ds = load_pair_dataset_tsv(canonical_file(tmp_path, ("a", "b", "1", "-", "-")), score_range=(0, 5))
         with pytest.raises(ValidationError, match="has no splits"):
             ds.split_pairs("train")
 
 
 class TestCanonicalFormat:
-    def test_score_round_trip(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
-        ds = score_dataset(
-            "toy",
-            [Pair("s1", "s2", 4.25), Pair("s3", "s4", 0.0)],
-            0.0, 5.0,
-            sentences=[("a cat sits", "a cat sat"), ("left", "right")],
-        )
-        save_pair_dataset_tsv(path, ds)
-        back = load_pair_dataset_tsv(path, score_range=(0.0, 5.0), name="toy")
-        assert back.pairs == ds.pairs
-        assert back.sentences == ds.sentences
-        assert back.splits is None
-
-    def test_class_round_trip(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
-        ds = class_dataset("toy", [Pair("s1", "s2", "yes"), Pair("s2", "s3", "no")], ("no", "yes"))
-        save_pair_dataset_tsv(path, ds)
-        back = load_pair_dataset_tsv(path, classes=("no", "yes"))
-        assert back.pairs == ds.pairs
-        assert back.classes == ("no", "yes")
-
-    def test_file_layout_is_headerless_five_columns(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
-        ds = score_dataset("toy", [Pair("s1", "s2", 2.5)], 0.0, 5.0,
-                           sentences=[("hello there", "general greeting")])
-        save_pair_dataset_tsv(path, ds)
-        assert path.read_text() == "s1\ts2\t2.5\thello there\tgeneral greeting\n"
-
     def test_exactly_one_kind_argument(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("a\tb\t1\t-\t-\n")
@@ -156,13 +144,13 @@ class TestCanonicalFormat:
         path = tmp_path / "pairs.tsv"
         path.write_text(f"a\tb\t1\tone{sep}two\t-\nc\td\t2\t-\t-\n", encoding="utf-8")
         ds = load_pair_dataset_tsv(path, score_range=(0, 5))
-        assert ds.sentences[0] == (f"one{sep}two", "-") and len(ds.pairs) == 2
+        assert ds.pairs == (Pair("a", "b", 1.0), Pair("c", "d", 2.0))
 
     def test_crlf_file_loads(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_bytes(b"a\tb\t1\t-\t-\r\nc\td\t2\t-\tlast\r\n")
         ds = load_pair_dataset_tsv(path, score_range=(0, 5))
-        assert [p.label for p in ds.pairs] == [1.0, 2.0] and ds.sentences[1] == ("-", "last")
+        assert [p.label for p in ds.pairs] == [1.0, 2.0]
 
     def test_undecodable_byte_names_line(self, tmp_path):
         path = tmp_path / "pairs.tsv"
@@ -236,8 +224,6 @@ class TestOfficialFormat:
         assert [p.label for p in classes.pairs][:2] == ["ENTAILMENT", "CONTRADICTION"]
         # the two datasets describe the same pairs
         assert [(p.id_a, p.id_b) for p in scores.pairs] == [(p.id_a, p.id_b) for p in classes.pairs]
-        assert scores.sentences == classes.sentences
-        assert scores.sentences[0] == ("A man is walking", "A person walks")
 
     def test_ids_derive_from_pair_id(self, tmp_path):
         scores, _ = load_sick_official(official_file(tmp_path, self.rows()))
@@ -292,13 +278,76 @@ class TestOfficialFormat:
         path.write_bytes(newline.join([OFFICIAL_HEADER] + ["\t".join(r) for r in rows]).encode() + b"\n")
         scores, _ = load_sick_official(path)
         assert len(scores.pairs) == 4
-        assert scores.sentences[1] == ("A dog\u2028runs", "A cat\fsleeps")
+        assert scores.pairs[1] == Pair("2_A", "2_B", 1.2)
 
     def test_not_official_header(self, tmp_path):
         path = tmp_path / "official.txt"
         path.write_text("id\tstuff\n")
         with pytest.raises(FileFormatError, match="expected a header starting with 'pair_ID'"):
             load_sick_official(path)
+
+
+class TestLoadDataset:
+    OFFICIAL_ROWS = [
+        ("1", "a", "b", "4.5", "ENTAILMENT", "TRAIN"),
+        ("2", "a", "b", "1.2", "CONTRADICTION", "TRIAL"),
+        ("3", "a", "b", "3.0", "NEUTRAL", "TEST"),
+    ]
+
+    def test_tasks_are_the_ranges_then_the_classes(self):
+        assert TASKS == ("sts", "sick-r", "sick-e", "nli", "paraphrase")
+        assert set(TASK_RANGES).isdisjoint(TASK_CLASSES)
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_canonical_file_for_every_task(self, tmp_path, task):
+        if task in TASK_RANGES:
+            labels = ["2.5", "1"]
+        else:
+            labels = list(TASK_CLASSES[task][:2])
+        path = canonical_file(tmp_path, ("a", "b", labels[0], "-", "-"), ("c", "d", labels[1], "-", "-"))
+        ds = load_dataset(path, task)
+        if task in TASK_RANGES:
+            assert ds == load_pair_dataset_tsv(path, score_range=TASK_RANGES[task])
+            assert (ds.kind, ds.lo, ds.hi) == ("score", *TASK_RANGES[task])
+        else:
+            assert ds == load_pair_dataset_tsv(path, classes=TASK_CLASSES[task])
+            assert (ds.kind, ds.classes) == ("classes", TASK_CLASSES[task])
+
+    def test_canonical_file_without_task_uses_its_own_labels(self, tmp_path):
+        path = canonical_file(tmp_path, ("a", "b", "yes", "-", "-"), ("c", "d", "no", "-", "-"))
+        assert load_dataset(path) == load_class_dataset_tsv(path)
+        assert load_dataset(path).classes == ("no", "yes")
+
+    def test_canonical_file_checked_against_the_task(self, tmp_path):
+        path = canonical_file(tmp_path, ("a", "b", "yes", "-", "-"), ("c", "d", "no", "-", "-"))
+        with pytest.raises(FileFormatError, match=":1: could not parse score 'yes'"):
+            load_dataset(path, "sts")
+        with pytest.raises(FileFormatError, match=":1: unknown class 'yes'; expected one of entailment"):
+            load_dataset(path, "nli")
+
+    @pytest.mark.parametrize("task", [None, "sts", "sick-r", "sick-e"])
+    def test_official_export(self, tmp_path, task):
+        path = official_file(tmp_path, self.OFFICIAL_ROWS)
+        scores, classes = load_sick_official(path)
+        assert load_dataset(path, task) == (scores if task in TASK_RANGES else classes)
+
+    @pytest.mark.parametrize("task", ["nli", "paraphrase"])
+    def test_official_export_refused_for_other_class_tasks(self, tmp_path, task):
+        path = official_file(tmp_path, self.OFFICIAL_ROWS)
+        with pytest.raises(ValidationError, match=f"task '{task}' needs a canonical file"):
+            load_dataset(path, task)
+
+    def test_header_field_must_be_exactly_pair_id(self, tmp_path):
+        path = official_file(tmp_path, self.OFFICIAL_ROWS, header=OFFICIAL_HEADER.replace("pair_ID", "pair_ID "))
+        with pytest.raises(FileFormatError, match=":1: expected 5 tab-separated columns, got 6"):
+            load_dataset(path, "sick-e")
+        with pytest.raises(FileFormatError, match=":1: expected a header starting with 'pair_ID', got 'pair_ID '"):
+            load_sick_official(path)
+
+    def test_unknown_task(self, tmp_path):
+        path = canonical_file(tmp_path, ("a", "b", "1", "-", "-"))
+        with pytest.raises(ValidationError, match="task must be one of"):
+            load_dataset(path, "sick")
 
 
 class TestRandomSplits:
@@ -341,8 +390,12 @@ class TestMakePairExamples:
             SequenceTable(ids, [rng.normal(size=(2, 2)) for _ in ids]),
         ]
 
+    def dataset(self):
+        pairs = (Pair("a", "b", "y"), Pair("b", "c", "x"))
+        return PairDataset("toy", "classes", pairs, None, None, ("x", "y"), None)
+
     def test_triples_line_up(self):
-        ds = class_dataset("toy", [Pair("a", "b", "y"), Pair("b", "c", "x")], ("x", "y"))
+        ds = self.dataset()
         examples = make_pair_examples(ds, self.tables())
         assert len(examples) == 2
         views_a, views_b, label = examples[0]
@@ -351,11 +404,11 @@ class TestMakePairExamples:
         assert examples[1][2] == 0
 
     def test_indices_select_a_subset(self):
-        ds = class_dataset("toy", [Pair("a", "b", "y"), Pair("b", "c", "x")], ("x", "y"))
+        ds = self.dataset()
         examples = make_pair_examples(ds, self.tables(), indices=[1])
         assert len(examples) == 1 and examples[0][2] == 0
 
     def test_score_dataset_rejected(self):
-        ds = score_dataset("toy", [Pair("a", "b", 1.0)], 0.0, 5.0)
+        ds = PairDataset("toy", "score", (Pair("a", "b", 1.0),), 0.0, 5.0, None, None)
         with pytest.raises(ValidationError, match="score-labeled, need classes"):
             make_pair_examples(ds, self.tables())

@@ -1,4 +1,5 @@
-"""Static checks on the package source: one text codec, no private imports."""
+"""Static checks on the package source: one text codec, no private imports,
+and input layouts known only to the modules that read them."""
 
 import ast
 import pathlib
@@ -55,6 +56,30 @@ def private_imports(tree):
     return sorted(found)
 
 
+# what cli.py reaches only through store.load_table and datasets.load_dataset
+CLI_FORBIDDEN = frozenset({"read_lines", "sniff_table_kind", "load_sequence_table",
+                           "load_pair_dataset_tsv", "load_class_dataset_tsv", "load_sick_official"})
+
+
+def names_used(tree) -> set:
+    """Every name a module imports, reads or reaches as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def literal_lines(tree, text: str) -> list:
+    """Line numbers of string literals (docstrings and f-string parts too) containing *text*."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value)
+
+
 def offenders(check, modules) -> dict:
     return {p.name: found for p in modules if (found := check(parsed(p)))}
 
@@ -71,6 +96,15 @@ def test_only_textio_opens_text_files():
     assert offenders(text_opens, [p for p in MODULES if p.name != "textio.py"]) == {}
 
 
+def test_cli_reads_inputs_only_through_load_table_and_load_dataset():
+    assert names_used(parsed(PACKAGE / "cli.py")) & CLI_FORBIDDEN == set()
+
+
+def test_only_datasets_knows_the_official_header():
+    others = [p for p in MODULES if p.name != "datasets.py"]
+    assert offenders(lambda tree: literal_lines(tree, "pair_ID"), others) == {}
+
+
 def test_guard_catches_what_it_forbids():
     tree = ast.parse(
         "from .store import _fmt\n"
@@ -84,3 +118,12 @@ def test_guard_catches_what_it_forbids():
     )
     assert private_imports(tree) == [(1, "store", "_fmt"), (2, "metaembed.modelio", "_x")]
     assert text_opens(tree) == [3, 4, 5, 6, 8]
+    tree = ast.parse(
+        "from .textio import read_lines as rl\n"
+        "import metaembed.store.sniff_table_kind\n"
+        "datasets.load_sick_official(p)\n"
+        "h = f'{x} pair_ID'\n"
+        "'doc: pair_ID'\n"
+    )
+    assert {"read_lines", "sniff_table_kind", "load_sick_official"} <= names_used(tree)
+    assert literal_lines(tree, "pair_ID") == [4, 5]

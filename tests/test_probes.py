@@ -6,6 +6,7 @@ from metaembed.errors import NonFiniteLossError, ValidationError
 from metaembed.probes import (
     ProbeConfig,
     pair_feature_matrix,
+    pair_features,
     probe_classification,
     probe_relatedness,
     relatedness_score,
@@ -235,6 +236,16 @@ class TestPairFeatures:
             for u, v in ((table.row(p.id_a), table.row(p.id_b)) for p in pairs)
         ])
         assert pair_feature_matrix(table, pairs).tobytes() == expected.tobytes()
+
+    def test_pair_features_match_the_stacked_layout(self, rng):
+        u, v = rng.normal(size=(2, 7, 3))
+        expected = np.hstack([u, v, np.abs(u - v), u * v])
+        assert pair_features(u, v).tobytes() == expected.tobytes()
+        # u and v already in place in out, as pair_feature_matrix gathers them
+        out = np.full((7, 12), np.nan)
+        out[:, :3], out[:, 3:6] = u, v
+        assert pair_features(out[:, :3], out[:, 3:6], out) is out
+        assert out.tobytes() == expected.tobytes()
 
     def test_unknown_id(self):
         table = EmbeddingTable(["a"], np.ones((1, 2)))

@@ -10,6 +10,7 @@ from metaembed.store import (
     align_by_id,
     intersect_ids,
     load_sequence_table,
+    load_table,
     load_vector_table,
     save_sequence_table,
     save_vector_table,
@@ -53,6 +54,10 @@ class TestEmbeddingTable:
         got = t.lookup(["a"])
         got[0, 0] = 99.0
         assert t.row("a")[0] == 1.0
+
+    def test_describe(self):
+        t = EmbeddingTable(["a", "b", "c"], np.zeros((3, 2)))
+        assert (t.KIND, t.describe()) == ("vector-table", ["rows 3", "dim 2"])
 
 
 class TestVectorTableFormat:
@@ -200,6 +205,10 @@ class TestSequenceTableFormat:
         with pytest.raises(ValidationError, match="mixed widths"):
             SequenceTable(["a", "b"], [np.ones((2, 3)), np.ones((1, 4))])
 
+    def test_describe(self):
+        t = SequenceTable(["a", "b"], [np.ones((2, 3)), np.ones((4, 3))])
+        assert (t.KIND, t.describe()) == ("sequence-table", ["rows 2", "dim 3", "total_steps 6"])
+
 
 class TestSniff:
     def test_kinds(self, rng, tmp_path):
@@ -220,6 +229,16 @@ class TestSniff:
         assert sniff_table_kind(vpath) == "vector"
         assert sniff_table_kind(spath) == "sequence"
         assert sniff_model_kind(mpath) == "GCCA"
+
+    def test_load_table_picks_the_loader(self, rng, tmp_path):
+        vpath = tmp_path / "v.tbl"
+        save_vector_table(vpath, make_vector_table(rng, 3, 2))
+        spath = tmp_path / "s.seq"
+        save_sequence_table(spath, make_sequence_table(rng, ["a", "b"], 2))
+        vt, st = load_table(vpath), load_table(spath)
+        assert isinstance(vt, EmbeddingTable) and np.array_equal(vt.vectors, load_vector_table(vpath).vectors)
+        assert isinstance(st, SequenceTable) and st.ids == load_sequence_table(spath).ids
+        assert all(np.array_equal(a, b) for a, b in zip(st.matrices, load_sequence_table(spath).matrices))
 
 
 class TestAlignment:
