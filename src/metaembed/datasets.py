@@ -198,8 +198,8 @@ def _official(path, lines) -> tuple:
     if not score_pairs:
         raise FileFormatError(path, max(1, len(lines)), "no pair rows")
     splits = Splits(*(tuple(by_split[part]) for part in SPLIT_NAMES)) if has_split else None
-    return (PairDataset("sick", "score", tuple(score_pairs), lo, hi, None, splits),
-            PairDataset("sick", "classes", tuple(class_pairs), None, None, entailment, splits))
+    return (PairDataset(str(path), "score", tuple(score_pairs), lo, hi, None, splits),
+            PairDataset(str(path), "classes", tuple(class_pairs), None, None, entailment, splits))
 
 
 def load_dataset(path, task: str | None = None) -> PairDataset:

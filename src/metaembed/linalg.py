@@ -11,6 +11,9 @@ depend on the backend's sign choices.
 
 Every function here is pure: inputs are never mutated and there is no shared
 state, so calls are safe from concurrent workers.
+
+scipy is imported inside :func:`cholesky` and :func:`gen_sym_eig`, its only
+users, so a process that never factors a matrix never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ValidationError, ZeroRowWarning
 
@@ -130,6 +132,8 @@ def cholesky(a) -> np.ndarray:
     """
     m = as_matrix(a)
     _check_symmetric(m, "matrix")
+    import scipy.linalg
+
     low, info = scipy.linalg.lapack.dpotrf(m, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefiniteError(info - 1, float(low[info - 1, info - 1]))
@@ -150,6 +154,8 @@ def gen_sym_eig(c, b) -> EigenResult:
     _check_symmetric(bm, "b")
     if cm.shape != bm.shape:
         raise ValidationError(f"c and b must have the same shape, got {cm.shape} and {bm.shape}")
+    import scipy.linalg
+
     try:
         values, vectors = scipy.linalg.eigh(cm, bm, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:

@@ -22,7 +22,16 @@ import numpy as np
 
 from .errors import FileFormatError, ValidationError
 from .linalg import as_matrix
-from .textio import fmt_row, parse_block, parse_values, read_lines, truncated, write_lines
+from .textio import (
+    fmt_row,
+    keyed_values,
+    parse_block,
+    parse_values,
+    read_lines,
+    row_format,
+    truncated,
+    write_lines,
+)
 
 __all__ = [
     "EmbeddingTable",
@@ -46,7 +55,7 @@ def _check_ids(ids) -> tuple[str, ...]:
     for i, ident in enumerate(out):
         if not isinstance(ident, str) or not ident:
             raise ValidationError(f"id at position {i} is empty or not a string")
-        if any(ch.isspace() for ch in ident):
+        if ident.split() != [ident]:
             raise ValidationError(f"id {ident!r} contains whitespace")
         if ident in seen:
             raise ValidationError(f"duplicate id {ident!r}")
@@ -169,10 +178,24 @@ def _check_trailing(lines: list[str], used: int, path) -> None:
             raise FileFormatError(path, extra + 1, "unexpected content after the declared rows")
 
 
+def _bulk_rows(lines: list[str], n: int, d: int):
+    """(ids, rows) of the *n* data rows if they are plain and their ids distinct, else None."""
+    bulk = keyed_values(lines[1 : 1 + n], d) if len(lines) > n else None
+    return bulk if bulk is not None and len(set(bulk[0])) == n else None
+
+
 def load_vector_table(path) -> EmbeddingTable:
-    """Parse a vector table file."""
+    """Parse a vector table file.
+
+    Plainly laid-out rows are parsed in bulk; any other file goes through the
+    per-line parser, which accepts it or names the line at fault.
+    """
     lines = read_lines(path)
     n, d = _parse_header(lines, path)
+    bulk = _bulk_rows(lines, n, d)
+    if bulk is not None:
+        _check_trailing(lines, 1 + n, path)
+        return EmbeddingTable(*bulk)
     ids: list[str] = []
     rows = np.empty((n, d), dtype=np.float64)
     seen: set[str] = set()
@@ -198,9 +221,9 @@ def load_vector_table(path) -> EmbeddingTable:
 
 def save_vector_table(path, table: EmbeddingTable) -> None:
     """Write *table* in the vector table format (17 significant digits)."""
+    row = "%s " + row_format(table.dim)
     out = [f"{len(table)} {table.dim}"]
-    for ident, row in zip(table.ids, table.vectors):
-        out.append(ident + " " + fmt_row(row))
+    out += [row % (ident, *values) for ident, values in zip(table.ids, table.vectors.tolist())]
     write_lines(path, out)
 
 

@@ -5,7 +5,11 @@ read, so CRLF files load, and no other character ends a line (a sentence
 column may hold U+2028, a form feed and the like).  Bytes that are not UTF-8
 raise :class:`FileFormatError` naming the line that holds them.  Floats are
 written with 17 significant digits, so a save/load round trip reproduces
-every float64 bit for bit.  A write goes to a temporary file next to the
+every float64 bit for bit; a row of them is formatted with one
+:func:`row_format` string.  Rows of values are parsed in one C pass where
+they are plainly laid out (:func:`keyed_values`), and one value at a time
+otherwise (:func:`parse_values`), which reads the same numbers and names the
+line of the first bad one.  A write goes to a temporary file next to the
 destination, which then replaces the destination in one step: a write that
 fails leaves the old file as it was and no temporary file behind.
 """
@@ -14,12 +18,14 @@ from __future__ import annotations
 
 import contextlib
 import os
+import warnings
 
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
 
-__all__ = ["fmt", "fmt_row", "read_lines", "write_lines", "parse_values", "parse_block", "truncated"]
+__all__ = ["fmt", "fmt_row", "row_format", "read_lines", "write_lines", "keyed_values", "parse_values",
+           "parse_block", "truncated"]
 
 
 def fmt(x: float) -> str:
@@ -27,9 +33,15 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def row_format(cols: int) -> str:
+    """The ``%`` format of *cols* space-separated values, each as :func:`fmt` writes it."""
+    return " ".join(["%.17g"] * cols)
+
+
 def fmt_row(values) -> str:
     """Space-separated :func:`fmt` of each value."""
-    return " ".join(fmt(v) for v in values)
+    values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+    return row_format(len(values)) % values
 
 
 def read_lines(path, limit: int | None = None) -> list[str]:
@@ -82,6 +94,42 @@ def _is_float(token: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+# the ASCII whitespace other than " " and LF; no line holds an LF, and U+0020 is
+# the only printable whitespace character
+_OTHER_SPACES = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
+
+
+def keyed_values(lines: list[str], cols: int) -> tuple[list[str], np.ndarray] | None:
+    """The keys and the (len(lines), cols) values of rows ``key v1 ... vCOLS``, parsed in one C pass.
+
+    Every line must be exactly that: a non-empty key and *cols* finite
+    numbers, joined by single spaces, with no other whitespace.  For anything
+    else (another space character, an empty or unreadable token, a wrong
+    count, a non-finite value) the result is None, and the caller parses the
+    lines one by one with :func:`parse_values`, which reads the same numbers
+    to the same values and names the line of the first bad one.
+    """
+    text = " ".join(lines)
+    # isprintable() alone would do; on ASCII text these scans are several times faster
+    spaced = not any(c in text for c in _OTHER_SPACES) if text.isascii() else text.isprintable()
+    del text  # keeps the peak at the lines plus the array
+    if not spaced:
+        return None
+    keys = [line.partition(" ")[0] for line in lines]
+    if not all(keys):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # all-empty input warns; the shape check rejects it
+            values = np.loadtxt((line.partition(" ")[2] for line in lines), dtype=np.float64,
+                                delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), cols) or not np.isfinite(values).all():
+        return None
+    return keys, values
 
 
 def parse_values(tokens: list[str], d: int, path, lineno: int) -> np.ndarray:

@@ -555,6 +555,18 @@ class TestEval:
         assert code == 0
         assert report_of(stdout)["n"] == n
 
+    def test_official_export_is_named_by_its_path(self, tmp_path, rng, capsys):
+        official, n = write_official(tmp_path / "official.txt", n_train=4, n_dev=0, n_test=0)
+        ids = [f"{k}_{side}" for k in range(1, n + 1) for side in ("A", "B")]
+        save_vector_table(tmp_path / "sent.vec", EmbeddingTable(ids, rng.normal(size=(len(ids), 4))))
+        code, stdout, stderr = run(capsys, "eval", "sick-r", "--inputs", tmp_path / "sent.vec",
+                                   "--dataset", official)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.splitlines() == [
+            f"error: dataset {str(official)!r}: empty dev split; probes need train, dev and test pairs"
+        ]
+
     def test_official_export_refused_for_nli(self, tmp_path, rng, capsys):
         official, n = write_official(tmp_path / "official.txt")
         ids = [f"{k}_{side}" for k in range(1, n + 1) for side in ("A", "B")]

@@ -1,8 +1,12 @@
-"""Static checks on the package source: one text codec, no private imports,
-and input layouts known only to the modules that read them."""
+"""Checks on the package's structure: one text codec, no private imports,
+input layouts known only to the modules that read them, and no scipy on the
+start-up path."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import metaembed
 
@@ -127,3 +131,32 @@ def test_guard_catches_what_it_forbids():
     )
     assert {"read_lines", "sniff_table_kind", "load_sick_official"} <= names_used(tree)
     assert literal_lines(tree, "pair_ID") == [4, 5]
+
+
+def run_fresh(code: str) -> list:
+    """The stdout lines of *code* run in a new interpreter that imports the package from source."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    return done.stdout.splitlines()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, metaembed.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_fresh(code) == ["[]"]
+
+
+def test_scipy_factorizations_load_it_on_first_use():
+    code = """
+import sys
+import numpy as np
+from metaembed.errors import NotPositiveDefiniteError
+from metaembed.linalg import cholesky, gen_sym_eig
+print("scipy" in sys.modules)
+print([round(v, 12) for v in gen_sym_eig(np.diag([1.0, 3.0]), np.diag([1.0, 2.0])).values.tolist()])
+try:
+    cholesky(np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+except NotPositiveDefiniteError as exc:
+    print(exc.pivot_index, exc.pivot_value)
+"""
+    assert run_fresh(code) == ["False", "[1.5, 1.0]", "1 0.0"]

@@ -1,7 +1,13 @@
+import pathlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sequence_table, make_vector_table
+from metaembed import store
 from metaembed.errors import FileFormatError, ValidationError
 from metaembed.modelio import sniff_model_kind
 from metaembed.store import (
@@ -17,6 +23,8 @@ from metaembed.store import (
     sequence_views,
     sniff_table_kind,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class TestEmbeddingTable:
@@ -146,6 +154,132 @@ class TestVectorTableFormat:
         path.write_bytes(b"2 1\r\na 1.5\r\nb -2\r\n")
         table = load_vector_table(path)
         assert table.ids == ("a", "b") and table.vectors.tolist() == [[1.5], [-2.0]]
+
+
+def load_both_ways(path):
+    """``load_vector_table(path)`` with and without the bulk parser, and whether the bulk parser took it.
+
+    Each outcome is ("ok", ids, array bytes) or (error type, message).
+    """
+    taken = []
+
+    def spy(lines, n, d):
+        got = real(lines, n, d)
+        taken.append(got is not None)
+        return got
+
+    real = store._bulk_rows
+    outcomes = []
+    for patched in (spy, lambda lines, n, d: None):
+        with mock.patch.object(store, "_bulk_rows", patched):
+            try:
+                table = load_vector_table(path)
+                outcomes.append(("ok", table.ids, table.vectors.tobytes()))
+            except (FileFormatError, ValidationError) as exc:
+                outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes[0], outcomes[1], any(taken)
+
+
+# rows the bulk parser must hand to the per-line parser, and the per-line result
+ODD_ROWS = {
+    "tab": ("1 2\na\t1 2\n", "ok"),
+    "double space": ("1 2\na  1 2\n", "ok"),
+    "leading space": ("1 2\n a 1 2\n", "ok"),
+    "trailing space": ("1 2\na 1 2 \n", "ok"),
+    "tab in id": ("1 2\na\tb 1 2\n", "expected 2 values, got 3"),
+    "tab in id, short row": ("1 2\na\tb 1\n", "could not parse value 'b'"),
+    "no-break space": ("1 2\na 1\u00a02\n", "ok"),
+    "space, then tab": ("1 2\na 1 \t2\n", "ok"),
+    "space, then no-break space": ("1 2\na 1 \u00a02\n", "ok"),
+    "underscore": ("1 2\na 1_0 2\n", "ok"),
+    "arabic-indic digit": ("1 2\na \u0661 2\n", "ok"),
+    "fullwidth digit": ("1 2\na \uff11 2\n", "ok"),
+    "-nan": ("1 2\na -nan 2\n", "non-finite value"),
+    "overflow": ("1 2\na 1e400 2\n", "non-finite value"),
+    "extra column": ("1 2\na 1 2 3\n", "expected 2 values, got 3"),
+    "missing column": ("1 2\na 1\n", "expected 2 values, got 1"),
+    "id only": ("1 1\na\n", "expected 1 values, got 0"),
+    "duplicate id": ("2 1\na 1\na 2\n", "duplicate id 'a'"),
+    "blank row": ("2 1\na 1\n\nb 2\n", "unexpected blank line"),
+    "missing row": ("2 1\na 1\n", "file ends after line 2"),
+    "NUL": ("1 2\na 1\x002\n", "expected 2 values, got 1"),
+}
+
+
+class TestBulkParse:
+    def test_plain_rows_take_the_bulk_path(self, tmp_path):
+        for name, text in [("d1.tbl", "2 1\na 1.5\nb -2\n"), ("crlf.tbl", "1 2\r\né 1 2\r\n\r\n \n"),
+                           ("wide.tbl", "1 3\nx 0.1 -0 5e-324\n")]:
+            path = tmp_path / name
+            path.write_bytes(text.encode("utf-8"))
+            bulk, per_line, taken = load_both_ways(path)
+            assert taken and bulk == per_line and bulk[0] == "ok", name
+
+    def test_trailing_content_after_plain_rows(self, tmp_path):
+        path = tmp_path / "t.tbl"
+        path.write_text("1 1\na 1\n\nb 2\n")
+        bulk, per_line, _ = load_both_ways(path)
+        assert bulk == per_line == ("FileFormatError", f"{path}:4: unexpected content after the declared rows")
+
+    @pytest.mark.parametrize("case", sorted(ODD_ROWS))
+    def test_odd_rows_fall_back_to_the_per_line_parser(self, case, tmp_path):
+        text, expected = ODD_ROWS[case]
+        path = tmp_path / "t.tbl"
+        path.write_bytes(text.encode("utf-8"))
+        bulk, per_line, taken = load_both_ways(path)
+        assert not taken and bulk == per_line
+        assert (bulk[0] == "ok") if expected == "ok" else (expected in bulk[1])
+
+    def test_golden_table_takes_the_bulk_path(self):
+        bulk, per_line, taken = load_both_ways(GOLDEN / "table.vec")
+        assert taken and bulk == per_line
+
+
+_TOKENS = ["1", "-0", "0.1", "5e-324", "1.7976931348623157e308", "2.5E-3", "+.5", "1.", "1e400", "nan",
+           "-nan", "inf", "Infinity", "1_0", "\u0661", "\uff11", "0x10", "x", "", "1,5", "\x00"]
+_IDS = ["a", "é", "a\tb", "#a", "", "a\u00a0b", "1"]
+_SEPS = [" "] * 30 + ["  ", "\t", " \t", "\u00a0", "\r"]
+
+
+@st.composite
+def vector_table_texts(draw):
+    """Vector table files, most of them plain, the rest with one or more odd rows or lines."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    header = draw(st.sampled_from([f"{n} {d}"] * 8 + [f"{n + 1} {d}", f"{n} {d + 1}"]))
+    number = st.floats(width=64).map(lambda v: f"{v:.17g}")
+    value = st.one_of(number, number, number, st.sampled_from(_TOKENS))
+    rows = []
+    for i in range(n):
+        ident = draw(st.sampled_from([f"w{i}"] * 12 + _IDS))
+        count = draw(st.sampled_from([d] * 12 + [d - 1, d + 1]))
+        tokens = [ident] + [draw(value) for _ in range(count)]
+        seps = [draw(st.sampled_from(_SEPS)) for _ in tokens[1:]]
+        edges = st.sampled_from([""] * 12 + [" ", "\t"])
+        rows.append(draw(edges) + tokens[0] + "".join(s + t for s, t in zip(seps, tokens[1:])) + draw(edges))
+    trailing = draw(st.lists(st.sampled_from(["", " ", "junk"]), max_size=2))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join([header, *rows, *trailing]) + newline
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_table_texts())
+@example("1 2\na\tb 1 2\n")
+@example("2 1\na 1\r\nb 2\r\n\r\n")
+@example("1 1\na -nan\n")
+def test_bulk_and_per_line_parsers_agree(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("diff") / "t.tbl"
+    path.write_bytes(text.encode("utf-8"))
+    bulk, per_line, _ = load_both_ways(path)
+    assert bulk == per_line
+
+
+class TestGoldenTables:
+    @pytest.mark.parametrize("name, load, save", [("table.vec", load_vector_table, save_vector_table),
+                                                  ("table.seq", load_sequence_table, save_sequence_table)])
+    def test_load_then_save_reproduces_the_file(self, name, load, save, tmp_path):
+        save(tmp_path / name, load(GOLDEN / name))
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 class TestSequenceTableFormat:

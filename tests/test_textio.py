@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,15 @@ import pytest
 from metaembed import textio
 from metaembed.errors import FileFormatError, ValidationError
 from metaembed.textio import fmt, fmt_row, parse_block, read_lines, write_lines
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def golden_table_values() -> np.ndarray:
+    """Every value in the golden vector and sequence tables (headers, ids and block lines skipped)."""
+    vec = [line.split()[1:] for line in read_lines(GOLDEN / "table.vec")[1:]]
+    seq = [line.split() for line in read_lines(GOLDEN / "table.seq")[1:] if not line.startswith("#")]
+    return np.array([float(t) for row in vec + seq for t in row])
 
 
 class TestReadLines:
@@ -94,6 +104,19 @@ class TestValues:
         values = [0.1, -1e-310, 1.7976931348623157e308, 2.0 / 3.0, 5e-324]
         assert [float(fmt(v)) for v in values] == values
         assert fmt_row([1.0, 0.5]) == "1 0.5"
+
+    def test_fmt_row_is_fmt_of_each_value(self):
+        golden = golden_table_values()
+        assert {-0.0, 5e-324, 1.7976931348623157e308, 0.1} <= set(golden.tolist())
+        assert any(np.signbit(golden) & (golden == 0))
+        bits = np.random.default_rng(7).integers(0, 2**64, size=100_000, dtype=np.uint64)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+        for values in (golden, bits.view(np.float64), special):
+            expected = " ".join(fmt(v) for v in values)
+            assert fmt_row(values) == expected
+            assert fmt_row(values.tolist()) == expected
+        assert fmt_row([3, 10**20, 0.5]) == "3 1e+20 0.5"
+        assert fmt_row([]) == ""
 
     def test_parse_block_reports_truncation(self, tmp_path):
         lines = ["hdr", "1 2", "3 4"]
