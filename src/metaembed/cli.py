@@ -47,7 +47,7 @@ from .evaluation import (
     format_report_table,
 )
 from .modelio import sniff_model_kind
-from .probes import ProbeConfig, pair_feature_matrix, probe_classification, probe_relatedness
+from .probes import ProbeConfig, pair_feature_matrix, pair_rows, probe_classification, probe_relatedness
 from .store import (
     EmbeddingTable,
     SequenceTable,
@@ -133,7 +133,7 @@ def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
             raise ValidationError(
                 f"{paths[0]}: missing vector(s) for {len(missing)} pair id(s), e.g. {missing[0]!r}"
             )
-        return EmbeddingTable(ids, table.lookup(ids))
+        return EmbeddingTable(ids, table.lookup(ids), copy=False)
     dynamic = isinstance(model, DynamicModel)
     tables = _load_sequence_like(paths) if dynamic else [load_vector_table(p) for p in paths]
     if ids is None:
@@ -143,14 +143,14 @@ def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
             raise ValidationError(f"no shared ids across the {len(tables)} table(s) (sizes: {sizes})")
     if dynamic:
         return embed_table(model, tables, ids)
-    return EmbeddingTable(ids, model.apply([t.lookup(ids) for t in tables]))
+    return EmbeddingTable(ids, model.apply([t.lookup(ids) for t in tables]), copy=False)
 
 
 def cmd_combine(args) -> int:
     tables = [load_vector_table(p) for p in args.inputs]
     aligned = align_by_id(tables)
     ids, mats = aligned
-    save_vector_table(args.out, EmbeddingTable(ids, concat_views(mats)))
+    save_vector_table(args.out, EmbeddingTable(ids, concat_views(mats), copy=False))
     _write_manifest([args.out], f"{args.out}.manifest.json", args, _digests(args.inputs),
                     metrics={"dropped": list(aligned.dropped)})
     print(f"wrote {args.out}: {len(ids)} rows, width {sum(t.dim for t in tables)}")
@@ -281,8 +281,9 @@ def cmd_eval(args) -> int:
         splits, drawn = _splits_or_drawn(dataset, args.seed)
         parts = [[dataset.pairs[i] for i in part] for part in splits]
         data = []
-        for part in parts:
-            data += [pair_feature_matrix(table, part), [p.label for p in part]]
+        # the probe gathers train features per minibatch; dev and test are scored whole
+        for features, part in zip((pair_rows, pair_feature_matrix, pair_feature_matrix), parts):
+            data += [features(table, part), [p.label for p in part]]
         if dataset.kind == "score":
             probe = probe_relatedness(*data, probe_config)
         else:

@@ -99,7 +99,7 @@ class PairDataset(NamedTuple):
 
 
 def _check_id(token: str, path, lineno: int, column: str) -> str:
-    if not token or any(ch.isspace() for ch in token):
+    if token.split() != [token]:  # empty, or holds whitespace
         raise FileFormatError(path, lineno, f"bad {column} value {token!r}")
     return token
 

@@ -14,6 +14,7 @@ to the summary.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 _ZERO_VECTOR = "cosine of a zero vector is undefined"
+_COSINE_ROWS = 1024  # pairs whose vectors are gathered at a time to score similarity
 
 
 def _vector(v, name: str) -> np.ndarray:
@@ -144,26 +146,41 @@ def config_fingerprint(*parts) -> str:
     the reports are comparable.
     """
     h = hashlib.sha256()
-    for part in _flatten(parts):
-        h.update(part)
-        h.update(b"\x1f")
+    tokens: list = []
+    _tokens(parts, tokens)
+    for text, run in itertools.groupby(tokens, key=lambda token: type(token) is str):
+        if text:
+            h.update(("\x1f".join(run) + "\x1f").encode())
+        else:
+            for token in run:
+                h.update(token)
+                h.update(b"\x1f")
     return h.hexdigest()
 
 
-def _flatten(part):
-    if isinstance(part, bytes):
-        yield part
+# The digest hashes a stream of tokens, each followed by 0x1f: the repr of a
+# scalar, a bytes value, an array's shape and then its float64 bytes, and
+# "(" and ")" around a sequence's items.  Text tokens are hashed as UTF-8.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+def _tokens(part, out: list) -> None:
+    """Append the tokens of *part* to *out*; a sequence of plain scalars becomes one text token."""
+    if isinstance(part, (list, tuple)):
+        if _PLAIN.issuperset(map(type, part)):
+            out.append("\x1f".join(["(", *map(repr, part), ")"]))
+        else:
+            out.append("(")
+            for item in part:
+                _tokens(item, out)
+            out.append(")")
+    elif isinstance(part, bytes):
+        out.append(part)
     elif isinstance(part, np.ndarray):
         a = np.ascontiguousarray(part, dtype=np.float64)
-        yield str(a.shape).encode()
-        yield a.tobytes()
+        out += (str(a.shape), a)  # the array is hashed through the buffer protocol, not copied
     elif isinstance(part, (str, int, float, bool)) or part is None:
-        yield repr(part).encode()
-    elif isinstance(part, (list, tuple)):
-        yield b"("
-        for item in part:
-            yield from _flatten(item)
-        yield b")"
+        out.append(repr(part))
     else:
         raise ValidationError(f"cannot fingerprint a {type(part).__name__}")
 
@@ -195,6 +212,20 @@ def _check_pair_ids(table: EmbeddingTable, pairs) -> None:
         raise ValidationError(f"{len(missing)} pair id(s) have no vector: {shown}{more}")
 
 
+def _pair_cosines(table: EmbeddingTable, pairs: list) -> np.ndarray:
+    """Cosine of each pair's two vectors, gathered :data:`_COSINE_ROWS` pairs at a time."""
+    rows_a, rows_b = table.indices(p.id_a for p in pairs), table.indices(p.id_b for p in pairs)
+    size = min(len(pairs), _COSINE_ROWS)
+    u, v = np.empty((size, table.dim)), np.empty((size, table.dim))
+    cos = np.empty(len(pairs))
+    for start in range(0, len(pairs), size):
+        stop = min(start + size, len(pairs))
+        np.take(table.vectors, rows_a[start:stop], axis=0, out=u[: stop - start])
+        np.take(table.vectors, rows_b[start:stop], axis=0, out=v[: stop - start])
+        cos[start:stop] = _row_cosines(u[: stop - start], v[: stop - start], _ZERO_VECTOR, _ZERO_VECTOR)
+    return cos
+
+
 def evaluate_similarity(table: EmbeddingTable, pairs, lo: float = 0.0, hi: float = 5.0,
                         task: str = "sts") -> tuple:
     """Score every pair by scaled cosine of its sentence vectors.
@@ -208,9 +239,7 @@ def evaluate_similarity(table: EmbeddingTable, pairs, lo: float = 0.0, hi: float
         raise ValidationError("no pairs to evaluate")
     _check_pair_ids(table, pairs)
     golds = [_gold_score(p) for p in pairs]
-    cos = _row_cosines(table.lookup(p.id_a for p in pairs), table.lookup(p.id_b for p in pairs),
-                       _ZERO_VECTOR, _ZERO_VECTOR)
-    preds = scale_similarity(cos, lo, hi)
+    preds = scale_similarity(_pair_cosines(table, pairs), lo, hi)
     value = pearson(preds, golds)
     rows = [(p.id_a, p.id_b, g, pred) for p, g, pred in zip(pairs, golds, preds.tolist())]
     fingerprint = config_fingerprint(
@@ -277,4 +306,4 @@ def embed_table(model, tables, ids) -> EmbeddingTable:
     for start in range(0, len(order), BLOCK_ROWS):
         block = order[start : start + BLOCK_ROWS]
         out[block] = model.embed([sentences[k] for k in block])[0]
-    return EmbeddingTable(ids, out)
+    return EmbeddingTable(ids, out, copy=False)

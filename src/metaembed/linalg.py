@@ -48,14 +48,15 @@ class EigenResult(NamedTuple):
     vectors: np.ndarray
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return *a* as a 2-d float64 array.
+def as_matrix(a, name: str = "matrix", copy: bool = True) -> np.ndarray:
+    """Validate and return *a* as a 2-d C-ordered float64 array.
 
     Requires at least one row and one column and all entries finite.
     Raises :class:`ValidationError` otherwise.  The result is a new array
-    (never a view of the input), so callers may mutate it freely.
+    (never a view of the input), so callers may mutate it freely; with
+    ``copy=False`` an input that is already such an array comes back as is.
     """
-    m = np.array(a, dtype=np.float64, order="C", copy=True)
+    m = np.array(a, dtype=np.float64, order="C", copy=True if copy else None)
     if m.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:

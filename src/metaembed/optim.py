@@ -38,7 +38,14 @@ def xavier_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 
 
 class Adam:
-    """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8.
+
+    A step runs in place: every temporary lives in two scratch buffers sized
+    to the largest block, allocated once.  The arithmetic is the textbook
+    expression order, so a step is bitwise the update
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
+    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``.
+    """
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -52,6 +59,8 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(v) for k, v in params.items()}
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        largest = max((v.size for v in params.values()), default=0)
+        self._scratch = (np.empty(largest), np.empty(largest))
 
     def step(self, grads: dict) -> None:
         """Apply one update from *grads* (same labels and shapes as params)."""
@@ -66,11 +75,16 @@ class Adam:
                 raise ValidationError(f"gradient for {key!r} has shape {g.shape}, expected {p.shape}")
             m = self._m[key]
             v = self._v[key]
+            s, r = (a[: p.size].reshape(p.shape) for a in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=s)
+            v += np.multiply(s, g, out=s)
+            np.sqrt(np.divide(v, c2, out=s), out=s)
+            s += self.eps
+            np.multiply(self.lr, np.divide(m, c1, out=r), out=r)
+            p -= np.divide(r, s, out=r)
 
 
 class GradCheckReport(NamedTuple):

@@ -18,6 +18,12 @@ Two probe heads are provided:
 Weights start from a seeded Xavier draw rather than zero: an all-zero probe
 predicts the same score everywhere, and a constant prediction has no
 defined correlation with anything.
+
+Features are the [u; v; |u-v|; u*v] rows of sentence pairs, given as
+matrices.  The train split may instead be given as :class:`PairRows`, the
+pairs' row indices into a table of sentence vectors: the probe then gathers
+each minibatch's features into one reused buffer, so the (n, 4D) matrix is
+never built, and the weights are bitwise those trained on that matrix.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ __all__ = [
     "relatedness_targets",
     "relatedness_score",
     "pair_features",
+    "PairRows",
+    "pair_rows",
     "pair_feature_matrix",
 ]
 
@@ -48,6 +56,7 @@ __all__ = [
 # inside one tenacity window of rounds, which the stated protocol relies on
 _PROBE_LR = 1e-2
 _SCORE_BINS = np.arange(1.0, 6.0)  # integer bin values 1..5
+_CHECK_ROWS = 256  # pairs gathered at a time to check train features for overflow
 
 
 class ProbeConfig(NamedTuple):
@@ -86,12 +95,32 @@ def _check_config(config: ProbeConfig) -> None:
         raise ValidationError("batch_size, tenacity and epoch_size must be positive")
 
 
-def _check_split(x, t, name: str) -> tuple[np.ndarray, np.ndarray]:
-    xm = as_matrix(x, f"{name} features")
+def _check_features(x, name: str):
+    """*x* checked without a copy: a float64 matrix, or PairRows.
+
+    PairRows are gathered a few rows at a time for the check: |u-v| and u*v
+    of finite vectors can still overflow.
+    """
+    if not isinstance(x, PairRows):
+        return as_matrix(x, f"{name} features", copy=False)
+    rows = _gatherer(x, min(x.shape[0], _CHECK_ROWS))
+    for start in range(0, x.shape[0], _CHECK_ROWS):
+        if not np.all(np.isfinite(rows(slice(start, start + _CHECK_ROWS)))):
+            raise ValidationError(f"{name} features contains non-finite entries")
+    return x
+
+
+def _check_split(x, t, name: str) -> tuple:
+    xm = _check_features(x, name)
     tm = np.asarray(t, dtype=np.float64)
     if tm.shape[0] != xm.shape[0]:
         raise ValidationError(f"{name}: {xm.shape[0]} feature rows for {tm.shape[0]} targets")
     return xm, tm
+
+
+def _weights(flat: np.ndarray, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views (w, b) of one flat vector holding a (n_out, n_feat) matrix, then n_out biases."""
+    return flat[:-n_out].reshape(n_out, -1), flat[-n_out:]
 
 
 def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: int):
@@ -101,14 +130,16 @@ def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: 
     n, n_feat = train_x.shape
     n_out = train_t.shape[1]
     rngs = seeded_rngs(config.seed, ("weights", "shuffle"))
-    params = {
-        "w": xavier_uniform(rngs["weights"], n_out, n_feat),
-        "b": np.zeros(n_out),
-    }
-    adam = Adam(params, lr=_PROBE_LR)
+    # w and b are views of one vector, so one Adam block updates both
+    flat = np.zeros(n_out * n_feat + n_out)
+    grad = np.empty_like(flat)
+    w, b = _weights(flat, n_out)
+    grad_w, grad_b = _weights(grad, n_out)
+    w[...] = xavier_uniform(rngs["weights"], n_out, n_feat)
+    adam = Adam({"wb": flat}, lr=_PROBE_LR)
+    batch_rows = _gatherer(train_x, min(n, config.batch_size))
     best_metric = -np.inf
-    best_w = params["w"].copy()
-    best_b = params["b"].copy()
+    best = flat.copy()
     best_round = 0
     bad_rounds = 0
     curve = []
@@ -119,9 +150,9 @@ def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: 
             order = rngs["shuffle"].permutation(n)
             for b_idx, start in enumerate(range(0, n, config.batch_size)):
                 rows = order[start : start + config.batch_size]
-                x = train_x[rows]
+                x = batch_rows(rows)
                 t = train_t[rows]
-                logits = x @ params["w"].T + params["b"]
+                logits = x @ w.T + b
                 shifted = logits - logits.max(axis=1, keepdims=True)
                 lse = np.log(np.exp(shifted).sum(axis=1))
                 loss = float(np.mean(np.sum(t * (lse[:, None] - shifted), axis=1)))
@@ -129,14 +160,15 @@ def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: 
                     raise NonFiniteLossError(rnd * config.epoch_size + e + 1, b_idx + 1, loss)
                 probs = np.exp(shifted - lse[:, None])
                 d_logits = (probs - t) / len(rows)
-                adam.step({"w": d_logits.T @ x, "b": d_logits.sum(axis=0)})
+                np.matmul(d_logits.T, x, out=grad_w)
+                np.sum(d_logits, axis=0, out=grad_b)
+                adam.step({"wb": grad})
         rounds = rnd + 1
-        metric = dev_eval(params["w"], params["b"])
+        metric = dev_eval(w, b)
         curve.append(metric)
         if metric > best_metric:
             best_metric = metric
-            best_w = params["w"].copy()
-            best_b = params["b"].copy()
+            best[...] = flat
             best_round = rnd
             bad_rounds = 0
         else:
@@ -144,9 +176,8 @@ def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: 
         if bad_rounds >= config.tenacity:
             stopped_early = True
             break
-    params["w"][...] = best_w
-    params["b"][...] = best_b
-    return params, ProbeHistory(rounds, best_round, stopped_early, curve)
+    flat[...] = best
+    return (w, b), ProbeHistory(rounds, best_round, stopped_early, curve)
 
 
 def _softmax_rows(x, w, b) -> np.ndarray:
@@ -186,12 +217,12 @@ def probe_classification(train_x, train_labels, dev_x, dev_labels, test_x, test_
         pred = np.argmax(dx @ w.T + b, axis=1)
         return accuracy(np.argmax(dt, axis=1).tolist(), pred.tolist())
 
-    params, history = _train_softmax(tx, tt, dev_metric, config, max_rounds)
-    dev = dev_metric(params["w"], params["b"])
-    test_pred = np.argmax(sx @ params["w"].T + params["b"], axis=1)
+    (w, b), history = _train_softmax(tx, tt, dev_metric, config, max_rounds)
+    dev = dev_metric(w, b)
+    test_pred = np.argmax(sx @ w.T + b, axis=1)
     test = accuracy(np.argmax(st, axis=1).tolist(), test_pred.tolist())
     predictions = [classes[i] for i in test_pred]
-    return ProbeReport("accuracy", dev, test, len(tx), len(dx), len(sx), history, predictions)
+    return ProbeReport("accuracy", dev, test, tx.shape[0], len(dx), len(sx), history, predictions)
 
 
 def relatedness_targets(scores) -> np.ndarray:
@@ -232,11 +263,11 @@ def probe_relatedness(train_x, train_scores, dev_x, dev_scores, test_x, test_sco
     def dev_metric(w, b):
         return pearson(relatedness_score(_softmax_rows(dx, w, b)), dev_gold)
 
-    params, history = _train_softmax(tx, tt, dev_metric, config, max_rounds)
-    dev = dev_metric(params["w"], params["b"])
-    test_pred = relatedness_score(_softmax_rows(sx, params["w"], params["b"]))
+    (w, b), history = _train_softmax(tx, tt, dev_metric, config, max_rounds)
+    dev = dev_metric(w, b)
+    test_pred = relatedness_score(_softmax_rows(sx, w, b))
     test = pearson(test_pred, test_gold)
-    return ProbeReport("pearson", dev, test, len(tx), len(dx), len(sx), history, test_pred.tolist())
+    return ProbeReport("pearson", dev, test, tx.shape[0], len(dx), len(sx), history, test_pred.tolist())
 
 
 def pair_features(u, v, out=None) -> np.ndarray:
@@ -247,22 +278,63 @@ def pair_features(u, v, out=None) -> np.ndarray:
     """
     if out is None:
         out = np.empty((u.shape[0], 4 * u.shape[1]))
-    a, b, dist, prod = np.hsplit(out, 4)  # views into out
+    _fill_features(np.hsplit(out, 4), u, v)
+    return out
+
+
+def _fill_features(quarters, u, v) -> None:
+    a, b, dist, prod = quarters
     a[...] = u  # a no-op when u is a
     b[...] = v
     np.abs(np.subtract(u, v, out=dist), out=dist)
     np.multiply(u, v, out=prod)
-    return out
+
+
+class PairRows(NamedTuple):
+    """Sentence pairs as row indices into one (N, D) matrix of sentence vectors.
+
+    Stands in for the pairs' :func:`pair_feature_matrix` as a probe's train
+    features; ``shape`` is that matrix's shape.
+    """
+
+    vectors: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.a.shape[0], 4 * self.vectors.shape[1])
+
+
+def pair_rows(table: EmbeddingTable, pairs) -> PairRows:
+    """Each pair's two row indices into *table*'s vectors."""
+    pairs = list(pairs)
+    if not pairs:
+        raise ValidationError("no pairs")
+    return PairRows(table.vectors, table.indices(p.id_a for p in pairs),
+                    table.indices(p.id_b for p in pairs))
+
+
+def _gatherer(x, size: int):
+    """A function from row picks (at most *size*) to the feature rows of *x* at them.
+
+    A matrix is indexed; PairRows are gathered into one reused (size, 4D)
+    buffer, whose leading rows come back.
+    """
+    if not isinstance(x, PairRows):
+        return x.__getitem__
+    out = np.empty((size, x.shape[1]))
+    quarters = np.hsplit(out, 4)
+
+    def rows(picks):
+        a, b = x.a[picks], x.b[picks]
+        _fill_features([q[: len(a)] for q in quarters], x.vectors[a], x.vectors[b])
+        return out[: len(a)]
+
+    return rows
 
 
 def pair_feature_matrix(table: EmbeddingTable, pairs) -> np.ndarray:
     """:func:`pair_features` for each pair's sentence vectors in *table*."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValidationError("no pairs")
-    out = np.empty((len(pairs), 4 * table.dim))
-    # each side is gathered straight into out, so at most one gathered copy is alive
-    u, v = np.hsplit(out, 4)[:2]
-    u[...] = table.vectors[[table.index(p.id_a) for p in pairs]]
-    v[...] = table.vectors[[table.index(p.id_b) for p in pairs]]
-    return pair_features(u, v, out)
+    rows = pair_rows(table, pairs)
+    return _gatherer(rows, rows.shape[0])(slice(None))

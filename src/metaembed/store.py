@@ -64,12 +64,17 @@ def _check_ids(ids) -> tuple[str, ...]:
 
 
 class EmbeddingTable:
-    """An ordered id -> vector mapping backed by one (N, D) float64 matrix."""
+    """An ordered id -> vector mapping backed by one (N, D) float64 matrix.
+
+    The table holds a copy of *vectors*; with ``copy=False`` it holds an array
+    that is already a C-ordered float64 matrix as is, for callers handing over
+    an array they have just built.
+    """
 
     KIND = "vector-table"
 
-    def __init__(self, ids, vectors):
-        self.vectors = as_matrix(vectors, "vectors")
+    def __init__(self, ids, vectors, *, copy: bool = True):
+        self.vectors = as_matrix(vectors, "vectors", copy=copy)
         self.ids = _check_ids(ids)
         if len(self.ids) != self.vectors.shape[0]:
             raise ValidationError(
@@ -93,6 +98,11 @@ class EmbeddingTable:
         except KeyError:
             raise ValidationError(f"unknown embedding id {ident!r}") from None
 
+    def indices(self, ids) -> np.ndarray:
+        """Row index of each of *ids*, in order."""
+        ids = list(ids)
+        return np.fromiter((self.index(i) for i in ids), dtype=np.intp, count=len(ids))
+
     def row(self, ident: str) -> np.ndarray:
         return self.vectors[self.index(ident)]
 
@@ -105,7 +115,7 @@ class EmbeddingTable:
             more = "" if len(missing) <= 5 else f" (and {len(missing) - 5} more)"
             raise ValidationError(f"unknown embedding id(s): {shown}{more}")
         rows = np.fromiter((self._index[i] for i in ids), dtype=np.intp, count=len(ids))
-        return self.vectors[rows].copy()
+        return self.vectors[rows]
 
     def describe(self) -> list[str]:
         """The ``info`` lines after the kind line."""
@@ -195,7 +205,7 @@ def load_vector_table(path) -> EmbeddingTable:
     bulk = _bulk_rows(lines, n, d)
     if bulk is not None:
         _check_trailing(lines, 1 + n, path)
-        return EmbeddingTable(*bulk)
+        return EmbeddingTable(*bulk, copy=False)
     ids: list[str] = []
     rows = np.empty((n, d), dtype=np.float64)
     seen: set[str] = set()
@@ -216,7 +226,7 @@ def load_vector_table(path) -> EmbeddingTable:
     if not np.all(np.isfinite(rows)):
         bad = int(np.argwhere(~np.isfinite(rows).all(axis=1))[0, 0])
         raise FileFormatError(path, 2 + bad, "non-finite value")
-    return EmbeddingTable(ids, rows)
+    return EmbeddingTable(ids, rows, copy=False)
 
 
 def save_vector_table(path, table: EmbeddingTable) -> None:

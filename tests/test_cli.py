@@ -1,5 +1,6 @@
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -507,6 +508,29 @@ class TestEval:
         assert report["metric"] == "accuracy"
         assert 0.0 <= report["value"] <= 100.0
         assert report["n"] == 6
+
+    def test_probe_peak_memory_stays_below_the_train_feature_matrix(self, tmp_path, rng, capsys,
+                                                                     monkeypatch):
+        # 3000 pairs of 256-wide vectors: the 2100 x 1024 train feature matrix (17 MB) is
+        # the largest array a probe could build, forty times the table
+        monkeypatch.chdir(tmp_path)
+        n_ids, dim, n_pairs = 200, 256, 3000
+        ids = [f"s{i}" for i in range(n_ids)]
+        save_vector_table(tmp_path / "sent.vec", EmbeddingTable(ids, rng.normal(size=(n_ids, dim))))
+        classes = ("entailment", "neutral", "contradiction")
+        picks = rng.integers(0, n_ids, size=(n_pairs, 2))
+        rows = [(ids[i], ids[j], classes[(i + j) % 3]) for i, j in picks]
+        pairs = write_canonical(tmp_path / "nli.tsv", rows)
+        train_matrix_bytes = 2100 * 4 * dim * 8
+        tracemalloc.start()
+        try:
+            code, stdout, _ = run(capsys, "eval", "nli", "--inputs", tmp_path / "sent.vec",
+                                  "--dataset", pairs, "--epoch-size", 1, "--tenacity", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and report_of(stdout)["n"] == 600
+        assert peak < train_matrix_bytes
 
     def test_dynamic_model_scores_official_test_split(self, tmp_path, rng, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -11,6 +11,8 @@ from metaembed.dynamic import new_dynamic_model
 from metaembed.errors import ValidationError
 from metaembed.evaluation import (
     EvalReport,
+    _pair_cosines,
+    _row_cosines,
     accuracy,
     config_fingerprint,
     cosine,
@@ -212,6 +214,30 @@ class TestFingerprint:
         assert config_fingerprint("1") != config_fingerprint(1)
         assert config_fingerprint(None) != config_fingerprint("None")
 
+    # digests of the token-per-element implementation, which the bulk one must reproduce
+    PINNED = {
+        "8d9fc70bb4d2d299bebe05964e4c0c64d47a8d7d039853ac6639d60f1e323857":
+            ("sts", 0, -7, 2.5, -0.0, float("inf"), True, False, None, "ünï cödé", ""),
+        "e767e3dcfb85ee6d4b9f4c7497c9c11175aea7f4dad3a6c12f18e6d401b2ddfa":
+            ("a", (1, 2.0, None), [], (), [[("x", "y", 3.25)], b"raw\x1f"], (True, "t")),
+        "539620886468557b040df276a729dfd440c59c48165b3fb71f717e61f963bd73":
+            (np.arange(6.0).reshape(2, 3), np.float64(1.5), np.array(2.0), np.zeros((0, 4)),
+             np.arange(6).reshape(3, 2).T, [np.ones(3), ("k", 1)]),
+        "bc3a209c69d52b0abfebd2c95b658260135a72f226f880a49941ae7ef87d52e0":
+            ("sick-r", [(f"s{i}", f"t{i}", i / 7) for i in range(50)], ("id1", "id2")),
+        "915cddb04d34ad9d97c487c349502ef5b80edf464490b5813e79ab9b90c651c5":
+            (b"", bytes(range(256)), 10**30, -1e-320, 1e308, float("nan"), [None, [None, []]]),
+    }
+
+    @pytest.mark.parametrize("digest", sorted(PINNED))
+    def test_digests_are_pinned(self, digest):
+        assert config_fingerprint(*self.PINNED[digest]) == digest
+
+    def test_unsupported_types_refused_inside_sequences(self):
+        for bad in ({"a": 1}, np.int64(3), {1, 2}):
+            with pytest.raises(ValidationError, match="cannot fingerprint a"):
+                config_fingerprint("x", [("a", 1), ("b", bad)])
+
 
 class TestReportFormats:
     def report(self):
@@ -302,6 +328,30 @@ class TestSimilarityDriver:
         table = EmbeddingTable(["s1", "z"], np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValidationError, match="zero vector"):
             evaluate_similarity(table, [Pair("s1", "s1", 1.0), Pair("s1", "z", 2.0)])
+
+    def chunk_fixture(self, rng, n_pairs):
+        ids = [f"s{i}" for i in range(40)]
+        vectors = rng.normal(size=(40, 6)) * np.logspace(-150, 150, 40)[:, None]
+        table = EmbeddingTable(ids, vectors)
+        picks = rng.integers(0, 40, size=(n_pairs, 2))
+        return table, [Pair(ids[i], ids[j], float(k % 5)) for k, (i, j) in enumerate(picks)]
+
+    @pytest.mark.parametrize("n_pairs", [2, 1024, 2 * 1024 + 5])
+    def test_chunked_cosines_equal_one_shot(self, rng, n_pairs):
+        table, pairs = self.chunk_fixture(rng, n_pairs)
+        one_shot = _row_cosines(table.lookup(p.id_a for p in pairs), table.lookup(p.id_b for p in pairs),
+                                "a", "b")
+        assert _pair_cosines(table, pairs).tobytes() == one_shot.tobytes()
+        _, rows = evaluate_similarity(table, pairs)
+        assert [r[3] for r in rows] == scale_similarity(one_shot, 0.0, 5.0).tolist()
+
+    def test_zero_vector_in_a_later_chunk_rejected(self, rng):
+        table, pairs = self.chunk_fixture(rng, 2 * 1024 + 5)
+        vectors = np.vstack([table.vectors, np.zeros((1, 6))])
+        table = EmbeddingTable(table.ids + ("z",), vectors)
+        pairs[2 * 1024 + 1] = Pair("z", pairs[0].id_a, 1.0)
+        with pytest.raises(ValidationError, match="^cosine of a zero vector is undefined$"):
+            evaluate_similarity(table, pairs)
 
 
 class FixedModel:

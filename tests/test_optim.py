@@ -60,6 +60,25 @@ class TestAdam:
         adam.step({"w": np.ones((2, 2))})
         assert np.all(w != 0.0)
 
+    def test_fused_step_is_bitwise_the_reference_formula(self, rng):
+        shapes = {"w": (5, 7), "b": (7,), "s": (1,), "big": (40, 3)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        lr, b1, b2, eps = 3e-2, 0.8, 0.99, 1e-6
+        adam = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 8):
+            grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-5, 5) for k, s in shapes.items()}
+            adam.step(grads)
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                ref[k] = ref[k] - lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+            for k in shapes:
+                assert params[k].tobytes() == ref[k].tobytes(), (t, k)
+
     def test_validation(self):
         with pytest.raises(ValidationError, match="learning rate"):
             Adam({"w": np.zeros(2)}, lr=0.0)

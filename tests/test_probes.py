@@ -3,10 +3,15 @@ import pytest
 
 from metaembed.datasets import Pair
 from metaembed.errors import NonFiniteLossError, ValidationError
+from metaembed.optim import Adam
 from metaembed.probes import (
+    PairRows,
     ProbeConfig,
+    _check_split,
+    _train_softmax,
     pair_feature_matrix,
     pair_features,
+    pair_rows,
     probe_classification,
     probe_relatedness,
     relatedness_score,
@@ -256,3 +261,144 @@ class TestPairFeatures:
         table = EmbeddingTable(["a"], np.ones((1, 2)))
         with pytest.raises(ValidationError, match="no pairs"):
             pair_feature_matrix(table, [])
+
+
+def reference_adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The textbook Adam update, one expression per moment, as the probe applied it per block."""
+    state["t"] += 1
+    c1 = 1.0 - beta1 ** state["t"]
+    c2 = 1.0 - beta2 ** state["t"]
+    for key, p in params.items():
+        m = state.setdefault(("m", key), np.zeros_like(p))
+        v = state.setdefault(("v", key), np.zeros_like(p))
+        g = grads[key]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def reference_train(train_x, train_t, dev_eval, config, max_rounds):
+    """The probe trainer on a whole feature matrix, with w and b as two Adam blocks."""
+    from metaembed.optim import seeded_rngs, xavier_uniform
+
+    n, n_feat = train_x.shape
+    n_out = train_t.shape[1]
+    rngs = seeded_rngs(config.seed, ("weights", "shuffle"))
+    params = {"w": xavier_uniform(rngs["weights"], n_out, n_feat), "b": np.zeros(n_out)}
+    state = {"t": 0}
+    best, best_metric, bad_rounds, curve = None, -np.inf, 0, []
+    for _ in range(max_rounds):
+        for _ in range(config.epoch_size):
+            order = rngs["shuffle"].permutation(n)
+            for start in range(0, n, config.batch_size):
+                rows = order[start : start + config.batch_size]
+                x, t = train_x[rows], train_t[rows]
+                shifted = x @ params["w"].T + params["b"]
+                shifted = shifted - shifted.max(axis=1, keepdims=True)
+                lse = np.log(np.exp(shifted).sum(axis=1))
+                d_logits = (np.exp(shifted - lse[:, None]) - t) / len(rows)
+                reference_adam_step(state, params, {"w": d_logits.T @ x, "b": d_logits.sum(axis=0)},
+                                    lr=1e-2)
+        metric = dev_eval(params["w"], params["b"])
+        curve.append(metric)
+        if metric > best_metric:
+            best_metric, best, bad_rounds = metric, (params["w"].copy(), params["b"].copy()), 0
+        else:
+            bad_rounds += 1
+        if bad_rounds >= config.tenacity:
+            break
+    return best, curve
+
+
+class TestPerMinibatchFeatures:
+    """A probe given PairRows trains bitwise as one given the pairs' feature matrix."""
+
+    def fixture(self, n_pairs, dim=5, n_ids=30, seed=4):
+        rng = np.random.default_rng(seed)
+        ids = [f"s{i}" for i in range(n_ids)]
+        table = EmbeddingTable(ids, rng.normal(size=(n_ids, dim)))
+        picks = rng.integers(0, n_ids, size=(n_pairs, 2))
+        pairs = [Pair(ids[i], ids[j], None) for i, j in picks]
+        # labels follow the first coordinate of u - v, so the probe has something to learn
+        gap = table.vectors[picks[:, 0], 0] - table.vectors[picks[:, 1], 0]
+        labels = ["hi" if g > 0.3 else "lo" if g < -0.3 else "mid" for g in gap]
+        scores = list(np.clip(3.0 + gap, 1.0, 5.0))
+        return table, pairs, labels, scores
+
+    @pytest.mark.parametrize("n_pairs, batch_size", [(100, 16), (103, 16), (9, 64)])
+    def test_trainer_matches_the_matrix_reference(self, n_pairs, batch_size):
+        table, pairs, labels, _ = self.fixture(n_pairs)
+        targets = np.eye(3)[[("hi", "lo", "mid").index(lab) for lab in labels]]
+        x = pair_feature_matrix(table, pairs)
+        dev_x = x[: n_pairs // 2]
+        config = ProbeConfig(batch_size=batch_size, epoch_size=2, tenacity=2, seed=5)
+
+        def dev_eval(w, b):
+            return float(-np.abs(dev_x @ w.T + b).sum())  # any deterministic function of w, b
+
+        (w, b), history = _train_softmax(pair_rows(table, pairs), targets, dev_eval, config, 6)
+        (w_ref, b_ref), curve = reference_train(x, targets, dev_eval, config, 6)
+        assert w.tobytes() == w_ref.tobytes()
+        assert b.tobytes() == b_ref.tobytes()
+        assert history.dev_curve == curve
+        (w_x, b_x), history_x = _train_softmax(x, targets, dev_eval, config, 6)
+        assert (w_x.tobytes(), b_x.tobytes(), history_x) == (w.tobytes(), b.tobytes(), history)
+
+    @pytest.mark.parametrize("n_pairs, batch_size", [(120, 16), (123, 16), (20, 64)])
+    def test_probes_match_on_rows_and_on_matrices(self, n_pairs, batch_size):
+        table, pairs, labels, scores = self.fixture(n_pairs)
+        splits = [slice(0, n_pairs // 2), slice(n_pairs // 2, 3 * n_pairs // 4), slice(3 * n_pairs // 4, None)]
+        config = ProbeConfig(batch_size=batch_size, epoch_size=2, tenacity=2, seed=1)
+        for targets, probe, extra in ((labels, probe_classification, [("hi", "lo", "mid")]),
+                                      (scores, probe_relatedness, [])):
+            on_rows = [pair_rows(table, pairs[splits[0]]), targets[splits[0]]]
+            on_matrix = []
+            for s in splits:
+                on_matrix += [pair_feature_matrix(table, pairs[s]), targets[s]]
+            assert probe(*on_rows, *on_matrix[2:], *extra, config, max_rounds=8) == probe(
+                *on_matrix, *extra, config, max_rounds=8)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("late", [False, True])
+    @pytest.mark.parametrize("values", [(1e308, -1e308), (1e200, 1e200)])
+    def test_overflowing_features_refused_before_the_first_step(self, monkeypatch, late, values):
+        # |u - v| overflows for the first pair of values, u * v for the second
+        n = 600
+        vectors = np.ones((n + 2, 3))
+        vectors[n:, 0] = values
+        a = np.arange(n)
+        b = np.arange(n)[::-1].copy()
+        bad = 450 if late else 0  # a later chunk of the check, or the first
+        a[bad], b[bad] = n, n + 1
+        rows = PairRows(vectors, a, b)
+        assert rows.shape == (n, 12)
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda self, grads: steps.append(1))
+        x = np.ones((4, 12))
+        labels = ["p", "q"] * (n // 2)
+        with pytest.raises(ValidationError, match="train features contains non-finite entries"):
+            probe_classification(rows, labels, x, ["p", "q"] * 2, x, ["p", "q"] * 2, ("p", "q"))
+        with pytest.raises(ValidationError, match="train features contains non-finite entries"):
+            probe_relatedness(rows, [3.0] * n, x, [3.0] * 4, x, [3.0] * 4)
+        assert steps == []
+
+    def test_dev_and_test_matrices_are_checked_in_place(self):
+        x = np.ones((4, 8))
+        assert _check_split(x, np.ones(4), "dev")[0] is x
+        assert _check_split(x.tolist(), np.ones(4), "dev")[0].tobytes() == x.tobytes()
+        x[2, 3] = np.inf
+        with pytest.raises(ValidationError, match="dev features contains non-finite entries"):
+            _check_split(x, np.ones(4), "dev")
+
+    def test_pair_rows_index_the_table(self):
+        table = EmbeddingTable(["a", "b", "c"], np.arange(6.0).reshape(3, 2))
+        rows = pair_rows(table, [Pair("c", "a", None), Pair("b", "b", None)])
+        assert rows.vectors is table.vectors
+        assert rows.a.tolist() == [2, 1] and rows.b.tolist() == [0, 1]
+        assert rows.shape == (2, 8)
+        with pytest.raises(ValidationError, match="unknown embedding id 'zz'"):
+            pair_rows(table, [Pair("a", "zz", None)])
+        with pytest.raises(ValidationError, match="no pairs"):
+            pair_rows(table, [])

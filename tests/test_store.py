@@ -67,6 +67,40 @@ class TestEmbeddingTable:
         t = EmbeddingTable(["a", "b", "c"], np.zeros((3, 2)))
         assert (t.KIND, t.describe()) == ("vector-table", ["rows 3", "dim 2"])
 
+    def test_constructor_copies_and_copy_false_adopts(self):
+        given = np.arange(4.0).reshape(2, 2)
+        copied = EmbeddingTable(["a", "b"], given)
+        given[0, 0] = 99.0
+        assert copied.row("a")[0] == 0.0
+        adopted = EmbeddingTable(["a", "b"], given, copy=False)
+        assert adopted.vectors is given
+        # anything that is not a C-ordered float64 matrix is still converted
+        assert EmbeddingTable(["a", "b"], given.T, copy=False).vectors.flags.c_contiguous
+        assert EmbeddingTable(["a"], [[1, 2]], copy=False).vectors.dtype == np.float64
+        with pytest.raises(ValidationError, match="non-finite"):
+            EmbeddingTable(["a"], np.array([[np.nan]]), copy=False)
+
+    def test_loaded_table_holds_the_parsed_array(self, tmp_path, rng):
+        path = tmp_path / "t.vec"
+        save_vector_table(path, make_vector_table(rng, 5, 3))
+        made = []
+        real = store.as_matrix
+
+        def recording(a, name="matrix", copy=True):
+            made.append(copy)
+            return real(a, name, copy)
+
+        with mock.patch.object(store, "as_matrix", recording):
+            load_vector_table(path)
+        assert made == [False]
+
+    def test_indices(self):
+        t = EmbeddingTable(["a", "b", "c"], np.zeros((3, 1)))
+        assert t.indices(iter(["c", "a", "c"])).tolist() == [2, 0, 2]
+        assert t.indices([]).dtype == np.intp
+        with pytest.raises(ValidationError, match="unknown embedding id 'x'"):
+            t.indices(["a", "x"])
+
 
 class TestVectorTableFormat:
     def test_round_trip_is_bitwise_exact(self, rng, tmp_path):
