@@ -45,9 +45,6 @@ __all__ = [
     "TASK_CLASSES",
     "TASKS",
     "load_dataset",
-    "load_pair_dataset_tsv",
-    "load_class_dataset_tsv",
-    "load_sick_official",
     "random_splits",
     "make_pair_examples",
 ]
@@ -132,9 +129,7 @@ def _canonical(path, lines, score_range=None, classes=None) -> PairDataset:
     neither, the classes are the file's own labels, sorted.
     """
     if score_range is not None:
-        lo, hi = float(score_range[0]), float(score_range[1])
-        if not np.isfinite(lo) or not np.isfinite(hi) or not hi > lo:
-            raise ValidationError(f"score range must satisfy hi > lo, got [{lo}, {hi}]")
+        lo, hi = score_range
     pairs = []
     for i, line in enumerate(lines, start=1):
         row = line.split("\t")
@@ -155,18 +150,14 @@ def _canonical(path, lines, score_range=None, classes=None) -> PairDataset:
     if score_range is not None:
         return PairDataset(str(path), "score", tuple(pairs), lo, hi, None, None)
     classes = tuple(sorted({p.label for p in pairs}) if classes is None else classes)
-    if len(classes) < 2 or len(set(classes)) != len(classes):
+    if len(classes) < 2:
         raise ValidationError(f"{path}: need at least two distinct classes, got {list(classes)}")
     return PairDataset(str(path), "classes", tuple(pairs), None, None, classes, None)
 
 
 def _official(path, lines) -> tuple:
-    """The (scores, classes) datasets of an official export's *lines*."""
-    if not lines or lines == [""]:
-        raise FileFormatError(path, 1, "empty file; expected a header line")
+    """The (scores, classes) datasets of *lines*, which open with an official export's header."""
     header = lines[0].split("\t")
-    if not _is_official(lines):
-        raise FileFormatError(path, 1, f"expected a header starting with 'pair_ID', got {header[0]!r}")
     required = ["pair_ID", "sentence_A", "sentence_B", "relatedness_score", "entailment_judgment"]
     missing = [c for c in required if c not in header]
     if missing:
@@ -223,38 +214,6 @@ def load_dataset(path, task: str | None = None) -> PairDataset:
         )
     scores, classes = _official(path, lines)
     return scores if task in TASK_RANGES else classes
-
-
-def load_pair_dataset_tsv(path, *, score_range=None, classes=None) -> PairDataset:
-    """Parse a canonical pair TSV against a declared label kind.
-
-    Give exactly one of *score_range* (a (lo, hi) tuple; every label must be
-    a number inside it) or *classes* (an inventory every label must belong
-    to).  Returns a dataset without splits; draw them with
-    :func:`random_splits` if the task needs a partition.
-    """
-    if (score_range is None) == (classes is None):
-        raise ValidationError("give exactly one of score_range or classes")
-    return _canonical(path, read_lines(path), score_range, None if classes is None else tuple(classes))
-
-
-def load_class_dataset_tsv(path) -> PairDataset:
-    """Parse a canonical class-labeled TSV whose classes are its own labels.
-
-    The class inventory is the file's distinct labels, sorted.  Returns a
-    dataset without splits.
-    """
-    return _canonical(path, read_lines(path))
-
-
-def load_sick_official(path) -> tuple:
-    """Parse an official relatedness corpus export into two datasets.
-
-    Returns (scores, classes): the same pairs labeled once with their
-    relatedness score in [1, 5] and once with their entailment class.  Both
-    share ids and (when the file carries SemEval_set) splits.
-    """
-    return _official(path, read_lines(path))
 
 
 def random_splits(n: int, seed: int = 0, ratios=(0.7, 0.1, 0.2)) -> Splits:

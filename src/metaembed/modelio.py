@@ -12,9 +12,10 @@ The hyperparameter line has one grammar for every kind: each field name is
 followed by its values, and the fields come in a fixed order per kind (for
 GCCA, ``dims 300 200 tau 10``).  A 1-D parameter is stored as a one-row
 block.  The text codec (encoding, line ends, 17-digit values, atomic writes)
-is :mod:`metaembed.textio`.  The model classes own their magics, field names
-and block labels, and the checks that mean something for one kind only;
-this module is the only one that formats or splits the file itself.
+is :mod:`metaembed.textio`, and every block's rows are parsed by its
+:func:`~metaembed.textio.read_rows`.  The model classes own their magics,
+field names and block labels, and the checks that mean something for one
+kind only; this module is the only one that formats or splits the file itself.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .textio import fmt, fmt_row, parse_block, read_lines, write_lines
+from .textio import fmt, fmt_row, read_lines, read_rows, write_lines
 
 __all__ = ["ModelFile", "write_model", "read_model", "sniff_model_kind"]
 
@@ -139,7 +140,7 @@ def read_model(path, magics: tuple, names) -> ModelFile:
             raise FileFormatError(path, cursor, f"non-integer block shape in {raw!r}") from None
         if rows < 1 or cols < 1:
             raise FileFormatError(path, cursor, f"block shape must be positive, got {rows} {cols}")
-        blocks[label] = parse_block(lines, cursor + 1, rows, cols, path, label)
+        blocks[label] = read_rows(lines, cursor + 1, rows, cols, path, label)
         cursor += 1 + rows
     return ModelFile(str(path), magic, fields, blocks)
 

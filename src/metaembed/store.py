@@ -10,8 +10,9 @@ Two table kinds cover everything the combiners consume:
 
 Values are separated by single spaces; ids are arbitrary non-empty
 strings without whitespace.  Encoding, line ends, number format and atomic
-writes follow :mod:`metaembed.textio`.  Parse failures raise
-:class:`FileFormatError` carrying the path and the 1-based line number.
+writes follow :mod:`metaembed.textio`, whose :func:`read_rows` parses every
+row of values.  Parse failures raise :class:`FileFormatError` carrying the
+path and the 1-based line number.
 """
 
 from __future__ import annotations
@@ -22,16 +23,7 @@ import numpy as np
 
 from .errors import FileFormatError, ValidationError
 from .linalg import as_matrix
-from .textio import (
-    fmt_row,
-    keyed_values,
-    parse_block,
-    parse_values,
-    read_lines,
-    row_format,
-    truncated,
-    write_lines,
-)
+from .textio import check_trailing, fmt_row, read_lines, read_rows, row_format, truncated, write_lines
 
 __all__ = [
     "EmbeddingTable",
@@ -182,51 +174,11 @@ def _parse_header(lines: list[str], path) -> tuple[int, int]:
     return n, d
 
 
-def _check_trailing(lines: list[str], used: int, path) -> None:
-    for extra in range(used, len(lines)):
-        if lines[extra].strip():
-            raise FileFormatError(path, extra + 1, "unexpected content after the declared rows")
-
-
-def _bulk_rows(lines: list[str], n: int, d: int):
-    """(ids, rows) of the *n* data rows if they are plain and their ids distinct, else None."""
-    bulk = keyed_values(lines[1 : 1 + n], d) if len(lines) > n else None
-    return bulk if bulk is not None and len(set(bulk[0])) == n else None
-
-
 def load_vector_table(path) -> EmbeddingTable:
-    """Parse a vector table file.
-
-    Plainly laid-out rows are parsed in bulk; any other file goes through the
-    per-line parser, which accepts it or names the line at fault.
-    """
+    """Parse a vector table file."""
     lines = read_lines(path)
     n, d = _parse_header(lines, path)
-    bulk = _bulk_rows(lines, n, d)
-    if bulk is not None:
-        _check_trailing(lines, 1 + n, path)
-        return EmbeddingTable(*bulk, copy=False)
-    ids: list[str] = []
-    rows = np.empty((n, d), dtype=np.float64)
-    seen: set[str] = set()
-    for i in range(n):
-        lineno = 2 + i
-        if lineno > len(lines):
-            raise truncated(path, lines, f"expected {n} data rows")
-        tokens = lines[lineno - 1].split()
-        if not tokens:
-            raise FileFormatError(path, lineno, "unexpected blank line")
-        ident = tokens[0]
-        if ident in seen:
-            raise FileFormatError(path, lineno, f"duplicate id {ident!r}")
-        seen.add(ident)
-        rows[i] = parse_values(tokens[1:], d, path, lineno)
-        ids.append(ident)
-    _check_trailing(lines, 1 + n, path)
-    if not np.all(np.isfinite(rows)):
-        bad = int(np.argwhere(~np.isfinite(rows).all(axis=1))[0, 0])
-        raise FileFormatError(path, 2 + bad, "non-finite value")
-    return EmbeddingTable(ids, rows, copy=False)
+    return EmbeddingTable(*read_rows(lines, 2, n, d, path, keyed=True), copy=False)
 
 
 def save_vector_table(path, table: EmbeddingTable) -> None:
@@ -238,12 +190,26 @@ def save_vector_table(path, table: EmbeddingTable) -> None:
 
 
 def load_sequence_table(path) -> SequenceTable:
-    """Parse a sequence table file."""
+    """Parse a sequence table file.
+
+    The block headers are walked by their counts, and then every data row is
+    parsed in one pass and split by block.  A file that fails either step is
+    parsed block by block, which names the first line at fault.
+    """
     lines = read_lines(path)
     n, d = _parse_header(lines, path)
+    try:
+        return _read_blocks(lines, n, d, path, one_pass=True)
+    except FileFormatError:
+        return _read_blocks(lines, n, d, path, one_pass=False)
+
+
+def _read_blocks(lines: list[str], n: int, d: int, path, one_pass: bool) -> SequenceTable:
     ids: list[str] = []
-    mats: list[np.ndarray] = []
     seen: set[str] = set()
+    mats: list[np.ndarray] = []
+    data: list[str] = []  # with *one_pass*, every block's rows
+    ends: list[int] = []
     cursor = 2  # 1-based line number of the next unread line
     for _ in range(n):
         if cursor > len(lines):
@@ -263,11 +229,18 @@ def load_sequence_table(path) -> SequenceTable:
             raise FileFormatError(path, cursor, f"expected integer row count, got {tokens[1]!r}") from None
         if steps < 1:
             raise FileFormatError(path, cursor, f"sequence length must be positive, got {steps}")
-        mat = parse_block(lines, cursor + 1, steps, d, path, ident)
+        if not one_pass:
+            mats.append(read_rows(lines, cursor + 1, steps, d, path, ident))
+        elif cursor + steps > len(lines):
+            raise truncated(path, lines, f"expected {steps} rows in block {ident!r}")
+        else:
+            data += lines[cursor : cursor + steps]
+            ends.append(len(data))
         cursor += 1 + steps
         ids.append(ident)
-        mats.append(mat)
-    _check_trailing(lines, cursor - 1, path)
+    check_trailing(lines, cursor - 1, path)
+    if one_pass:
+        mats = np.split(read_rows(data, 1, len(data), d, path), ends[:-1])
     return SequenceTable(ids, mats)
 
 

@@ -6,17 +6,19 @@ column may hold U+2028, a form feed and the like).  Bytes that are not UTF-8
 raise :class:`FileFormatError` naming the line that holds them.  Floats are
 written with 17 significant digits, so a save/load round trip reproduces
 every float64 bit for bit; a row of them is formatted with one
-:func:`row_format` string.  Rows of values are parsed in one C pass where
-they are plainly laid out (:func:`keyed_values`), and one value at a time
-otherwise (:func:`parse_values`), which reads the same numbers and names the
-line of the first bad one.  A write goes to a temporary file next to the
-destination, which then replaces the destination in one step: a write that
-fails leaves the old file as it was and no temporary file behind.
+:func:`row_format` string.  Every table and model file reads its rows of
+values through :func:`read_rows`, which allocates nothing for rows the file
+does not hold: in one C pass where they are plainly laid out, and one value
+at a time otherwise, which reads the same numbers and names the line of the
+first fault.  A write goes to a temporary file next to the destination, which
+then replaces the destination in one step: a write that fails leaves the old
+file as it was and no temporary file behind.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import warnings
 
@@ -24,8 +26,8 @@ import numpy as np
 
 from .errors import FileFormatError, ValidationError
 
-__all__ = ["fmt", "fmt_row", "row_format", "read_lines", "write_lines", "keyed_values", "parse_values",
-           "parse_block", "truncated"]
+__all__ = ["fmt", "fmt_row", "row_format", "read_lines", "write_lines", "read_rows", "check_trailing",
+           "truncated"]
 
 
 def fmt(x: float) -> str:
@@ -45,23 +47,22 @@ def fmt_row(values) -> str:
 
 
 def read_lines(path, limit: int | None = None) -> list[str]:
-    """The lines of *path* without their line ends; only the first *limit* if given."""
+    """The lines of *path* without their line ends; only the first *limit* if given.
+
+    Lines are read and decoded one at a time.  A buffer the size of the file,
+    once freed, would raise glibc's mmap threshold to that size, so that the
+    large arrays made after it would come from a fragmented heap and raise
+    the peak memory.
+    """
+    lines = []
     try:
         with open(path, "rb") as f:
-            raw = f.read() if limit is None else b"".join(f.readline() for _ in range(limit))
+            for lineno, line in enumerate(itertools.islice(f, limit), start=1):
+                lines.append(line.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8"))
     except OSError as exc:
         raise FileFormatError(path, 1, f"cannot read file: {exc}") from exc
-    try:
-        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise FileFormatError(path, line, f"invalid UTF-8 byte 0x{raw[exc.start]:02x}") from None
-    del raw  # keeps the peak at the text plus its lines
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if "\r" in text:
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+        raise FileFormatError(path, lineno, f"invalid UTF-8 byte 0x{line[exc.start]:02x}") from None
     return lines
 
 
@@ -88,72 +89,96 @@ def write_lines(path, lines) -> None:
             os.unlink(tmp)
 
 
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
 # the ASCII whitespace other than " " and LF; no line holds an LF, and U+0020 is
 # the only printable whitespace character
 _OTHER_SPACES = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
 
 
-def keyed_values(lines: list[str], cols: int) -> tuple[list[str], np.ndarray] | None:
-    """The keys and the (len(lines), cols) values of rows ``key v1 ... vCOLS``, parsed in one C pass.
+def read_rows(lines: list[str], start: int, rows: int, cols: int, path, label: str | None = None, *,
+              keyed: bool = False):
+    """Lines ``start .. start + rows - 1`` (1-based) of *path* as a (rows, cols) array of finite values.
 
-    Every line must be exactly that: a non-empty key and *cols* finite
-    numbers, joined by single spaces, with no other whitespace.  For anything
-    else (another space character, an empty or unreadable token, a wrong
-    count, a non-finite value) the result is None, and the caller parses the
-    lines one by one with :func:`parse_values`, which reads the same numbers
-    to the same values and names the line of the first bad one.
+    With *keyed*, rows are ``key v1 ... vCOLS`` with distinct keys, the result
+    is (keys, values), and only blank lines may follow the rows, as in a
+    vector table.  *label* names the block in errors.  If the lines hold all
+    the rows and every row is plain, they are parsed in one C pass; otherwise
+    row by row, which reads the same values, allocates no row the file does
+    not hold, and names the first line at fault.
     """
-    text = " ".join(lines)
-    # isprintable() alone would do; on ASCII text these scans are several times faster
-    spaced = not any(c in text for c in _OTHER_SPACES) if text.isascii() else text.isprintable()
-    del text  # keeps the peak at the lines plus the array
+    end = start - 1 + rows
+    bulk = _bulk_rows(lines[start - 1 : end], cols, keyed) if end <= len(lines) else None
+    keys, values = bulk if bulk is not None else _row_by_row(lines, start, rows, cols, path, label, keyed)
+    if keyed:
+        check_trailing(lines, end, path)
+    if bulk is None and not np.isfinite(values).all():
+        bad = int(np.argmin(np.isfinite(values).all(axis=1)))
+        where = "" if label is None else f" in block {label!r}"
+        raise FileFormatError(path, start + bad, f"non-finite value{where}")
+    return (keys, values) if keyed else values
+
+
+def _bulk_rows(lines: list[str], cols: int, keyed: bool):
+    """(keys or None, values) of *lines* in one C pass, or None if a line is not plain.
+
+    A plain line is a non-empty key (with *keyed*; no key twice) and *cols*
+    finite numbers, joined by single spaces, with no other whitespace.
+    """
+    # isprintable() alone would do; on ASCII lines these scans are several times faster
+    if all(map(str.isascii, lines)):
+        spaced = not any(c in line for line in lines for c in _OTHER_SPACES)
+    else:
+        spaced = all(map(str.isprintable, lines))
     if not spaced:
         return None
-    keys = [line.partition(" ")[0] for line in lines]
-    if not all(keys):
-        return None
+    keys, rows = None, len(lines)
+    if keyed:
+        keys = [line.partition(" ")[0] for line in lines]
+        if not all(keys):
+            return None
+        lines = (line.partition(" ")[2] for line in lines)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # all-empty input warns; the shape check rejects it
-            values = np.loadtxt((line.partition(" ")[2] for line in lines), dtype=np.float64,
-                                delimiter=" ", comments=None, ndmin=2)
+            values = np.loadtxt(lines, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
     except ValueError:
         return None
-    if values.shape != (len(lines), cols) or not np.isfinite(values).all():
+    if values.shape != (rows, cols) or not np.isfinite(values).all() or keyed and len(set(keys)) != rows:
         return None
     return keys, values
 
 
-def parse_values(tokens: list[str], d: int, path, lineno: int) -> np.ndarray:
-    """*tokens* as *d* float64 values; line *lineno* of *path* is named on error."""
-    if len(tokens) != d:
-        raise FileFormatError(path, lineno, f"expected {d} values, got {len(tokens)}")
-    try:
-        return np.array([float(t) for t in tokens], dtype=np.float64)
-    except ValueError:
-        bad = next(t for t in tokens if not _is_float(t))
-        raise FileFormatError(path, lineno, f"could not parse value {bad!r}") from None
+def _row_by_row(lines: list[str], start: int, rows: int, cols: int, path, label, keyed: bool):
+    """(keys or None, values) of the rows, parsed one value at a time; finiteness is left to the caller."""
+    keys, seen, out = ([] if keyed else None), set(), []
+    for lineno in range(start, start + rows):
+        if lineno > len(lines):
+            what = "data rows" if label is None else f"rows in block {label!r}"
+            raise truncated(path, lines, f"expected {rows} {what}")
+        tokens = lines[lineno - 1].split()
+        if keyed:
+            if not tokens:
+                raise FileFormatError(path, lineno, "unexpected blank line")
+            if tokens[0] in seen:
+                raise FileFormatError(path, lineno, f"duplicate id {tokens[0]!r}")
+            seen.add(tokens[0])
+            keys.append(tokens.pop(0))
+        if len(tokens) != cols:
+            raise FileFormatError(path, lineno, f"expected {cols} values, got {len(tokens)}")
+        row = np.empty(cols)
+        for i, token in enumerate(tokens):
+            try:
+                row[i] = float(token)
+            except ValueError:
+                raise FileFormatError(path, lineno, f"could not parse value {token!r}") from None
+        out.append(row)
+    return keys, np.array(out)
 
 
-def parse_block(lines: list[str], start: int, rows: int, cols: int, path, label: str) -> np.ndarray:
-    """Lines ``start .. start + rows - 1`` (1-based) as a (rows, cols) array of finite values."""
-    out = np.empty((rows, cols), dtype=np.float64)
-    for r in range(rows):
-        if start + r > len(lines):
-            raise truncated(path, lines, f"expected {rows} rows in block {label!r}")
-        out[r] = parse_values(lines[start + r - 1].split(), cols, path, start + r)
-    bad = ~np.isfinite(out).all(axis=1)
-    if bad.any():
-        raise FileFormatError(path, start + int(np.argmax(bad)), f"non-finite value in block {label!r}")
-    return out
+def check_trailing(lines: list[str], used: int, path) -> None:
+    """Reject anything but blank lines after the first *used* lines."""
+    for extra in range(used, len(lines)):
+        if lines[extra].strip():
+            raise FileFormatError(path, extra + 1, "unexpected content after the declared rows")
 
 
 def truncated(path, lines: list[str], what: str) -> FileFormatError:

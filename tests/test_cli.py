@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ from metaembed.store import (
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 # what `info` prints for each golden model file
@@ -726,6 +730,36 @@ class TestInfo:
     def test_missing_file(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "info", tmp_path / "nope.vec")
         assert code == 2 and "error:" in stderr
+
+    @pytest.mark.parametrize("name, text, error", [
+        ("huge.vec", "1000000000000 1000000000\na 1 2\n", "2: expected 1000000000 values, got 2"),
+        ("huge.model", (GOLDEN / "svdmeta.model").read_text().replace("mean 1 3\n", "mean 1000000000000 1000000000\n"),
+         "4: expected 1000000000 values, got 3"),
+        ("huge.seq", "1 2\n#a 100000000000000000\n1 2\n",
+         "3: expected 100000000000000000 rows in block 'a'; file ends after line 3"),
+    ], ids=["vector", "model", "sequence"])
+    def test_declared_counts_beyond_the_file_exit_2(self, tmp_path, capsys, name, text, error):
+        path = tmp_path / name
+        path.write_text(text)
+        code, stdout, stderr = run(capsys, "info", path)
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines() == [f"error: {path}:{error}"]
+
+    def test_declared_rows_beyond_the_file_exit_2_under_a_memory_limit(self, tmp_path):
+        # 134217728 rows of width 2 would take 2 GiB; the child may map 1 GiB
+        path = tmp_path / "big.seq"
+        path.write_text("1 2\n#a 134217728\n1 2\n")
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from metaembed.cli import main\n"
+                "sys.exit(main(['info', sys.argv[1]]))\n")
+        threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = {**os.environ, **threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.splitlines() == [
+            f"error: {path}:3: expected 134217728 rows in block 'a'; file ends after line 3"]
 
     def test_undecodable_table_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.vec"

@@ -30,6 +30,15 @@ class TestConcat:
             concat_views([np.ones((2, 2)), np.ones((3, 2))])
 
 
+def test_callers_views_come_back_unmutated(rng):
+    views = [rng.normal(size=(12, 3)), rng.normal(size=(12, 2))]
+    before = [v.tobytes() for v in views]
+    svd, gcca = fit_svd_meta(views, 2), fit_gcca(views, 2)
+    for out in (concat_views(views), concat_views(views[:1]), svd.apply(views), gcca.apply(views)):
+        assert not any(np.shares_memory(out, v) for v in views)
+    assert [v.tobytes() for v in views] == before
+
+
 class TestSvdMeta:
     def test_unit_rows(self, rng):
         mats = [rng.normal(size=(30, 4)), rng.normal(size=(30, 3))]

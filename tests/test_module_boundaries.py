@@ -61,8 +61,7 @@ def private_imports(tree):
 
 
 # what cli.py reaches only through store.load_table and datasets.load_dataset
-CLI_FORBIDDEN = frozenset({"read_lines", "sniff_table_kind", "load_sequence_table",
-                           "load_pair_dataset_tsv", "load_class_dataset_tsv", "load_sick_official"})
+CLI_FORBIDDEN = frozenset({"read_lines", "sniff_table_kind", "load_sequence_table"})
 
 
 def names_used(tree) -> set:
@@ -125,11 +124,11 @@ def test_guard_catches_what_it_forbids():
     tree = ast.parse(
         "from .textio import read_lines as rl\n"
         "import metaembed.store.sniff_table_kind\n"
-        "datasets.load_sick_official(p)\n"
+        "store.load_sequence_table(p)\n"
         "h = f'{x} pair_ID'\n"
         "'doc: pair_ID'\n"
     )
-    assert {"read_lines", "sniff_table_kind", "load_sick_official"} <= names_used(tree)
+    assert {"read_lines", "sniff_table_kind", "load_sequence_table"} <= names_used(tree)
     assert literal_lines(tree, "pair_ID") == [4, 5]
 
 

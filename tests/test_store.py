@@ -1,4 +1,5 @@
 import pathlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sequence_table, make_vector_table
-from metaembed import store
+from metaembed import store, textio
 from metaembed.errors import FileFormatError, ValidationError
-from metaembed.modelio import sniff_model_kind
+from metaembed.modelio import read_model, sniff_model_kind
 from metaembed.store import (
     EmbeddingTable,
     SequenceTable,
@@ -190,28 +191,61 @@ class TestVectorTableFormat:
         assert table.ids == ("a", "b") and table.vectors.tolist() == [[1.5], [-2.0]]
 
 
-def load_both_ways(path):
-    """``load_vector_table(path)`` with and without the bulk parser, and whether the bulk parser took it.
+def read_model_blocks(path):
+    return read_model(path, ("SVDMETA", "GCCA"), ["dims"])
 
-    Each outcome is ("ok", ids, array bytes) or (error type, message).
+
+def loaded(obj):
+    """What a loader returned: its ids or block labels, then each array's shape and bytes."""
+    if isinstance(obj, EmbeddingTable):
+        return obj.ids, [(obj.vectors.shape, obj.vectors.tobytes())]
+    names, arrays = (obj.ids, obj.matrices) if isinstance(obj, SequenceTable) else zip(*obj.blocks.items())
+    return tuple(names), [(a.shape, a.tobytes()) for a in arrays]
+
+
+def load_both_ways(path, load=load_vector_table):
+    """``load(path)`` with and without the bulk parser, and whether the bulk parser took any rows.
+
+    Each outcome is ("ok", names, arrays) or (error type, message).
     """
     taken = []
 
-    def spy(lines, n, d):
-        got = real(lines, n, d)
+    def spy(lines, cols, keyed):
+        got = real(lines, cols, keyed)
         taken.append(got is not None)
         return got
 
-    real = store._bulk_rows
+    real = textio._bulk_rows
     outcomes = []
-    for patched in (spy, lambda lines, n, d: None):
-        with mock.patch.object(store, "_bulk_rows", patched):
+    for patched in (spy, lambda lines, cols, keyed: None):
+        with mock.patch.object(textio, "_bulk_rows", patched):
             try:
-                table = load_vector_table(path)
-                outcomes.append(("ok", table.ids, table.vectors.tobytes()))
+                outcomes.append(("ok", *loaded(load(path))))
             except (FileFormatError, ValidationError) as exc:
                 outcomes.append((type(exc).__name__, str(exc)))
     return outcomes[0], outcomes[1], any(taken)
+
+
+def block_texts(text):
+    """Vector table *text* as a sequence table and as a model file, each holding its rows in one block.
+
+    Each row's id becomes the value 0, so the block is one column wider and
+    every row keeps its spacing and line end.
+    """
+    header, _, body = text.partition("\n")
+    n, d = header.split()
+    rows = "\n".join(re.sub(r"^(\s*)\S+", r"\g<1>0", line) for line in body.split("\n"))
+    return f"1 {int(d) + 1}\n#s {n}\n{rows}", f"SVDMETA v1\ndims 1\nmean {n} {int(d) + 1}\n{rows}"
+
+
+def all_ways(path, text):
+    """``load_both_ways`` of vector table *text*, then of its :func:`block_texts`, each written to *path*."""
+    seq, model = block_texts(text)
+    out = []
+    for body, load in [(text, load_vector_table), (seq, load_sequence_table), (model, read_model_blocks)]:
+        path.write_bytes(body.encode("utf-8"))
+        out.append(load_both_ways(path, load))
+    return out
 
 
 # rows the bulk parser must hand to the per-line parser, and the per-line result
@@ -258,15 +292,17 @@ class TestBulkParse:
     @pytest.mark.parametrize("case", sorted(ODD_ROWS))
     def test_odd_rows_fall_back_to_the_per_line_parser(self, case, tmp_path):
         text, expected = ODD_ROWS[case]
-        path = tmp_path / "t.tbl"
-        path.write_bytes(text.encode("utf-8"))
-        bulk, per_line, taken = load_both_ways(path)
+        (bulk, per_line, taken), *blocks = all_ways(tmp_path / "t.tbl", text)
         assert not taken and bulk == per_line
         assert (bulk[0] == "ok") if expected == "ok" else (expected in bulk[1])
+        # the same rows as a sequence block and as a model block: one result either way
+        assert all(bulk == per_line for bulk, per_line, _ in blocks)
 
     def test_golden_table_takes_the_bulk_path(self):
-        bulk, per_line, taken = load_both_ways(GOLDEN / "table.vec")
-        assert taken and bulk == per_line
+        for name, load in [("table.vec", load_vector_table), ("table.seq", load_sequence_table),
+                           ("svdmeta.model", read_model_blocks), ("gcca.model", read_model_blocks)]:
+            bulk, per_line, taken = load_both_ways(GOLDEN / name, load)
+            assert taken and bulk == per_line, name
 
 
 _TOKENS = ["1", "-0", "0.1", "5e-324", "1.7976931348623157e308", "2.5E-3", "+.5", "1.", "1e400", "nan",
@@ -303,9 +339,8 @@ def vector_table_texts(draw):
 @example("1 1\na -nan\n")
 def test_bulk_and_per_line_parsers_agree(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("diff") / "t.tbl"
-    path.write_bytes(text.encode("utf-8"))
-    bulk, per_line, _ = load_both_ways(path)
-    assert bulk == per_line
+    for bulk, per_line, _ in all_ways(path, text):
+        assert bulk == per_line
 
 
 class TestGoldenTables:

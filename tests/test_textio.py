@@ -6,7 +6,7 @@ import pytest
 
 from metaembed import textio
 from metaembed.errors import FileFormatError, ValidationError
-from metaembed.textio import fmt, fmt_row, parse_block, read_lines, write_lines
+from metaembed.textio import fmt, fmt_row, read_lines, read_rows, write_lines
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -118,10 +118,10 @@ class TestValues:
         assert fmt_row([3, 10**20, 0.5]) == "3 1e+20 0.5"
         assert fmt_row([]) == ""
 
-    def test_parse_block_reports_truncation(self, tmp_path):
+    def test_read_rows_reports_truncation(self, tmp_path):
         lines = ["hdr", "1 2", "3 4"]
-        assert np.array_equal(parse_block(lines, 2, 2, 2, "f", "w"), [[1, 2], [3, 4]])
+        assert np.array_equal(read_rows(lines, 2, 2, 2, "f", "w"), [[1, 2], [3, 4]])
         with pytest.raises(FileFormatError, match=r"f:3: expected 3 rows in block 'w'; file ends after line 3"):
-            parse_block(lines, 2, 3, 2, "f", "w")
+            read_rows(lines, 2, 3, 2, "f", "w")
         with pytest.raises(FileFormatError, match=r"f:2: could not parse value 'x'"):
-            parse_block(["1 2", "3 x"], 2, 1, 2, "f", "w")
+            read_rows(["1 2", "3 x"], 2, 1, 2, "f", "w")
