@@ -133,7 +133,7 @@ def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
             raise ValidationError(
                 f"{paths[0]}: missing vector(s) for {len(missing)} pair id(s), e.g. {missing[0]!r}"
             )
-        return EmbeddingTable(ids, table.lookup(ids), copy=False)
+        return EmbeddingTable(ids, table.lookup(ids))
     dynamic = isinstance(model, DynamicModel)
     tables = _load_sequence_like(paths) if dynamic else [load_vector_table(p) for p in paths]
     if ids is None:
@@ -143,14 +143,14 @@ def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
             raise ValidationError(f"no shared ids across the {len(tables)} table(s) (sizes: {sizes})")
     if dynamic:
         return embed_table(model, tables, ids)
-    return EmbeddingTable(ids, model.apply([t.lookup(ids) for t in tables]), copy=False)
+    return EmbeddingTable(ids, model.apply([t.lookup(ids) for t in tables]))
 
 
 def cmd_combine(args) -> int:
     tables = [load_vector_table(p) for p in args.inputs]
     aligned = align_by_id(tables)
     ids, mats = aligned
-    save_vector_table(args.out, EmbeddingTable(ids, concat_views(mats), copy=False))
+    save_vector_table(args.out, EmbeddingTable(ids, concat_views(mats)))
     _write_manifest([args.out], f"{args.out}.manifest.json", args, _digests(args.inputs),
                     metrics={"dropped": list(aligned.dropped)})
     print(f"wrote {args.out}: {len(ids)} rows, width {sum(t.dim for t in tables)}")

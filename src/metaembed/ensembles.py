@@ -43,7 +43,7 @@ _CONSTANT_VIEW_TOL = 1e-12
 
 
 def _check_views(views, min_views: int, min_rows: int = 1) -> list[np.ndarray]:
-    mats = [as_matrix(v, f"view {i}", copy=False) for i, v in enumerate(views)]
+    mats = [as_matrix(v, f"view {i}") for i, v in enumerate(views)]
     if len(mats) < min_views:
         raise ValidationError(f"need at least {min_views} view(s), got {len(mats)}")
     rows = {m.shape[0] for m in mats}

@@ -306,4 +306,4 @@ def embed_table(model, tables, ids) -> EmbeddingTable:
     for start in range(0, len(order), BLOCK_ROWS):
         block = order[start : start + BLOCK_ROWS]
         out[block] = model.embed([sentences[k] for k in block])[0]
-    return EmbeddingTable(ids, out, copy=False)
+    return EmbeddingTable(ids, out)

@@ -9,8 +9,9 @@ eigenvector (and each singular pair, by its v_j) flipped so its
 largest-magnitude entry is positive.  Fitted model files therefore do not
 depend on the backend's sign choices.
 
-Every function here is pure: inputs are never mutated and there is no shared
-state, so calls are safe from concurrent workers.
+Every function here is pure: none writes into an array it was given, and
+only :func:`as_matrix` returns one; a caller that writes makes its own copy.
+There is no shared state, so calls are safe from concurrent workers.
 
 scipy is imported inside :func:`cholesky` and :func:`gen_sym_eig`, its only
 users, so a process that never factors a matrix never loads it.
@@ -48,15 +49,15 @@ class EigenResult(NamedTuple):
     vectors: np.ndarray
 
 
-def as_matrix(a, name: str = "matrix", copy: bool = True) -> np.ndarray:
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return *a* as a 2-d C-ordered float64 array.
 
     Requires at least one row and one column and all entries finite.
-    Raises :class:`ValidationError` otherwise.  The result is a new array
-    (never a view of the input), so callers may mutate it freely; with
-    ``copy=False`` an input that is already such an array comes back as is.
+    Raises :class:`ValidationError` otherwise.  An input that is already
+    such an array is returned itself, anything else converted; a caller that
+    wants to write into the result makes its own copy.
     """
-    m = np.array(a, dtype=np.float64, order="C", copy=True if copy else None)
+    m = np.asarray(a, dtype=np.float64, order="C")
     if m.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -158,7 +159,7 @@ def gen_sym_eig(c, b) -> EigenResult:
     import scipy.linalg
 
     try:
-        values, vectors = scipy.linalg.eigh(cm, bm, overwrite_a=True, check_finite=False)
+        values, vectors = scipy.linalg.eigh(cm, bm, check_finite=False)
     except np.linalg.LinAlgError as exc:
         cholesky(bm)
         raise ConvergenceError(f"generalized eigensolver (LAPACK sygvd) failed: {exc}") from exc

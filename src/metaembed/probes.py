@@ -102,7 +102,7 @@ def _check_features(x, name: str):
     of finite vectors can still overflow.
     """
     if not isinstance(x, PairRows):
-        return as_matrix(x, f"{name} features", copy=False)
+        return as_matrix(x, f"{name} features")
     rows = _gatherer(x, min(x.shape[0], _CHECK_ROWS))
     for start in range(0, x.shape[0], _CHECK_ROWS):
         if not np.all(np.isfinite(rows(slice(start, start + _CHECK_ROWS)))):
@@ -208,8 +208,7 @@ def probe_classification(train_x, train_labels, dev_x, dev_labels, test_x, test_
     tx, tt = _check_split(train_x, onehot(train_labels, "train"), "train")
     dx, dt = _check_split(dev_x, onehot(dev_labels, "dev"), "dev")
     sx, st = _check_split(test_x, onehot(test_labels, "test"), "test")
-    present = set(train_labels)
-    absent = [c for c in classes if c not in present]
+    absent = [c for c, seen in zip(classes, tt.any(axis=0)) if not seen]
     if absent:
         raise ValidationError(f"class {absent[0]!r} has no examples in the train split")
 

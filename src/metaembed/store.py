@@ -58,15 +58,15 @@ def _check_ids(ids) -> tuple[str, ...]:
 class EmbeddingTable:
     """An ordered id -> vector mapping backed by one (N, D) float64 matrix.
 
-    The table holds a copy of *vectors*; with ``copy=False`` it holds an array
-    that is already a C-ordered float64 matrix as is, for callers handing over
-    an array they have just built.
+    The table adopts *vectors* when it is already a C-ordered float64 matrix
+    (see :func:`~metaembed.linalg.as_matrix`) and never writes into it; a
+    caller that goes on writing into the array hands the table a copy.
     """
 
     KIND = "vector-table"
 
-    def __init__(self, ids, vectors, *, copy: bool = True):
-        self.vectors = as_matrix(vectors, "vectors", copy=copy)
+    def __init__(self, ids, vectors):
+        self.vectors = as_matrix(vectors, "vectors")
         self.ids = _check_ids(ids)
         if len(self.ids) != self.vectors.shape[0]:
             raise ValidationError(
@@ -115,21 +115,21 @@ class EmbeddingTable:
 
 
 class SequenceTable:
-    """An ordered id -> (S, D) matrix mapping; all matrices share D."""
+    """An ordered id -> (S, D) matrix mapping, D shared; adopts each matrix as EmbeddingTable does."""
 
     KIND = "sequence-table"
 
     def __init__(self, ids, matrices):
         self.ids = _check_ids(ids)
-        mats = [as_matrix(m, f"sequence {ident!r}") for ident, m in zip(self.ids, matrices)]
-        if len(self.ids) != len(mats):
-            raise ValidationError(f"{len(self.ids)} ids for {len(mats)} sequences")
-        if not mats:
+        matrices = list(matrices)
+        if len(self.ids) != len(matrices):
+            raise ValidationError(f"{len(self.ids)} ids for {len(matrices)} sequences")
+        self.matrices = [as_matrix(m, f"sequence {ident!r}") for ident, m in zip(self.ids, matrices)]
+        if not self.matrices:
             raise ValidationError("sequence table must contain at least one sequence")
-        dims = {m.shape[1] for m in mats}
+        dims = {m.shape[1] for m in self.matrices}
         if len(dims) != 1:
             raise ValidationError(f"sequences have mixed widths: {sorted(dims)}")
-        self.matrices = mats
         self._index = {ident: i for i, ident in enumerate(self.ids)}
 
     @property
@@ -178,7 +178,7 @@ def load_vector_table(path) -> EmbeddingTable:
     """Parse a vector table file."""
     lines = read_lines(path)
     n, d = _parse_header(lines, path)
-    return EmbeddingTable(*read_rows(lines, 2, n, d, path, keyed=True), copy=False)
+    return EmbeddingTable(*read_rows(lines, 2, n, d, path, keyed=True))
 
 
 def save_vector_table(path, table: EmbeddingTable) -> None:
@@ -255,13 +255,13 @@ def save_sequence_table(path, table: SequenceTable) -> None:
 
 
 def sniff_table_kind(path) -> str:
-    """Return ``"sequence"`` if the first data line is a block header, else ``"vector"``."""
+    """``"sequence"`` if the first data row is ``#id S`` (S all digits at D = 1), else ``"vector"``."""
     lines = read_lines(path, limit=2)
-    _parse_header(lines, path)
+    d = _parse_header(lines, path)[1]
     if len(lines) < 2:
         raise truncated(path, lines, "expected at least one data row")
     first = lines[1].split()
-    if first and first[0].startswith("#"):
+    if len(first) == 2 and first[0].startswith("#") and (d > 1 or first[1].isdecimal()):
         return "sequence"
     return "vector"
 

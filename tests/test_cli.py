@@ -667,6 +667,16 @@ class TestInfo:
         assert code == 0
         assert "kind vector-table\nrows 8\ndim 3\n" == stdout
 
+    def test_combined_table_whose_first_id_starts_with_hash(self, tmp_path, rng, capsys):
+        paths = []
+        for k in range(2):
+            paths.append(tmp_path / f"t{k}.vec")
+            save_vector_table(paths[-1], EmbeddingTable(["b", "#a"], rng.normal(size=(2, 3))))
+        assert run(capsys, "combine", "--method", "con", "--inputs", *paths, "--out", tmp_path / "c.vec")[0] == 0
+        assert (tmp_path / "c.vec").read_text().splitlines()[1].startswith("#a ")
+        code, stdout, _ = run(capsys, "info", tmp_path / "c.vec")
+        assert (code, stdout) == (0, "kind vector-table\nrows 2\ndim 6\n")
+
     def test_sequence_table(self, tmp_path, rng, capsys):
         paths = write_seq_tables(tmp_path, rng, ["a", "b"], dims=(2,), max_len=2)
         code, stdout, _ = run(capsys, "info", paths[0])

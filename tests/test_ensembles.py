@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,22 @@ class TestConcat:
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="row count"):
             concat_views([np.ones((2, 2)), np.ones((3, 2))])
+
+
+def test_gcca_fit_peak_memory(rng):
+    # n < k, as in the wide-fit workload: the k x k matrices are the largest arrays.  The fit
+    # peaks at 7.5 k x k and did at 9.5 when every view and matrix it validated was copied.
+    import scipy.linalg  # noqa: F401  (imported before tracing: the peak is the fit's arrays only)
+
+    views = [rng.normal(size=(60, d)) for d in (150, 100, 50)]
+    kxk = 300 * 300 * 8
+    tracemalloc.start()
+    try:
+        fit_gcca(views, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * kxk
 
 
 def test_callers_views_come_back_unmutated(rng):

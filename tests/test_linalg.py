@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_spd, random_symmetric
+from metaembed.ensembles import fit_gcca, fit_svd_meta
 from metaembed.errors import NotPositiveDefiniteError, ValidationError, ZeroRowWarning
 from metaembed.linalg import (
     as_matrix,
@@ -40,11 +41,13 @@ class TestAsMatrix:
         with pytest.raises(ValidationError, match="non-finite"):
             as_matrix([[1.0, np.nan]])
 
-    def test_does_not_alias_input(self):
+    def test_returns_a_conforming_input_itself(self):
         src = np.ones((2, 2))
-        m = as_matrix(src)
-        m[0, 0] = 7.0
-        assert src[0, 0] == 1.0
+        assert as_matrix(src) is src
+        src.flags.writeable = False
+        assert as_matrix(src) is src
+        for other in (src.T, src.astype(np.float32), src[:, :1]):
+            assert as_matrix(other).flags.c_contiguous and as_matrix(other).dtype == np.float64
 
 
 class TestThinSvd:
@@ -354,3 +357,47 @@ def test_sym_eig_trace_property(a):
     values, _ = sym_eig_desc(sym)
     scale = max(1.0, float(np.max(np.abs(sym))))
     assert abs(values.sum() - np.trace(sym)) <= 1e-8 * scale
+
+
+
+def _views(rng):
+    return [rng.normal(size=(9, 3)), rng.normal(size=(9, 2))]
+
+
+# each call with a builder of the array inputs it takes positionally
+_CALLS = {
+    "thin_svd": (lambda rng: [rng.normal(size=(9, 4))], thin_svd),
+    "sym_eig_desc": (lambda rng: [random_symmetric(rng, 4)], sym_eig_desc),
+    "cholesky": (lambda rng: [random_spd(rng, 4)], cholesky),
+    "gen_sym_eig": (lambda rng: [random_symmetric(rng, 4), random_spd(rng, 4)], gen_sym_eig),
+    # a 1 x 1 matrix is both C- and F-ordered, so LAPACK may work on it in place
+    "gen_sym_eig 1x1": (lambda rng: [np.full((1, 1), 2.0), np.full((1, 1), 3.0)], gen_sym_eig),
+    "column_means_and_center": (lambda rng: [rng.normal(size=(9, 4))], column_means_and_center),
+    "l2_normalize_rows": (lambda rng: [rng.normal(size=(9, 4))], l2_normalize_rows),
+    "fit_svd_meta": (_views, lambda *v: fit_svd_meta(v, 2)),
+    "fit_gcca": (_views, lambda *v: fit_gcca(v, 2)),
+    "SvdMetaModel.apply": (_views, lambda *v: fit_svd_meta(v, 2).apply(v)),
+    "GccaModel.apply": (_views, lambda *v: fit_gcca(v, 2).apply(v)),
+}
+
+
+def _result_arrays(out):
+    """Every array in a result: itself, or those in the items of a tuple or the attributes of a model."""
+    if isinstance(out, np.ndarray):
+        return [out]
+    items = out if isinstance(out, (tuple, list)) else getattr(out, "__dict__", {}).values()
+    return [a for item in items for a in _result_arrays(item)]
+
+
+# as_matrix is the one function that returns its input; TestAsMatrix covers it
+@pytest.mark.parametrize("writeable", [True, False])
+@pytest.mark.parametrize("name", list(_CALLS))
+def test_inputs_are_never_written_or_shared(rng, name, writeable):
+    build, call = _CALLS[name]
+    inputs = build(rng)
+    before = [a.tobytes() for a in inputs]
+    for a in inputs:
+        a.flags.writeable = writeable
+    results = _result_arrays(call(*inputs))
+    assert results and [a.tobytes() for a in inputs] == before
+    assert not any(np.shares_memory(r, a) for r in results for a in inputs)

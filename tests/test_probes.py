@@ -106,6 +106,14 @@ class TestConfig:
             probe_classification(x, ["a", "b", "a", "b"], x, ["a", "c", "a", "b"],
                                  x, ["a"] * 4, ("a", "b", "c"))
 
+    def test_train_labels_may_be_an_iterator(self):
+        rng = np.random.default_rng(7)
+        x, labels = class_blocks(rng, 40)
+        config = ProbeConfig(seed=0, epoch_size=4)
+        reports = [probe_classification(x, train, x, labels, x, labels, ("neg", "pos"), config, max_rounds=5)
+                   for train in (iter(labels), labels)]
+        assert reports[0] == reports[1]
+
     def test_row_count_mismatch(self):
         x = np.ones((3, 2))
         with pytest.raises(ValidationError, match="train: 3 feature rows for 2 targets"):

@@ -68,18 +68,14 @@ class TestEmbeddingTable:
         t = EmbeddingTable(["a", "b", "c"], np.zeros((3, 2)))
         assert (t.KIND, t.describe()) == ("vector-table", ["rows 3", "dim 2"])
 
-    def test_constructor_copies_and_copy_false_adopts(self):
+    def test_constructor_adopts_a_conforming_array(self):
         given = np.arange(4.0).reshape(2, 2)
-        copied = EmbeddingTable(["a", "b"], given)
-        given[0, 0] = 99.0
-        assert copied.row("a")[0] == 0.0
-        adopted = EmbeddingTable(["a", "b"], given, copy=False)
-        assert adopted.vectors is given
-        # anything that is not a C-ordered float64 matrix is still converted
-        assert EmbeddingTable(["a", "b"], given.T, copy=False).vectors.flags.c_contiguous
-        assert EmbeddingTable(["a"], [[1, 2]], copy=False).vectors.dtype == np.float64
+        assert EmbeddingTable(["a", "b"], given).vectors is given
+        # anything that is not a C-ordered float64 matrix is converted
+        assert EmbeddingTable(["a", "b"], given.T).vectors.flags.c_contiguous
+        assert EmbeddingTable(["a"], [[1, 2]]).vectors.dtype == np.float64
         with pytest.raises(ValidationError, match="non-finite"):
-            EmbeddingTable(["a"], np.array([[np.nan]]), copy=False)
+            EmbeddingTable(["a"], np.array([[np.nan]]))
 
     def test_loaded_table_holds_the_parsed_array(self, tmp_path, rng):
         path = tmp_path / "t.vec"
@@ -87,13 +83,13 @@ class TestEmbeddingTable:
         made = []
         real = store.as_matrix
 
-        def recording(a, name="matrix", copy=True):
-            made.append(copy)
-            return real(a, name, copy)
+        def recording(a, name="matrix"):
+            made.append(real(a, name) is a)
+            return a
 
         with mock.patch.object(store, "as_matrix", recording):
             load_vector_table(path)
-        assert made == [False]
+        assert made == [True]
 
     def test_indices(self):
         t = EmbeddingTable(["a", "b", "c"], np.zeros((3, 1)))
@@ -403,6 +399,19 @@ class TestSequenceTableFormat:
         assert st.ids == vt.ids and st.dim == 3
         assert all(m.shape == (1, 3) for m in st.matrices)
         assert np.array_equal(st.lookup("w2")[0], vt.row("w2"))
+        assert all(np.shares_memory(m, vt.vectors) for m in st.matrices)
+
+    def test_loaded_blocks_are_views_of_one_array(self, tmp_path):
+        path = tmp_path / "t.seq"
+        path.write_text("2 2\n#a 1\n1 2\n#b 2\n3 4\n5 6\n")
+        a, b = load_sequence_table(path).matrices
+        assert a.base is not None and a.base is b.base
+
+    @pytest.mark.parametrize("ids, count, error", [(["a"], 2, "1 ids for 2 sequences"),
+                                                   (["a", "b"], 1, "2 ids for 1 sequences")])
+    def test_id_and_matrix_counts_must_agree(self, ids, count, error):
+        with pytest.raises(ValidationError, match=error):
+            SequenceTable(ids, [np.ones((1, 2))] * count)
 
     def test_mixed_widths_rejected(self):
         with pytest.raises(ValidationError, match="mixed widths"):
@@ -432,6 +441,23 @@ class TestSniff:
         assert sniff_table_kind(vpath) == "vector"
         assert sniff_table_kind(spath) == "sequence"
         assert sniff_model_kind(mpath) == "GCCA"
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_first_id_starting_with_hash_is_a_vector_row(self, rng, tmp_path, d):
+        # sorted output puts '#' before letters and digits, so combine and apply can write this
+        table = EmbeddingTable(["#a", "b"], rng.normal(size=(2, d)))
+        path = tmp_path / "t.vec"
+        save_vector_table(path, table)
+        back = load_table(path)
+        assert sniff_table_kind(path) == "vector" and isinstance(back, EmbeddingTable)
+        assert back.ids == table.ids and back.vectors.tobytes() == table.vectors.tobytes()
+
+    @pytest.mark.parametrize("row, kind", [("#a 2", "sequence"), ("#a 2.5", "vector"), ("#a -2", "vector"),
+                                           ("a 2", "vector")])
+    def test_width_one_row_is_a_header_only_with_a_digit_count(self, tmp_path, row, kind):
+        path = tmp_path / "t.tbl"
+        path.write_text(f"1 1\n{row}\n")
+        assert sniff_table_kind(path) == kind
 
     def test_load_table_picks_the_loader(self, rng, tmp_path):
         vpath = tmp_path / "v.tbl"
