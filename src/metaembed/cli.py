@@ -47,7 +47,7 @@ from .evaluation import (
     format_report_table,
 )
 from .modelio import sniff_model_kind
-from .probes import ProbeConfig, pair_feature_matrix, pair_rows, probe_classification, probe_relatedness
+from .probes import ProbeConfig, pair_rows, probe_classification, probe_relatedness
 from .store import (
     EmbeddingTable,
     SequenceTable,
@@ -124,7 +124,7 @@ def _load_model(path):
 def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
     """*model*'s vectors for *ids* (default: every shared id) from the tables at *paths*.
 
-    With no model, *paths* holds one table of sentence vectors that must cover *ids*.
+    With no model, *paths* holds one table of sentence vectors that must cover *ids*; it is returned.
     """
     if model is None:
         table = load_vector_table(paths[0])
@@ -133,7 +133,7 @@ def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
             raise ValidationError(
                 f"{paths[0]}: missing vector(s) for {len(missing)} pair id(s), e.g. {missing[0]!r}"
             )
-        return EmbeddingTable(ids, table.lookup(ids))
+        return table
     dynamic = isinstance(model, DynamicModel)
     tables = _load_sequence_like(paths) if dynamic else [load_vector_table(p) for p in paths]
     if ids is None:
@@ -272,18 +272,21 @@ def cmd_eval(args) -> int:
             eval_pairs = dataset.split_pairs("test")
             if not eval_pairs:
                 raise ValidationError(f"{args.dataset}: no pairs in the test split")
-    table = _sentence_vectors(model, args.inputs, _pair_ids(eval_pairs))
+    ids = _pair_ids(eval_pairs)
+    table = _sentence_vectors(model, args.inputs, ids)
     if head:
         report, rows = evaluate_classification(model, table, eval_pairs, task=args.task)
     elif args.task == "sts":
+        # rows in the first-mention order the fingerprint hashes (a model's are); frees the loaded table
+        table = EmbeddingTable(ids, table.lookup(ids)) if model is None else table
         report, rows = evaluate_similarity(table, dataset.pairs, dataset.lo, dataset.hi, task=args.task)
     else:
         splits, drawn = _splits_or_drawn(dataset, args.seed)
         parts = [[dataset.pairs[i] for i in part] for part in splits]
         data = []
-        # the probe gathers train features per minibatch; dev and test are scored whole
-        for features, part in zip((pair_rows, pair_feature_matrix, pair_feature_matrix), parts):
-            data += [features(table, part), [p.label for p in part]]
+        # the probe gathers every split's features from the table a block of rows at a time
+        for part in parts:
+            data += [pair_rows(table, part), [p.label for p in part]]
         if dataset.kind == "score":
             probe = probe_relatedness(*data, probe_config)
         else:

@@ -138,7 +138,7 @@ def fit_svd_meta(views, dim: int) -> SvdMetaModel:
         raise ValidationError(f"dim must be in [1, {min(n, k)}] for {n} rows of width {k}, got {dim}")
     mean, centered = column_means_and_center(x)
     _, s, v = thin_svd(centered)
-    return SvdMetaModel([m.shape[1] for m in mats], mean, v[:, :dim], s[:dim].copy())
+    return SvdMetaModel([m.shape[1] for m in mats], mean, v[:, :dim].copy(), s[:dim].copy())
 
 
 class GccaModel:

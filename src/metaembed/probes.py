@@ -19,11 +19,11 @@ Weights start from a seeded Xavier draw rather than zero: an all-zero probe
 predicts the same score everywhere, and a constant prediction has no
 defined correlation with anything.
 
-Features are the [u; v; |u-v|; u*v] rows of sentence pairs, given as
-matrices.  The train split may instead be given as :class:`PairRows`, the
-pairs' row indices into a table of sentence vectors: the probe then gathers
-each minibatch's features into one reused buffer, so the (n, 4D) matrix is
-never built, and the weights are bitwise those trained on that matrix.
+Features are the [u; v; |u-v|; u*v] rows of sentence pairs.  Any split may
+give them as a matrix or as :class:`PairRows`, the pairs' row indices into a
+table of sentence vectors, gathered a minibatch (training) or 256 rows (dev
+and test scoring) at a time into one reused buffer: no (n, 4D) matrix is
+built, and both forms give bitwise-equal weights and reports at any size.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ __all__ = [
 # inside one tenacity window of rounds, which the stated protocol relies on
 _PROBE_LR = 1e-2
 _SCORE_BINS = np.arange(1.0, 6.0)  # integer bin values 1..5
-_CHECK_ROWS = 256  # pairs gathered at a time to check train features for overflow
+_CHECK_ROWS = 256  # pairs gathered at a time to check features for overflow and to score them
 
 
 class ProbeConfig(NamedTuple):
@@ -103,9 +103,9 @@ def _check_features(x, name: str):
     """
     if not isinstance(x, PairRows):
         return as_matrix(x, f"{name} features")
-    rows = _gatherer(x, min(x.shape[0], _CHECK_ROWS))
-    for start in range(0, x.shape[0], _CHECK_ROWS):
-        if not np.all(np.isfinite(rows(slice(start, start + _CHECK_ROWS)))):
+    blocks, rows = _blocks(x)
+    for block in blocks:
+        if not np.all(np.isfinite(rows(block))):
             raise ValidationError(f"{name} features contains non-finite entries")
     return x
 
@@ -180,8 +180,24 @@ def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: 
     return (w, b), ProbeHistory(rounds, best_round, stopped_early, curve)
 
 
+def _blocks(x) -> tuple:
+    """Blocks of min(n, _CHECK_ROWS) rows covering *x*'s n rows, the last ending at n, and a gatherer."""
+    size = min(x.shape[0], _CHECK_ROWS)
+    starts = [*range(0, x.shape[0] - size, _CHECK_ROWS), x.shape[0] - size]
+    return [slice(s, s + size) for s in starts], _gatherer(x, size)
+
+
+def _logits(x, w, b) -> np.ndarray:
+    """x @ w.T + b in products of one block shape, since BLAS rows can depend on the row count."""
+    blocks, rows = _blocks(x)
+    out = np.empty((x.shape[0], w.shape[0]))
+    for block in blocks:
+        out[block] = rows(block) @ w.T + b
+    return out
+
+
 def _softmax_rows(x, w, b) -> np.ndarray:
-    logits = x @ w.T + b
+    logits = _logits(x, w, b)
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
 
@@ -213,15 +229,15 @@ def probe_classification(train_x, train_labels, dev_x, dev_labels, test_x, test_
         raise ValidationError(f"class {absent[0]!r} has no examples in the train split")
 
     def dev_metric(w, b):
-        pred = np.argmax(dx @ w.T + b, axis=1)
+        pred = np.argmax(_logits(dx, w, b), axis=1)
         return accuracy(np.argmax(dt, axis=1).tolist(), pred.tolist())
 
     (w, b), history = _train_softmax(tx, tt, dev_metric, config, max_rounds)
     dev = dev_metric(w, b)
-    test_pred = np.argmax(sx @ w.T + b, axis=1)
+    test_pred = np.argmax(_logits(sx, w, b), axis=1)
     test = accuracy(np.argmax(st, axis=1).tolist(), test_pred.tolist())
     predictions = [classes[i] for i in test_pred]
-    return ProbeReport("accuracy", dev, test, tx.shape[0], len(dx), len(sx), history, predictions)
+    return ProbeReport("accuracy", dev, test, tx.shape[0], dx.shape[0], sx.shape[0], history, predictions)
 
 
 def relatedness_targets(scores) -> np.ndarray:
@@ -253,11 +269,12 @@ def probe_relatedness(train_x, train_scores, dev_x, dev_scores, test_x, test_sco
                       config: ProbeConfig = ProbeConfig(), max_rounds: int = 200) -> ProbeReport:
     """Train a score probe; metric is Pearson correlation on dev and test."""
     _check_config(config)
-    tx, tt = _check_split(train_x, relatedness_targets(train_scores), "train")
-    dx, _ = _check_split(dev_x, relatedness_targets(dev_scores), "dev")
-    sx, _ = _check_split(test_x, relatedness_targets(test_scores), "test")
-    dev_gold = np.asarray(dev_scores, dtype=np.float64).reshape(-1)
-    test_gold = np.asarray(test_scores, dtype=np.float64).reshape(-1)
+    # each split's scores are read once, into the array its targets and gold both come from
+    train_gold, dev_gold, test_gold = (np.asarray(list(s), dtype=np.float64).reshape(-1)
+                                       for s in (train_scores, dev_scores, test_scores))
+    tx, tt = _check_split(train_x, relatedness_targets(train_gold), "train")
+    dx, _ = _check_split(dev_x, relatedness_targets(dev_gold), "dev")
+    sx, _ = _check_split(test_x, relatedness_targets(test_gold), "test")
 
     def dev_metric(w, b):
         return pearson(relatedness_score(_softmax_rows(dx, w, b)), dev_gold)
@@ -266,7 +283,7 @@ def probe_relatedness(train_x, train_scores, dev_x, dev_scores, test_x, test_sco
     dev = dev_metric(w, b)
     test_pred = relatedness_score(_softmax_rows(sx, w, b))
     test = pearson(test_pred, test_gold)
-    return ProbeReport("pearson", dev, test, tx.shape[0], len(dx), len(sx), history, test_pred.tolist())
+    return ProbeReport("pearson", dev, test, tx.shape[0], dx.shape[0], sx.shape[0], history, test_pred.tolist())
 
 
 def pair_features(u, v, out=None) -> np.ndarray:
@@ -292,8 +309,8 @@ def _fill_features(quarters, u, v) -> None:
 class PairRows(NamedTuple):
     """Sentence pairs as row indices into one (N, D) matrix of sentence vectors.
 
-    Stands in for the pairs' :func:`pair_feature_matrix` as a probe's train
-    features; ``shape`` is that matrix's shape.
+    Stands in for the pairs' :func:`pair_feature_matrix` as a probe's
+    features for any split; ``shape`` is that matrix's shape.
     """
 
     vectors: np.ndarray

@@ -513,28 +513,58 @@ class TestEval:
         assert 0.0 <= report["value"] <= 100.0
         assert report["n"] == 6
 
-    def test_probe_peak_memory_stays_below_the_train_feature_matrix(self, tmp_path, rng, capsys,
-                                                                     monkeypatch):
-        # 3000 pairs of 256-wide vectors: the 2100 x 1024 train feature matrix (17 MB) is
-        # the largest array a probe could build, forty times the table
-        monkeypatch.chdir(tmp_path)
+    def probe_inputs(self, tmp_path, rng, task):
+        """A 200 x 256 table and 3000 pairs over it, drawn 2100/300/600 by eval's seeded split."""
         n_ids, dim, n_pairs = 200, 256, 3000
         ids = [f"s{i}" for i in range(n_ids)]
         save_vector_table(tmp_path / "sent.vec", EmbeddingTable(ids, rng.normal(size=(n_ids, dim))))
-        classes = ("entailment", "neutral", "contradiction")
+        labels = ("entailment", "neutral", "contradiction") if task == "nli" else ("1.0", "3.0", "5.0")
         picks = rng.integers(0, n_ids, size=(n_pairs, 2))
-        rows = [(ids[i], ids[j], classes[(i + j) % 3]) for i, j in picks]
-        pairs = write_canonical(tmp_path / "nli.tsv", rows)
-        train_matrix_bytes = 2100 * 4 * dim * 8
+        rows = [(ids[i], ids[j], labels[(i + j) % 3]) for i, j in picks]
+        return tmp_path / "sent.vec", write_canonical(tmp_path / "pairs.tsv", rows), dim
+
+    def traced_probe_peak(self, capsys, task, table, pairs):
         tracemalloc.start()
         try:
-            code, stdout, _ = run(capsys, "eval", "nli", "--inputs", tmp_path / "sent.vec",
+            code, stdout, _ = run(capsys, "eval", task, "--inputs", table,
                                   "--dataset", pairs, "--epoch-size", 1, "--tenacity", 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0 and report_of(stdout)["n"] == 600
-        assert peak < train_matrix_bytes
+        return peak
+
+    def test_probe_peak_memory_stays_below_the_train_feature_matrix(self, tmp_path, rng, capsys,
+                                                                     monkeypatch):
+        # 3000 pairs of 256-wide vectors: the 2100 x 1024 train feature matrix (17 MB) is
+        # the largest array a probe could build, forty times the table
+        monkeypatch.chdir(tmp_path)
+        table, pairs, dim = self.probe_inputs(tmp_path, rng, "nli")
+        assert self.traced_probe_peak(capsys, "nli", table, pairs) < 2100 * 4 * dim * 8
+
+    @pytest.mark.parametrize("task", ["nli", "sick-r"])
+    def test_probe_peak_memory_stays_below_the_dev_and_test_feature_matrices(
+            self, tmp_path, rng, capsys, monkeypatch, task):
+        # dev and test are scored a block of rows at a time from the loaded table: the
+        # 300 x 1024 dev and 600 x 1024 test feature matrices (7.0 MiB together) are never built
+        monkeypatch.chdir(tmp_path)
+        table, pairs, dim = self.probe_inputs(tmp_path, rng, task)
+        assert self.traced_probe_peak(capsys, task, table, pairs) < (300 + 600) * 4 * dim * 8
+
+    @pytest.mark.parametrize("task", ["sick-r", "sick-e"])
+    def test_probe_manifest_n_is_the_test_split_size(self, tmp_path, rng, capsys, monkeypatch, task):
+        # 257 test pairs: one full scoring block and one that overlaps it
+        monkeypatch.chdir(tmp_path)
+        official, n = write_official(tmp_path / "official.txt", n_train=40, n_dev=10, n_test=257)
+        ids = [f"{k}_{side}" for k in range(1, n + 1) for side in ("A", "B")]
+        save_vector_table(tmp_path / "sent.vec", EmbeddingTable(ids, rng.normal(size=(len(ids), 4))))
+        out = tmp_path / "preds.tsv"
+        code, stdout, _ = run(capsys, "eval", task, "--inputs", tmp_path / "sent.vec",
+                              "--dataset", official, "--out", out)
+        assert code == 0
+        manifest = json.loads((tmp_path / "preds.tsv.manifest.json").read_text())
+        assert manifest["metrics"]["n"] == report_of(stdout)["n"] == 257
+        assert len(out.read_text().splitlines()) == 1 + 257
 
     def test_dynamic_model_scores_official_test_split(self, tmp_path, rng, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -582,6 +612,19 @@ class TestEval:
                               "--dataset", official)
         assert code == 0
         assert report_of(stdout)["n"] == n
+
+    def test_sts_with_a_model_reports_as_on_the_applied_table(self, tmp_path, rng, capsys, monkeypatch):
+        # the fingerprint hashes the pair ids' vectors, however the table was built
+        monkeypatch.chdir(tmp_path)
+        ids, paths = write_vec_tables(tmp_path, rng, n=12)
+        pairs = write_canonical(tmp_path / "pairs.tsv",
+                                [(ids[k], ids[(5 * k + 3) % 12], f"{1 + k % 5}.0") for k in range(12)])
+        model, applied = tmp_path / "m.model", tmp_path / "meta.vec"
+        assert run(capsys, "fit", "--method", "svd", "--inputs", *paths, "--d", 3, "--out", model)[0] == 0
+        assert run(capsys, "apply", model, "--inputs", *paths, "--out", applied)[0] == 0
+        reports = [run(capsys, "eval", "sts", *args, "--dataset", pairs)[1]
+                   for args in ([model, "--inputs", *paths], ["--inputs", applied])]
+        assert report_of(reports[0]) == report_of(reports[1])
 
     def test_official_export_is_named_by_its_path(self, tmp_path, rng, capsys):
         official, n = write_official(tmp_path / "official.txt", n_train=4, n_dev=0, n_test=0)

@@ -79,6 +79,13 @@ class TestSvdMeta:
             assert min(np.max(np.abs(proj[:, k] - expect[:, k])),
                        np.max(np.abs(proj[:, k] + expect[:, k]))) <= 1e-9
 
+    def test_projection_owns_its_data(self, rng):
+        # a view would keep the whole (k, r) right-singular matrix alive
+        mats = [rng.normal(size=(60, 200)), rng.normal(size=(60, 100))]
+        model = fit_svd_meta(mats, 20)
+        assert model.projection.shape == (300, 20)
+        assert model.projection.base is None and model.projection.flags.c_contiguous
+
     def test_dot_products_are_cosines(self, rng):
         mats = [rng.normal(size=(12, 3)), rng.normal(size=(12, 4))]
         model = fit_svd_meta(mats, 3)

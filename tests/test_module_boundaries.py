@@ -60,8 +60,9 @@ def private_imports(tree):
     return sorted(found)
 
 
-# what cli.py reaches only through store.load_table and datasets.load_dataset
-CLI_FORBIDDEN = frozenset({"read_lines", "sniff_table_kind", "load_sequence_table"})
+# what cli.py reaches only through store.load_table and datasets.load_dataset, and the
+# feature matrix it leaves unbuilt: probes gather every split from the table
+CLI_FORBIDDEN = frozenset({"read_lines", "sniff_table_kind", "load_sequence_table", "pair_feature_matrix"})
 
 
 def names_used(tree) -> set:

@@ -7,7 +7,9 @@ from metaembed.optim import Adam
 from metaembed.probes import (
     PairRows,
     ProbeConfig,
+    _blocks,
     _check_split,
+    _logits,
     _train_softmax,
     pair_feature_matrix,
     pair_features,
@@ -210,6 +212,14 @@ class TestRelatednessProbe:
         assert len(rep.test_predictions) == 120
         assert all(1.0 <= p <= 5.0 for p in rep.test_predictions)
 
+    def test_scores_may_be_iterators(self):
+        rng = np.random.default_rng(7)
+        x, s = score_blocks(rng, 40)
+        config = ProbeConfig(seed=0, epoch_size=4)
+        reports = [probe_relatedness(x, f(s), x, f(s), x, f(s), config, max_rounds=5)
+                   for f in (iter, list)]
+        assert reports[0] == reports[1]
+
     def test_shuffled_scores_stay_near_zero(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(510, 8))
@@ -354,19 +364,46 @@ class TestPerMinibatchFeatures:
         (w_x, b_x), history_x = _train_softmax(x, targets, dev_eval, config, 6)
         assert (w_x.tobytes(), b_x.tobytes(), history_x) == (w.tobytes(), b.tobytes(), history)
 
-    @pytest.mark.parametrize("n_pairs, batch_size", [(120, 16), (123, 16), (20, 64)])
-    def test_probes_match_on_rows_and_on_matrices(self, n_pairs, batch_size):
-        table, pairs, labels, scores = self.fixture(n_pairs)
-        splits = [slice(0, n_pairs // 2), slice(n_pairs // 2, 3 * n_pairs // 4), slice(3 * n_pairs // 4, None)]
+    # dev and test sizes around the 256-row scoring block, at widths 4D = 20 and 4D = 1024;
+    # the first three ids name the pair count and batch size
+    @pytest.mark.parametrize("n_train, n_eval, dim, batch_size", [
+        pytest.param(60, 30, 5, 16, id="120-16"), pytest.param(61, 31, 5, 16, id="123-16"),
+        pytest.param(10, 5, 5, 64, id="20-64"),
+        *(pytest.param(60, n, 256, 16, id=f"width256-eval{n}") for n in (1, 255, 256, 257, 700))])
+    def test_probes_match_on_rows_and_on_matrices(self, n_train, n_eval, dim, batch_size):
+        table, pairs, labels, scores = self.fixture(n_train + 2 * n_eval, dim=dim)
+        splits = [slice(0, n_train), slice(n_train, n_train + n_eval), slice(n_train + n_eval, None)]
         config = ProbeConfig(batch_size=batch_size, epoch_size=2, tenacity=2, seed=1)
         for targets, probe, extra in ((labels, probe_classification, [("hi", "lo", "mid")]),
                                       (scores, probe_relatedness, [])):
-            on_rows = [pair_rows(table, pairs[splits[0]]), targets[splits[0]]]
-            on_matrix = []
+            on_rows, on_matrix = [], []
             for s in splits:
+                on_rows += [pair_rows(table, pairs[s]), targets[s]]
                 on_matrix += [pair_feature_matrix(table, pairs[s]), targets[s]]
-            assert probe(*on_rows, *on_matrix[2:], *extra, config, max_rounds=8) == probe(
-                *on_matrix, *extra, config, max_rounds=8)
+            if probe is probe_relatedness and n_eval < 2:
+                for data in (on_rows, on_matrix):
+                    with pytest.raises(ValidationError, match="need at least two points"):
+                        probe(*data, *extra, config, max_rounds=8)
+                continue
+            report = probe(*on_rows, *extra, config, max_rounds=8)
+            assert report == probe(*on_matrix, *extra, config, max_rounds=8)
+            assert (report.n_train, report.n_dev, report.n_test) == (n_train, n_eval, n_eval)
+            assert len(report.test_predictions) == n_eval
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 700])
+    def test_scoring_blocks_have_one_shape_and_cover_every_row(self, n):
+        table, pairs, _, _ = self.fixture(n, dim=256)
+        x, rows = pair_feature_matrix(table, pairs), pair_rows(table, pairs)
+        blocks, _ = _blocks(x)
+        assert {b.stop - b.start for b in blocks} == {min(n, 256)}
+        assert blocks[-1].stop == n
+        assert sorted(set(np.concatenate([np.arange(n)[b] for b in blocks]))) == list(range(n))
+        rng = np.random.default_rng(n)
+        for n_out in (3, 5):  # the probe heads' widths
+            w, b = rng.normal(size=(n_out, 1024)), rng.normal(size=n_out)
+            logits = _logits(x, w, b)
+            assert logits.tobytes() == _logits(rows, w, b).tobytes()
+            assert np.allclose(logits, x @ w.T + b, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("late", [False, True])
