@@ -10,8 +10,9 @@ Three combiners are provided:
 * generalized CCA: per-view linear maps into one shared d-dimensional space,
   found from the generalized eigenproblem  C theta = rho B theta  where B is
   the block diagonal of regularized per-view covariances and C holds the
-  cross-view covariance blocks (diagonal blocks zeroed).  Applying the model
-  sums the per-view projections of the centered inputs.
+  cross-view covariance blocks (diagonal blocks zeroed), solved by whitening
+  each view: theta_j = W_j^T u_j with W_j = L_j^-1 and L_j L_j^T = B_j.
+  Applying the model sums the per-view projections of the centered inputs.
 
 Covariances use the population divisor n.  The per-view regularizer adds
 (tau / d_i) * trace(cov_i) to every diagonal entry of cov_i, so tau is a
@@ -22,12 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, NotPositiveDefiniteError, ValidationError
 from .linalg import (
     as_matrix,
+    cholesky,
     column_means_and_center,
-    gen_sym_eig,
     l2_normalize_rows,
+    lead_signs,
+    sym_eig_desc,
     thin_svd,
 )
 from .modelio import read_model, write_model
@@ -201,13 +204,22 @@ class GccaModel:
         return mf.build(cls, mf.ints("dims"), mf.one("tau", float), means, projections, mf.row("eigs"))
 
 
+def _gcca_metric(c: np.ndarray, tau: float) -> np.ndarray:
+    """One view's block of the GCCA metric: its covariance plus (tau / d) trace on the diagonal."""
+    block = c.T @ c / c.shape[0]
+    block[np.diag_indices(c.shape[1])] += (tau / c.shape[1]) * np.trace(block)
+    return block
+
+
 def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
     """Fit generalized CCA on aligned views.
 
-    Builds the metric B from regularized per-view covariances and the
-    cross-covariance matrix C with zeroed diagonal blocks, then keeps the
-    top *dim* generalized eigenvectors.  Each kept eigenpair is checked
-    against the residual bound ||C t - rho B t|| <= 1e-7 (1 + |rho|) ||B||_F.
+    Whitens each centered view by the inverse Cholesky factor of its block
+    B_j of the metric, keeps the top *dim* eigenpairs of the whitened
+    cross-covariance (the one k x k matrix built) and maps them back.  A
+    singular B_j raises :class:`NotPositiveDefiniteError` naming its pivot's
+    index in the concatenated width.  Each kept pair must meet the bound
+    ||C t - rho B t|| <= 1e-7 (1 + |rho|) ||B||_F, with C t computed from the views.
     """
     tau = _check_tau(tau)
     mats = _check_views(views, min_views=2, min_rows=2)
@@ -216,31 +228,38 @@ def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
     if not 1 <= dim <= k:
         raise ValidationError(f"dim must be in [1, {k}], got {dim}")
     n = mats[0].shape[0]
-    means = []
-    centered = []
+    offsets = np.cumsum([0, *widths]).tolist()
+    spans = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+    means, centered, whiteners = [], [], []
+    whitened = np.empty((n, k))
     for j, m in enumerate(mats):
         mu, c = column_means_and_center(m)
         scale = max(1.0, float(np.max(np.abs(m))))
         if float(np.max(np.abs(c))) <= _CONSTANT_VIEW_TOL * scale:
             raise ValidationError(f"view {j} is constant over the fit rows")
+        try:
+            w = np.linalg.inv(cholesky(_gcca_metric(c, tau)))
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError(offsets[j] + exc.pivot_index, exc.pivot_value) from None
+        whitened[:, spans[j]] = c @ w.T
         means.append(mu)
         centered.append(c)
-    x = np.hstack(centered)
-    cov = x.T @ x / n
-    bmat = np.zeros_like(cov)
-    cross = cov.copy()
-    offsets = np.concatenate(([0], np.cumsum(widths)))
-    for j, dj in enumerate(widths):
-        sl = slice(offsets[j], offsets[j + 1])
-        block = cov[sl, sl].copy()
-        block[np.diag_indices(dj)] += (tau / dj) * np.trace(block)
-        bmat[sl, sl] = block
-        cross[sl, sl] = 0.0
-    values, vectors = gen_sym_eig(cross, bmat)
+        whiteners.append(w)
+    cross = whitened.T @ whitened
+    del whitened  # not held through the eigensolve
+    cross /= n
+    for s in spans:
+        cross[s, s] = 0.0
+    values, vectors = sym_eig_desc(cross)
     rho = values[:dim].copy()
-    theta = vectors[:, :dim]
-    residual = cross @ theta - (bmat @ theta) * rho
-    bnorm = float(np.linalg.norm(bmat))
+    theta = np.vstack([w.T @ vectors[s, :dim] for s, w in zip(spans, whiteners)])
+    theta *= lead_signs(theta)
+    projections = [theta[s].copy() for s in spans]
+    mapped = sum(c @ p for c, p in zip(centered, projections))
+    metric = [_gcca_metric(c, tau) for c in centered]  # built again, not kept through the eigensolve
+    residual = np.vstack([c.T @ (mapped - c @ p) / n - (b @ p) * rho
+                          for c, b, p in zip(centered, metric, projections)])
+    bnorm = float(np.sqrt(sum(np.sum(b * b) for b in metric)))
     for t in range(dim):
         r = float(np.linalg.norm(residual[:, t]))
         bound = 1e-7 * (1.0 + abs(rho[t])) * bnorm
@@ -248,5 +267,4 @@ def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
             raise ConvergenceError(
                 f"generalized eigenpair {t} residual {r:.3e} exceeds bound {bound:.3e}"
             )
-    projections = [theta[offsets[j] : offsets[j + 1]].copy() for j in range(len(mats))]
     return GccaModel(widths, tau, means, projections, rho)

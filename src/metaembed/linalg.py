@@ -1,20 +1,17 @@
 """Dense linear-algebra kernels used by every combiner.
 
-Thin SVD, symmetric and generalized symmetric-definite eigendecompositions,
-Cholesky factorization, column centering and row normalization.  All
-arithmetic is 64-bit.  Each factorization is one LAPACK call (``gesdd``,
-``syevd``, ``sygvd``, ``potrf``) with a deterministic order and sign
-convention on top: eigenvalues descending, ties in backend output order, each
-eigenvector (and each singular pair, by its v_j) flipped so its
+Thin SVD, symmetric eigendecomposition, Cholesky factorization, column
+centering and row normalization, on numpy alone.  All arithmetic is 64-bit.
+Each factorization is one LAPACK call through ``numpy.linalg`` (``gesdd``,
+``syevd``, ``potrf``) with a deterministic order and sign convention on top:
+eigenvalues descending, ties in backend output order, each eigenvector (and
+each singular pair, by its v_j) flipped by :func:`lead_signs` so its
 largest-magnitude entry is positive.  Fitted model files therefore do not
 depend on the backend's sign choices.
 
 Every function here is pure: none writes into an array it was given, and
 only :func:`as_matrix` returns one; a caller that writes makes its own copy.
 There is no shared state, so calls are safe from concurrent workers.
-
-scipy is imported inside :func:`cholesky` and :func:`gen_sym_eig`, its only
-users, so a process that never factors a matrix never loads it.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ __all__ = [
     "thin_svd",
     "sym_eig_desc",
     "cholesky",
-    "gen_sym_eig",
+    "lead_signs",
     "column_means_and_center",
     "l2_normalize_rows",
 ]
@@ -70,25 +67,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
-    asym = float(np.max(np.abs(a - a.T)))
+    asym = float(np.max(a - a.T))  # a - a.T is antisymmetric: its max is its largest magnitude
     tol = 1e-10 * max(1.0, float(np.max(np.abs(a))))
     if asym > tol:
         raise ValidationError(f"{name} is not symmetric: max asymmetry {asym:.6g}")
 
 
-def _lead_signs(v: np.ndarray) -> np.ndarray:
-    """Per-column +1/-1 that makes each column's largest-magnitude entry positive."""
-    lead = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[lead, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    return signs
-
-
-def _descending(values: np.ndarray, vectors: np.ndarray) -> EigenResult:
-    """Eigenpairs sorted descending (ties in backend order) with fixed signs."""
-    order = np.argsort(-values, kind="stable")
-    vectors = vectors[:, order]
-    return EigenResult(values[order], vectors * _lead_signs(vectors))
+def lead_signs(v: np.ndarray) -> np.ndarray:
+    """Per-column +1/-1 that makes each column's largest-magnitude entry (the first, on a tie) positive."""
+    cols = np.arange(v.shape[1])
+    hi, lo = np.argmax(v, axis=0), np.argmin(v, axis=0)
+    top, bottom = v[hi, cols], -v[lo, cols]
+    return np.where((top > bottom) | ((top == bottom) & (hi <= lo)), 1.0, -1.0)
 
 
 def thin_svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,7 +98,7 @@ def thin_svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"(LAPACK gesdd, 30 sweeps per superdiagonal): {exc}"
         ) from exc
     v = vh.T
-    signs = _lead_signs(v)
+    signs = lead_signs(v)
     return u * signs, s, v * signs
 
 
@@ -122,7 +112,14 @@ def sym_eig_desc(a) -> EigenResult:
     """
     m = as_matrix(a)
     _check_symmetric(m, "matrix")
-    return _descending(*np.linalg.eigh(m))
+    try:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver (LAPACK syevd) did not converge: {exc}") from exc
+    order = np.argsort(-values, kind="stable")
+    vectors = vectors[:, order]
+    vectors *= lead_signs(vectors)
+    return EigenResult(values[order], vectors)
 
 
 def cholesky(a) -> np.ndarray:
@@ -130,40 +127,26 @@ def cholesky(a) -> np.ndarray:
 
     LAPACK ``potrf`` on the lower triangle.  Raises
     :class:`NotPositiveDefiniteError` naming the failing pivot index and its
-    value when the input is not positive definite.
+    value when the input is not positive definite: the pivot is the first j
+    whose leading (j+1) x (j+1) block fails, found by bisection, and its value
+    is a[j, j] - |L_j^-1 a[:j, j]|^2 with L_j the factor of the block before it.
     """
     m = as_matrix(a)
     _check_symmetric(m, "matrix")
-    import scipy.linalg
-
-    low, info = scipy.linalg.lapack.dpotrf(m, lower=1, clean=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(info - 1, float(low[info - 1, info - 1]))
-    return low
-
-
-def gen_sym_eig(c, b) -> EigenResult:
-    """Solve c @ vec = val * b @ vec for symmetric c and SPD b.
-
-    One LAPACK ``sygvd`` call; the eigenvectors are b-orthonormal
-    (vec.T @ b @ vec = I).  Eigenvalues come out descending; sign and tie
-    conventions follow :func:`sym_eig_desc`.  A b that is not positive
-    definite raises :class:`NotPositiveDefiniteError` naming its pivot.
-    """
-    cm = as_matrix(c, "c")
-    bm = as_matrix(b, "b")
-    _check_symmetric(cm, "c")
-    _check_symmetric(bm, "b")
-    if cm.shape != bm.shape:
-        raise ValidationError(f"c and b must have the same shape, got {cm.shape} and {bm.shape}")
-    import scipy.linalg
-
     try:
-        values, vectors = scipy.linalg.eigh(cm, bm, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        cholesky(bm)
-        raise ConvergenceError(f"generalized eigensolver (LAPACK sygvd) failed: {exc}") from exc
-    return _descending(values, vectors)
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        pass
+    good, bad = 0, m.shape[0]  # leading blocks of these orders factor and fail
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(m[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    row = np.linalg.solve(np.linalg.cholesky(m[:good, :good]), m[:good, good])
+    raise NotPositiveDefiniteError(good, float(m[good, good] - row @ row))
 
 
 def column_means_and_center(m) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ path and the 1-based line number.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -182,11 +183,10 @@ def load_vector_table(path) -> EmbeddingTable:
 
 
 def save_vector_table(path, table: EmbeddingTable) -> None:
-    """Write *table* in the vector table format (17 significant digits)."""
+    """Write *table* in the vector table format (17 significant digits), one row formatted at a time."""
     row = "%s " + row_format(table.dim)
-    out = [f"{len(table)} {table.dim}"]
-    out += [row % (ident, *values) for ident, values in zip(table.ids, table.vectors.tolist())]
-    write_lines(path, out)
+    rows = (row % (ident, *values.tolist()) for ident, values in zip(table.ids, table.vectors))
+    write_lines(path, itertools.chain([f"{len(table)} {table.dim}"], rows))
 
 
 def load_sequence_table(path) -> SequenceTable:

@@ -12,7 +12,8 @@ does not hold: in one C pass where they are plainly laid out, and one value
 at a time otherwise, which reads the same numbers and names the line of the
 first fault.  A write goes to a temporary file next to the destination, which
 then replaces the destination in one step: a write that fails leaves the old
-file as it was and no temporary file behind.
+file as it was and no temporary file behind.  Lines go out a bounded chunk at
+a time, so a writer that passes them lazily never holds its file's text whole.
 """
 
 from __future__ import annotations
@@ -66,21 +67,26 @@ def read_lines(path, limit: int | None = None) -> list[str]:
     return lines
 
 
+_CHUNK_LINES = 256  # per write: a sliver of a large file, yet few calls per file
+
+
 def write_lines(path, lines) -> None:
     """Replace *path* with *lines*, each ended by LF, in one atomic step.
 
-    The new file gets the mode a plain ``open(path, "w")`` would give it
-    (0666 less the umask).  An OS error raises :class:`ValidationError`
+    *lines* may be any iterable of strings, consumed a bounded chunk at a
+    time.  The new file gets the mode a plain ``open(path, "w")`` would give
+    it (0666 less the umask).  An OS error raises :class:`ValidationError`
     naming *path*.
     """
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    lines = iter(lines)
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with open(fd, "wb") as f:
-            f.write(data)
+            while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+                f.write(("\n".join(chunk) + "\n").encode("utf-8"))
         os.replace(tmp, path)
     except OSError as exc:
         raise ValidationError(f"{path}: cannot write file: {exc.strerror or exc}") from exc

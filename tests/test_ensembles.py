@@ -1,4 +1,5 @@
 import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from metaembed.ensembles import (
 )
 from metaembed.errors import NotPositiveDefiniteError, ValidationError
 from metaembed.evaluation import cosine, pearson
+from metaembed.linalg import cholesky
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -33,9 +35,9 @@ class TestConcat:
 
 def test_gcca_fit_peak_memory(rng):
     # n < k, as in the wide-fit workload: the k x k matrices are the largest arrays.  The fit
-    # peaks at 7.5 k x k and did at 9.5 when every view and matrix it validated was copied.
-    import scipy.linalg  # noqa: F401  (imported before tracing: the peak is the fit's arrays only)
-
+    # peaks at 3.6 k x k: the whitened cross-covariance, the eigenvectors and their sorted copy,
+    # plus the per-view whiteners.  With a dense metric and scipy's generalized solver it
+    # peaked at 7.5, and at 9.5 when every view and matrix it validated was also copied.
     views = [rng.normal(size=(60, d)) for d in (150, 100, 50)]
     kxk = 300 * 300 * 8
     tracemalloc.start()
@@ -44,7 +46,8 @@ def test_gcca_fit_peak_memory(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * kxk
+    assert peak < 4 * kxk
+    assert "scipy" not in sys.modules
 
 
 def test_callers_views_come_back_unmutated(rng):
@@ -128,7 +131,59 @@ class TestSvdMeta:
             assert np.max(np.abs(single[0] - batch[i])) <= 1e-12
 
 
+def dense_problem(views, tau):
+    """C (diagonal blocks zeroed) and B of GCCA's generalized eigenproblem, built densely."""
+    x = np.hstack([v - v.mean(axis=0) for v in views])
+    cov = x.T @ x / len(x)
+    c, b = cov.copy(), np.zeros_like(cov)
+    start = 0
+    for v in views:
+        s = slice(start, start + v.shape[1])
+        start = s.stop
+        b[s, s] = cov[s, s] + np.eye(v.shape[1]) * (tau / v.shape[1]) * np.trace(cov[s, s])
+        c[s, s] = 0.0
+    return c, b
+
+
 class TestGcca:
+    @pytest.mark.parametrize("rows", [40, 8])  # n > k and n < k
+    def test_residual_bound_and_b_orthonormality(self, rng, rows):
+        views = [rng.normal(size=(rows, d)) * scale for d, scale in ((4, 1.0), (3, 5.0), (5, 0.2))]
+        model = fit_gcca(views, dim=12, tau=0.5)
+        c, b = dense_problem(views, 0.5)
+        theta = np.vstack(model.projections)
+        bnorm = np.linalg.norm(b)
+        for t, rho in enumerate(model.eigenvalues):
+            resid = np.linalg.norm(c @ theta[:, t] - rho * (b @ theta[:, t]))
+            assert resid <= 1e-7 * (1.0 + abs(rho)) * bnorm
+        assert np.max(np.abs(theta.T @ b @ theta - np.eye(12))) <= 1e-8
+        lead = np.argmax(np.abs(theta), axis=0)
+        assert np.all(theta[lead, np.arange(12)] > 0)
+
+    def test_eigenvalues_match_the_dense_problem(self, rng):
+        views = [rng.normal(size=(30, 3)), rng.normal(size=(30, 4)), rng.normal(size=(30, 2))]
+        model = fit_gcca(views, dim=9, tau=1.0)
+        c, b = dense_problem(views, 1.0)
+        expect = np.sort(np.linalg.eigvals(np.linalg.solve(b, c)).real)[::-1]
+        assert np.allclose(model.eigenvalues, expect, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("position, pivot", [(1, 4), (2, 6)])
+    def test_singular_view_names_its_global_pivot(self, rng, position, pivot):
+        # a constant column makes that view's block of B singular at tau = 0; the pivot named
+        # is the one a Cholesky factorization of the whole block-diagonal B fails at
+        views = [rng.normal(size=(15, 3)), rng.normal(size=(15, 2))]
+        singular = rng.normal(size=(15, 3))
+        singular[:, 1] = 7.0
+        views.insert(position, singular)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            fit_gcca(views, dim=1, tau=0.0)
+        with pytest.raises(NotPositiveDefiniteError) as dense:
+            cholesky(dense_problem(views, 0.0)[1])
+        assert exc.value.pivot_index == dense.value.pivot_index == pivot
+        assert exc.value.pivot_value == dense.value.pivot_value == 0.0
+        assert f"pivot {pivot} is 0" in str(exc.value)
+        assert fit_gcca(views, dim=1, tau=0.1).dim == 1
+
     def test_duplicated_views_are_perfectly_aligned(self, rng):
         # two copies of one view: the top generalized correlation is 1 and
         # the two per-view projections agree on every row

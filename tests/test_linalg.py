@@ -14,8 +14,8 @@ from metaembed.linalg import (
     as_matrix,
     cholesky,
     column_means_and_center,
-    gen_sym_eig,
     l2_normalize_rows,
+    lead_signs,
     sym_eig_desc,
     thin_svd,
 )
@@ -216,16 +216,6 @@ class TestCholeskyPastBlockSize:
         assert abs(exc.value.pivot_value - pivot) <= 1e-9 * abs(pivot)
         assert f"pivot {j}" in str(exc.value)
 
-    @pytest.mark.parametrize("j", [257, 299])
-    def test_gen_sym_eig_raises_the_same_error(self, rng, j):
-        a, _ = spd_failing_at(rng, 300, j)
-        with pytest.raises(NotPositiveDefiniteError) as direct:
-            cholesky(a)
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            gen_sym_eig(random_symmetric(rng, 300), a)
-        assert exc.value.pivot_index == direct.value.pivot_index == j
-        assert exc.value.pivot_value == direct.value.pivot_value
-
     def test_large_spd_reconstructs(self, rng):
         a = random_spd(rng, 300)
         low = cholesky(a)
@@ -233,37 +223,19 @@ class TestCholeskyPastBlockSize:
         assert np.linalg.norm(low @ low.T - a) <= 1e-12 * np.linalg.norm(a)
 
 
-class TestGenSymEig:
-    def test_identity_metric_matches_plain_eig(self, rng):
-        c = random_symmetric(rng, 5)
-        plain = sym_eig_desc(c)
-        gen = gen_sym_eig(c, np.eye(5))
-        assert np.allclose(gen.values, plain.values, atol=1e-10)
-        assert np.allclose(gen.vectors, plain.vectors, atol=1e-9)
+class TestLeadSigns:
+    def test_matches_the_sign_of_the_first_largest_magnitude_entry(self, rng):
+        # the reference takes |v| whole; lead_signs reads the column max and min instead
+        for _ in range(300):
+            v = rng.integers(-3, 4, size=tuple(rng.integers(1, 6, size=2))).astype(float)
+            lead = np.argmax(np.abs(v), axis=0)
+            expect = np.sign(v[lead, np.arange(v.shape[1])])
+            expect[expect == 0] = 1.0
+            assert np.array_equal(lead_signs(v), expect)
 
-    def test_scaled_identity_oracle(self):
-        res = gen_sym_eig([[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, 2.0]])
-        assert np.allclose(res.values, [0.5, -0.5], atol=1e-12)
-        assert np.allclose(res.vectors, [[0.5, 0.5], [0.5, -0.5]], atol=1e-12)
-
-    def test_residual_bound_and_b_orthonormality(self, rng):
-        c = random_symmetric(rng, 7) * 3.0
-        b = random_spd(rng, 7)
-        values, vectors = gen_sym_eig(c, b)
-        bnorm = np.linalg.norm(b)
-        for k in range(7):
-            resid = np.linalg.norm(c @ vectors[:, k] - values[k] * (b @ vectors[:, k]))
-            assert resid <= 1e-7 * (1.0 + abs(values[k])) * bnorm
-        assert np.max(np.abs(vectors.T @ b @ vectors - np.eye(7))) <= 1e-8
-
-    def test_indefinite_metric_rejected(self, rng):
-        c = random_symmetric(rng, 3)
-        with pytest.raises(NotPositiveDefiniteError):
-            gen_sym_eig(c, [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError, match="same shape"):
-            gen_sym_eig(np.eye(2), np.eye(3))
+    def test_ties_and_zero_columns(self):
+        v = np.array([[2.0, -2.0, 0.0], [-2.0, 2.0, 0.0]])
+        assert np.array_equal(lead_signs(v), [1.0, -1.0, 1.0])
 
 
 class TestCentering:
@@ -369,13 +341,16 @@ _CALLS = {
     "thin_svd": (lambda rng: [rng.normal(size=(9, 4))], thin_svd),
     "sym_eig_desc": (lambda rng: [random_symmetric(rng, 4)], sym_eig_desc),
     "cholesky": (lambda rng: [random_spd(rng, 4)], cholesky),
-    "gen_sym_eig": (lambda rng: [random_symmetric(rng, 4), random_spd(rng, 4)], gen_sym_eig),
     # a 1 x 1 matrix is both C- and F-ordered, so LAPACK may work on it in place
-    "gen_sym_eig 1x1": (lambda rng: [np.full((1, 1), 2.0), np.full((1, 1), 3.0)], gen_sym_eig),
+    "cholesky 1x1": (lambda rng: [np.full((1, 1), 3.0)], cholesky),
+    "lead_signs": (lambda rng: [rng.normal(size=(9, 4))], lead_signs),
     "column_means_and_center": (lambda rng: [rng.normal(size=(9, 4))], column_means_and_center),
     "l2_normalize_rows": (lambda rng: [rng.normal(size=(9, 4))], l2_normalize_rows),
     "fit_svd_meta": (_views, lambda *v: fit_svd_meta(v, 2)),
     "fit_gcca": (_views, lambda *v: fit_gcca(v, 2)),
+    # one-wide views: each view's metric block and whitener is 1 x 1
+    "fit_gcca 1-wide views": (lambda rng: [rng.normal(size=(9, 1)), rng.normal(size=(9, 1))],
+                              lambda *v: fit_gcca(v, 2)),
     "SvdMetaModel.apply": (_views, lambda *v: fit_svd_meta(v, 2).apply(v)),
     "GccaModel.apply": (_views, lambda *v: fit_gcca(v, 2).apply(v)),
 }

@@ -1,5 +1,6 @@
 import pathlib
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -107,6 +108,20 @@ class TestVectorTableFormat:
         back = load_vector_table(path)
         assert back.ids == table.ids
         assert back.vectors.tobytes() == table.vectors.tobytes()
+
+    def test_peak_memory_stays_below_the_text_written(self, rng, tmp_path):
+        # rows are formatted as they are written; holding the lines, their join and its
+        # encoding would take about three times the text
+        table = make_vector_table(rng, 2000, 64)
+        path = tmp_path / "t.tbl"
+        tracemalloc.start()
+        try:
+            save_vector_table(path, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+        assert load_vector_table(path).vectors.tobytes() == table.vectors.tobytes()
 
     def test_awkward_values_round_trip(self, tmp_path):
         vals = np.array([[0.1, -0.0, 1e-300], [np.pi, 1e300, -2.5000000000000004]])

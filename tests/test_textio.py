@@ -80,6 +80,29 @@ class TestWriteLines:
         assert path.read_bytes() == b"old contents\n"
         assert sorted(os.listdir(tmp_path)) == ["out.txt"]
 
+    def test_lines_that_fail_after_a_written_chunk_keep_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old contents\n")
+        seen = []
+
+        def lines():
+            yield from ["n" * 99] * (2 * textio._CHUNK_LINES + 1)
+            seen.extend(os.path.getsize(tmp_path / name) for name in os.listdir(tmp_path)
+                        if name.endswith(".tmp"))
+            raise RuntimeError("formatter failed")
+
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            write_lines(path, lines())
+        assert seen == [200 * textio._CHUNK_LINES]  # two chunks reached the temporary file
+        assert path.read_bytes() == b"old contents\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.txt"]
+
+    def test_chunks_join_into_one_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        lines = [str(i) for i in range(3 * textio._CHUNK_LINES + 5)]
+        write_lines(path, iter(lines))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_unwritable_destination_is_named(self, tmp_path):
         path = tmp_path / "missing" / "out.txt"
         with pytest.raises(ValidationError, match=f"{path}: cannot write file: No such file"):
