@@ -83,18 +83,19 @@ def _flag_values(args) -> dict:
     return out
 
 
-def _write_manifest(out_paths, manifest_path, args, digests, metrics=None):
+def _write_manifest(args, digests, outputs, metrics=None):
     record = {
         "command": args.command,
         "argv": list(getattr(args, "_argv", [])),
         "flags": _flag_values(args),
         "version": __version__,
         "inputs": digests,
-        "outputs": [str(p) for p in out_paths],
+        "outputs": [str(p) for p in outputs],
         "seed": getattr(args, "seed", None),
         "metrics": metrics or {},
     }
-    write_lines(manifest_path, [json.dumps(record, indent=2, sort_keys=True)])
+    path = f"{outputs[0]}.manifest.json" if outputs else "metaembed-eval.manifest.json"
+    write_lines(path, [json.dumps(record, indent=2, sort_keys=True)])
 
 
 def _digests(paths) -> dict:
@@ -136,45 +137,43 @@ def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
         return table
     dynamic = isinstance(model, DynamicModel)
     tables = _load_sequence_like(paths) if dynamic else [load_vector_table(p) for p in paths]
-    if ids is None:
-        ids = intersect_ids(tables)
-        if not ids:
-            sizes = ", ".join(str(len(t)) for t in tables)
-            raise ValidationError(f"no shared ids across the {len(tables)} table(s) (sizes: {sizes})")
+    shared = intersect_ids(tables)  # disjoint tables are refused even when *ids* is given
+    ids = shared if ids is None else ids
     if dynamic:
         return embed_table(model, tables, ids)
     return EmbeddingTable(ids, model.apply([t.lookup(ids) for t in tables]))
 
 
+def _aligned_inputs(paths):
+    tables = [load_vector_table(p) for p in paths]
+    ids, views = align_by_id(tables)
+    return ids, views, [len(t) - len(ids) for t in tables]
+
+
 def cmd_combine(args) -> int:
-    tables = [load_vector_table(p) for p in args.inputs]
-    aligned = align_by_id(tables)
-    ids, mats = aligned
-    save_vector_table(args.out, EmbeddingTable(ids, concat_views(mats)))
-    _write_manifest([args.out], f"{args.out}.manifest.json", args, _digests(args.inputs),
-                    metrics={"dropped": list(aligned.dropped)})
-    print(f"wrote {args.out}: {len(ids)} rows, width {sum(t.dim for t in tables)}")
+    ids, views, dropped = _aligned_inputs(args.inputs)
+    table = EmbeddingTable(ids, concat_views(views))
+    save_vector_table(args.out, table)
+    _write_manifest(args, _digests(args.inputs), [args.out], {"dropped": dropped})
+    print(f"wrote {args.out}: {len(ids)} rows, width {table.dim}")
     return 0
 
 
 def cmd_fit(args) -> int:
     if args.method != "gcca" and args.tau is not None:
         raise ValidationError("--tau only applies to gcca")
-    tables = [load_vector_table(p) for p in args.inputs]
-    aligned = align_by_id(tables)
-    ids, mats = aligned
+    ids, views, dropped = _aligned_inputs(args.inputs)
     if args.method == "svd":
         d = args.d
         if d is None:
-            d = min(_SVD_DEFAULT_CAP, sum(m.shape[1] for m in mats), len(ids))
-        model = fit_svd_meta(mats, d)
+            d = min(_SVD_DEFAULT_CAP, sum(v.shape[1] for v in views), len(ids))
+        model = fit_svd_meta(views, d)
     else:
         if args.d is None:
             raise ValidationError("gcca needs --d (the number of retained components)")
-        model = fit_gcca(mats, args.d, DEFAULT_TAU if args.tau is None else args.tau)
+        model = fit_gcca(views, args.d, DEFAULT_TAU if args.tau is None else args.tau)
     model.save(args.out)
-    _write_manifest([args.out], f"{args.out}.manifest.json", args, _digests(args.inputs),
-                    metrics={"dropped": list(aligned.dropped)})
+    _write_manifest(args, _digests(args.inputs), [args.out], {"dropped": dropped})
     print(f"wrote {args.out}: {args.method} model over {len(ids)} rows")
     print(f"retained_d {model.dim}")
     if args.method == "gcca":
@@ -185,8 +184,7 @@ def cmd_fit(args) -> int:
 def cmd_apply(args) -> int:
     out_table = _sentence_vectors(_load_model(args.model), args.inputs)
     save_vector_table(args.out, out_table)
-    _write_manifest([args.out], f"{args.out}.manifest.json", args,
-                    _digests([args.model] + args.inputs))
+    _write_manifest(args, _digests([args.model] + args.inputs), [args.out])
     print(f"wrote {args.out}: {len(out_table)} rows, width {out_table.dim}")
     return 0
 
@@ -221,8 +219,7 @@ def cmd_train(args) -> int:
         report, _ = evaluate_classification(model, table, pairs, task=part)
         metrics[f"{part}_accuracy"] = report.value
         print(f"{part}_accuracy {report.value:.6f}")
-    _write_manifest([args.out, loss_csv], f"{args.out}.manifest.json", args,
-                    _digests(args.inputs + [args.dataset]), metrics=metrics)
+    _write_manifest(args, _digests(args.inputs + [args.dataset]), [args.out, loss_csv], metrics)
     print(f"wrote {args.out}: {args.mode} model, {len(examples)} training pairs, "
           f"classes {' '.join(dataset.classes)}")
     return 0
@@ -241,14 +238,11 @@ def _splits_or_drawn(dataset, seed: int):
 
 
 def _emit_report(report: EvalReport) -> None:
-    print(json.dumps({"task": report.task, "metric": report.metric, "value": report.value,
-                      "n": report.n, "fingerprint": report.fingerprint}))
+    print(json.dumps(report._asdict()))
     print(format_report_table([report]))
 
 
 def cmd_eval(args) -> int:
-    if not args.inputs:
-        raise ValidationError("--inputs is required")
     if args.model is None and len(args.inputs) != 1:
         raise ValidationError("without a model, give exactly one vector table of sentence vectors")
     dataset = load_dataset(args.dataset, args.task)
@@ -298,18 +292,12 @@ def cmd_eval(args) -> int:
         rows = [(p.id_a, p.id_b, p.label, pred) for p, pred in zip(parts[2], probe.test_predictions)]
 
     _emit_report(report)
-    metrics.update(metric=report.metric, value=report.value, n=report.n,
-                   fingerprint=report.fingerprint)
+    metrics.update((field, value) for field, value in report._asdict().items() if field != "task")
     if args.out:
         lines = ["id_a\tid_b\tgold\tpredicted"]
         lines += ["\t".join(fmt(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
         write_lines(args.out, lines)
-        out_paths = [args.out]
-        manifest_path = f"{args.out}.manifest.json"
-    else:
-        out_paths = []
-        manifest_path = "metaembed-eval.manifest.json"
-    _write_manifest(out_paths, manifest_path, args, digests, metrics=metrics)
+    _write_manifest(args, digests, [args.out] if args.out else [], metrics)
     return 0
 
 
@@ -319,7 +307,7 @@ def cmd_info(args) -> int:
     except MetaEmbedError:
         kind = None
     if kind in _MODEL_CLASSES:
-        described = _MODEL_CLASSES[kind].load(args.path)
+        described = _load_model(args.path)
     else:
         described = load_table(args.path)
         kind = described.KIND

@@ -20,12 +20,13 @@ kind only; this module is the only one that formats or splits the file itself.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .textio import fmt, fmt_row, read_lines, read_rows, write_lines
+from .textio import fmt, read_lines, read_rows, row_format, write_lines
 
 __all__ = ["ModelFile", "write_model", "read_model", "sniff_model_kind"]
 
@@ -84,7 +85,7 @@ class ModelFile(NamedTuple):
 
 
 def write_model(path, magic: str, fields, blocks) -> None:
-    """Write a model file.
+    """Write a model file, one row formatted at a time.
 
     *fields* is an iterable of (name, values) pairs in the kind's order; a
     value is an int, a float (written with :func:`metaembed.textio.fmt`) or
@@ -96,15 +97,17 @@ def write_model(path, magic: str, fields, blocks) -> None:
         hyper.append(name)
         for v in values if isinstance(values, (list, tuple)) else [values]:
             hyper.append(fmt(v) if isinstance(v, float) else str(v))
-    out = [f"{magic} {FORMAT_VERSION}", " ".join(hyper)]
-    for label, arr in blocks:
-        a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-        if a.ndim != 2:
-            raise ValueError(f"block {label!r} must be 1-d or 2-d, got ndim={a.ndim}")
-        out.append(f"{label} {a.shape[0]} {a.shape[1]}")
-        for row in a:
-            out.append(fmt_row(row))
-    write_lines(path, out)
+    body = itertools.chain.from_iterable(itertools.starmap(_block_lines, blocks))
+    write_lines(path, itertools.chain([f"{magic} {FORMAT_VERSION}", " ".join(hyper)], body))
+
+
+def _block_lines(label: str, arr):
+    """The header line and the rows of one block, each row formatted as it is consumed."""
+    a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+    if a.ndim != 2:
+        raise ValueError(f"block {label!r} must be 1-d or 2-d, got ndim={a.ndim}")
+    row = row_format(a.shape[1])
+    return itertools.chain([f"{label} {a.shape[0]} {a.shape[1]}"], (row % tuple(v.tolist()) for v in a))
 
 
 def read_model(path, magics: tuple, names) -> ModelFile:

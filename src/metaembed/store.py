@@ -18,13 +18,12 @@ path and the 1-based line number.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
 from .linalg import as_matrix
-from .textio import check_trailing, fmt_row, read_lines, read_rows, row_format, truncated, write_lines
+from .textio import check_trailing, read_lines, read_rows, row_format, truncated, write_lines
 
 __all__ = [
     "EmbeddingTable",
@@ -36,7 +35,6 @@ __all__ = [
     "sniff_table_kind",
     "load_table",
     "intersect_ids",
-    "AlignedViews",
     "align_by_id",
     "sequence_views",
 ]
@@ -245,13 +243,11 @@ def _read_blocks(lines: list[str], n: int, d: int, path, one_pass: bool) -> Sequ
 
 
 def save_sequence_table(path, table: SequenceTable) -> None:
-    """Write *table* in the sequence table format (17 significant digits)."""
-    out = [f"{len(table)} {table.dim}"]
-    for ident, mat in zip(table.ids, table.matrices):
-        out.append(f"#{ident} {mat.shape[0]}")
-        for row in mat:
-            out.append(fmt_row(row))
-    write_lines(path, out)
+    """Write *table* in the sequence table format (17 significant digits), one row formatted at a time."""
+    row = row_format(table.dim)
+    blocks = (itertools.chain([f"#{ident} {mat.shape[0]}"], (row % tuple(values.tolist()) for values in mat))
+              for ident, mat in zip(table.ids, table.matrices))
+    write_lines(path, itertools.chain([f"{len(table)} {table.dim}"], itertools.chain.from_iterable(blocks)))
 
 
 def sniff_table_kind(path) -> str:
@@ -276,7 +272,9 @@ def intersect_ids(tables) -> list[str]:
 
     Sorting (rather than keeping any one table's order) makes the aligned
     row order independent of the order the tables are passed in, so every
-    downstream fit is reproducible across runs and platforms.
+    downstream fit is reproducible across runs and platforms.  An empty
+    intersection is an error that reports every table's size, since the
+    usual cause is tables keyed by different id schemes.
     """
     tables = list(tables)
     if not tables:
@@ -284,41 +282,17 @@ def intersect_ids(tables) -> list[str]:
     shared = set(tables[0].ids)
     for t in tables[1:]:
         shared &= set(t.ids)
+    if not shared:
+        sizes = ", ".join(str(len(t)) for t in tables)
+        raise ValidationError(f"no shared ids across the {len(tables)} table(s) (sizes: {sizes})")
     return sorted(shared)
 
 
-class AlignedViews(NamedTuple):
-    """Row-aligned matrices over a sorted shared id list.
-
-    ``dropped[i]`` counts the ids of table i that fell out of the
-    intersection, so ``len(tables[i]) - len(ids) == dropped[i]``.
-    """
-
-    ids: list
-    views: list
-    dropped: tuple
-
-    def __iter__(self):
-        # unpacking as ``ids, views = align_by_id(...)`` stays supported
-        return iter((self.ids, self.views))
-
-
-def align_by_id(tables) -> AlignedViews:
-    """Row-align several tables over the sorted intersection of their ids.
-
-    Returns one (len(ids), D_i) matrix per table, rows in id order.  An
-    empty intersection is an error that reports every table's size, since
-    the usual cause is tables keyed by different id schemes.
-    """
+def align_by_id(tables) -> tuple[list[str], list[np.ndarray]]:
+    """``(ids, views)``: the :func:`intersect_ids` of *tables* and each table's rows for them, in order."""
     tables = list(tables)
     ids = intersect_ids(tables)
-    if not ids:
-        sizes = ", ".join(str(len(t)) for t in tables)
-        raise ValidationError(
-            f"no shared ids across the {len(tables)} table(s) (sizes: {sizes})"
-        )
-    dropped = tuple(len(t) - len(ids) for t in tables)
-    return AlignedViews(ids, [t.lookup(ids) for t in tables], dropped)
+    return ids, [t.lookup(ids) for t in tables]
 
 
 def sequence_views(tables, ident: str) -> list[np.ndarray]:

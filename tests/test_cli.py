@@ -191,6 +191,23 @@ class TestFitApply:
                               "--d", 0, "--out", tmp_path / "m.model")
         assert code == 2 and "error:" in stderr
 
+    @pytest.mark.parametrize("command", ["apply", "eval"])
+    def test_model_over_disjoint_tables_exit_2(self, tmp_path, rng, capsys, command):
+        _, paths = write_vec_tables(tmp_path, rng)
+        model = tmp_path / "m.model"
+        assert run(capsys, "fit", "--method", "svd", "--inputs", *paths, "--d", 2, "--out", model)[0] == 0
+        disjoint = [tmp_path / "a.vec", tmp_path / "b.vec"]
+        save_vector_table(disjoint[0], EmbeddingTable(["a"], [[1.0, 2.0, 3.0]]))
+        save_vector_table(disjoint[1], EmbeddingTable(["b", "c"], [[1.0, 2.0], [2.0, 3.0]]))
+        if command == "apply":
+            argv = ("apply", model, "--inputs", *disjoint, "--out", tmp_path / "o.vec")
+        else:
+            pairs = write_canonical(tmp_path / "pairs.tsv", [("a", "b", 3.0), ("b", "c", 1.0), ("a", "c", 2.0)])
+            argv = ("eval", "sts", model, "--inputs", *disjoint, "--dataset", pairs)
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stderr == "error: no shared ids across the 2 table(s) (sizes: 1, 2)\n"
+
 
 class TestDroppedIds:
     def unequal_tables(self, tmp_path, rng):
@@ -835,9 +852,11 @@ class TestUsage:
         assert exc.value.code == 2
 
     def test_missing_required_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["combine", "--out", "x.vec"])
-        assert exc.value.code == 2
+        for argv in (["combine", "--out", "x.vec"], ["eval", "sts", "--dataset", "d.tsv"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "required:" in capsys.readouterr().err.splitlines()[-1]
 
     def test_unwritable_output_reported(self, tmp_path, rng, capsys):
         _, paths = write_vec_tables(tmp_path, rng)

@@ -1,12 +1,16 @@
-"""Malformed model files: every kind reports the path and the faulty field or block."""
+"""Model files: every kind reports the path and the faulty field or block of a malformed file, and
+writes stream."""
 
 import pathlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from metaembed.dynamic import DynamicModel
 from metaembed.ensembles import GccaModel, SvdMetaModel
 from metaembed.errors import ValidationError
+from metaembed.modelio import read_model, write_model
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -101,3 +105,22 @@ def test_malformed_model_file_names_path_and_field(kind, mutate, fragments, tmp_
     assert str(path) in message
     for fragment in fragments:
         assert fragment in message
+
+
+def test_write_peak_memory_stays_below_the_text_written(tmp_path):
+    # GCCA blocks of three views (600 + 400 + 200 wide, 100 components), rows formatted as written
+    rng = np.random.default_rng(0)
+    blocks = [(f"proj{j}", rng.normal(size=(d, 100))) for j, d in enumerate((600, 400, 200))]
+    blocks.append(("eigenvalues", rng.uniform(size=100)))
+    path = tmp_path / "gcca.model"
+    tracemalloc.start()
+    try:
+        write_model(path, "GCCA", [("dims", [600, 400, 200]), ("tau", 10.0)], blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+    back = read_model(path, ("GCCA",), ["dims", "tau"])
+    assert back.fields == {"dims": ["600", "400", "200"], "tau": ["10"]}
+    for label, arr in blocks:
+        assert back.blocks[label].tobytes() == np.atleast_2d(arr).tobytes()

@@ -1,5 +1,6 @@
 """Checks on the package's structure: one text codec, no private imports,
-input layouts known only to the modules that read them, and no scipy."""
+input layouts known only to the modules that read them, one owner each of
+id alignment and manifest paths, and no scipy."""
 
 import ast
 import os
@@ -125,6 +126,25 @@ def test_only_datasets_knows_the_official_header():
     assert offenders(lambda tree: literal_lines(tree, "pair_ID"), others) == {}
 
 
+def test_only_store_refuses_disjoint_tables():
+    assert set(offenders(lambda tree: literal_lines(tree, "no shared ids"), MODULES)) == {"store.py"}
+
+
+def lines_outside(tree, text: str, function: str) -> list:
+    """Lines of code literals containing *text* outside the function *function*; the module docstring
+    does not count."""
+    inside = {ln for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function
+              for ln in range(node.lineno, node.end_lineno + 1)}
+    docstring = tree.body[0].lineno if ast.get_docstring(tree) is not None else None
+    return [ln for ln in literal_lines(tree, text) if ln not in inside and ln != docstring]
+
+
+def test_cli_names_manifest_paths_only_in_the_manifest_writer():
+    tree = parsed(PACKAGE / "cli.py")
+    assert literal_lines(tree, ".manifest.json") != []
+    assert lines_outside(tree, ".manifest.json", "_write_manifest") == []
+
+
 def test_guard_catches_what_it_forbids():
     tree = ast.parse(
         "from .store import _fmt\n"
@@ -147,6 +167,14 @@ def test_guard_catches_what_it_forbids():
     )
     assert {"read_lines", "sniff_table_kind", "load_sequence_table"} <= names_used(tree)
     assert literal_lines(tree, "pair_ID") == [4, 5]
+    tree = ast.parse(
+        "'writes x.manifest.json'\n"
+        "def _write_manifest(out):\n"
+        "    return f'{out}.manifest.json'\n"
+        "def cmd(out):\n"
+        "    return f'{out}.manifest.json'\n"
+    )
+    assert lines_outside(tree, ".manifest.json", "_write_manifest") == [5]
 
 
 def run_fresh(code: str) -> list:

@@ -378,6 +378,20 @@ class TestSequenceTableFormat:
         save_sequence_table(path, table)
         assert path.read_text() == "1 2\n#s1 2\n1 2\n3 4\n"
 
+    def test_peak_memory_stays_below_the_text_written(self, rng, tmp_path):
+        # rows are formatted as they are written, as for vector tables
+        table = make_sequence_table(rng, [f"s{i}" for i in range(800)], 48)
+        path = tmp_path / "t.seq"
+        tracemalloc.start()
+        try:
+            save_sequence_table(path, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+        back = load_sequence_table(path)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.matrices, table.matrices))
+
     def test_block_header_required(self, tmp_path):
         path = tmp_path / "bad.seq"
         path.write_text("1 2\ns1 2\n1 2\n3 4\n")
@@ -504,22 +518,24 @@ class TestAlignment:
         vals = rng.normal(size=(4, 2))
         t1 = EmbeddingTable(sorted(perm), vals)
         t2 = EmbeddingTable(perm, vals[[3, 1, 0, 2]])
-        first = align_by_id([t1, t2])
-        second = align_by_id([t2, t1])
-        assert first.ids == second.ids
-        assert np.array_equal(first.views[0], second.views[1])
-
-    def test_align_reports_dropped_counts(self, rng):
-        t1 = EmbeddingTable(["a", "b", "c"], rng.normal(size=(3, 2)))
-        t2 = EmbeddingTable(["b", "a"], rng.normal(size=(2, 3)))
-        aligned = align_by_id([t1, t2])
-        assert aligned.dropped == (1, 0)
+        first_ids, first_views = align_by_id([t1, t2])
+        second_ids, second_views = align_by_id([t2, t1])
+        assert first_ids == second_ids
+        assert np.array_equal(first_views[0], second_views[1])
 
     def test_empty_intersection_lists_sizes(self, rng):
         t1 = EmbeddingTable(["a"], [[1.0]])
         t2 = EmbeddingTable(["b", "c"], [[1.0], [2.0]])
         with pytest.raises(ValidationError, match=r"no shared ids.*sizes: 1, 2"):
             align_by_id([t1, t2])
+
+    def test_intersect_ids_refuses_disjoint_tables(self, rng):
+        t1 = EmbeddingTable(["a", "b"], rng.normal(size=(2, 2)))
+        t2 = EmbeddingTable(["c", "d", "e"], rng.normal(size=(3, 1)))
+        t3 = EmbeddingTable(["a", "c"], rng.normal(size=(2, 1)))
+        message = re.escape("no shared ids across the 3 table(s) (sizes: 2, 3, 2)")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            intersect_ids([t1, t2, t3])
 
     def test_sequence_views_checks_lengths(self):
         t1 = SequenceTable(["s"], [np.ones((2, 3))])
