@@ -141,7 +141,9 @@ def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
     ids = shared if ids is None else ids
     if dynamic:
         return embed_table(model, tables, ids)
-    return EmbeddingTable(ids, model.apply([t.lookup(ids) for t in tables]))
+    views = [t.lookup(ids) for t in tables]
+    del tables  # not held through the model's apply
+    return EmbeddingTable(ids, model.apply(views))
 
 
 def _aligned_inputs(paths):

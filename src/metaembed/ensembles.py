@@ -6,7 +6,12 @@ Three combiners are provided:
 * concatenation: [x_1; ...; x_m], width k = sum(d_i), no fitting.
 * SVD compression: center the concatenation, keep the top right-singular
   directions, project, and L2-normalize each row.  Similarity between the
-  unit rows is their dot product.
+  unit rows is their dot product.  The fit scales the centered (n, k)
+  matrix by the power of two that puts its largest magnitude in [0.5, 1),
+  so the model is exact under power-of-two scaling of the inputs, and from
+  n >= 11k/6 rows (gesdd's crossover) it takes the SVD of the k x k factor R
+  of a QR, as gesdd would internally: the same bytes without the (n, k)
+  left factor.
 * generalized CCA: per-view linear maps into one shared d-dimensional space,
   found from the generalized eigenproblem  C theta = rho B theta  where B is
   the block diagonal of regularized per-view covariances and C holds the
@@ -113,8 +118,10 @@ class SvdMetaModel:
         """Project aligned views to (n, dim) unit-norm meta-embeddings."""
         mats = _check_views(views, min_views=1)
         _check_widths(mats, self.dims)
-        x = np.hstack(mats) - self.mean
-        return l2_normalize_rows(x @ self.projection)
+        x = np.hstack(mats)
+        x -= self.mean
+        x = x @ self.projection  # the (n, k) buffer is freed before the rows are normalized
+        return l2_normalize_rows(x)
 
     def describe(self) -> list[str]:
         """The ``info`` lines after the kind line."""
@@ -140,8 +147,16 @@ def fit_svd_meta(views, dim: int) -> SvdMetaModel:
     if not 1 <= dim <= min(n, k):
         raise ValidationError(f"dim must be in [1, {min(n, k)}] for {n} rows of width {k}, got {dim}")
     mean, centered = column_means_and_center(x)
+    del x  # not held through the factorization
+    # exact power-of-two equilibration: the largest magnitude lands in [0.5, 1)
+    e = int(np.frexp(max(centered.max(), -centered.min()))[1])
+    np.ldexp(centered, -e, out=centered)
+    if n >= 11 * k // 6:
+        # gesdd's own crossover (MNTHR): from here it factors R of A = QR, so R's SVD is A's
+        # s and v bit for bit, and neither Q nor an (n, k) left factor is made
+        centered = np.linalg.qr(centered, mode="r")
     _, s, v = thin_svd(centered)
-    return SvdMetaModel([m.shape[1] for m in mats], mean, v[:, :dim].copy(), s[:dim].copy())
+    return SvdMetaModel([m.shape[1] for m in mats], mean, v[:, :dim].copy(), np.ldexp(s[:dim], e))
 
 
 class GccaModel:

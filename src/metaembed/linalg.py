@@ -9,6 +9,14 @@ each singular pair, by its v_j) flipped by :func:`lead_signs` so its
 largest-magnitude entry is positive.  Fitted model files therefore do not
 depend on the backend's sign choices.
 
+For a matrix with at least 11/6 as many rows as columns (MNTHR), ``gesdd``
+factors A = QR first and takes the SVD of R, so :func:`thin_svd` of R from
+``numpy.linalg.qr`` gives A's s and v bit for bit; the SVD fit uses this and
+never forms an (n, k) left factor.  ``gesdd`` also rescales a matrix whose
+largest entry lies outside about 1e+-138, which makes its results inexact
+under scaling; the SVD fit first scales its input by a power of two to a
+largest magnitude in [0.5, 1), which is exact.
+
 Every function here is pure: none writes into an array it was given, and
 only :func:`as_matrix` returns one; a caller that writes makes its own copy.
 There is no shared state, so calls are safe from concurrent workers.

@@ -12,8 +12,9 @@ does not hold: in one C pass where they are plainly laid out, and one value
 at a time otherwise, which reads the same numbers and names the line of the
 first fault.  A write goes to a temporary file next to the destination, which
 then replaces the destination in one step: a write that fails leaves the old
-file as it was and no temporary file behind.  Lines go out a bounded chunk at
-a time, so a writer that passes them lazily never holds its file's text whole.
+file as it was and no temporary file behind.  Lines go out about 64 KiB of
+text at a time, so a writer that passes them lazily holds no more than that
+and its longest line, whatever the file's size or the width of its rows.
 """
 
 from __future__ import annotations
@@ -67,25 +68,37 @@ def read_lines(path, limit: int | None = None) -> list[str]:
     return lines
 
 
-_CHUNK_LINES = 256  # per write: a sliver of a large file, yet few calls per file
+_CHUNK_CHARS = 1 << 16  # per write: a sliver of a large file, yet few calls per file
+
+
+def _chunks(lines):
+    """*lines* in lists of about :data:`_CHUNK_CHARS` characters, a longer line on its own."""
+    chunk, size = [], 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line) + 1
+        if size >= _CHUNK_CHARS:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
 
 
 def write_lines(path, lines) -> None:
     """Replace *path* with *lines*, each ended by LF, in one atomic step.
 
-    *lines* may be any iterable of strings, consumed a bounded chunk at a
-    time.  The new file gets the mode a plain ``open(path, "w")`` would give
-    it (0666 less the umask).  An OS error raises :class:`ValidationError`
-    naming *path*.
+    *lines* may be any iterable of strings, consumed about 64 KiB of text
+    (or one longer line) at a time.  The new file gets the mode a plain
+    ``open(path, "w")`` would give it (0666 less the umask).  An OS error
+    raises :class:`ValidationError` naming *path*.
     """
-    lines = iter(lines)
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with open(fd, "wb") as f:
-            while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+            for chunk in _chunks(lines):
                 f.write(("\n".join(chunk) + "\n").encode("utf-8"))
         os.replace(tmp, path)
     except OSError as exc:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metaembed.ensembles import (
     GccaModel,
@@ -14,7 +16,7 @@ from metaembed.ensembles import (
 )
 from metaembed.errors import NotPositiveDefiniteError, ValidationError
 from metaembed.evaluation import cosine, pearson
-from metaembed.linalg import cholesky
+from metaembed.linalg import cholesky, column_means_and_center, thin_svd
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -33,6 +35,15 @@ class TestConcat:
             concat_views([np.ones((2, 2)), np.ones((3, 2))])
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_gcca_fit_peak_memory(rng):
     # n < k, as in the wide-fit workload: the k x k matrices are the largest arrays.  The fit
     # peaks at 3.6 k x k: the whitened cross-covariance, the eigenvectors and their sorted copy,
@@ -40,14 +51,20 @@ def test_gcca_fit_peak_memory(rng):
     # peaked at 7.5, and at 9.5 when every view and matrix it validated was also copied.
     views = [rng.normal(size=(60, d)) for d in (150, 100, 50)]
     kxk = 300 * 300 * 8
-    tracemalloc.start()
-    try:
-        fit_gcca(views, 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * kxk
+    assert _traced_peak(fit_gcca, views, 20) < 4 * kxk
     assert "scipy" not in sys.modules
+
+
+def test_svd_fit_and_apply_peak_memory(rng):
+    # n >> k, as in the ensemble-io workload.  The fit holds the concatenation and its centered
+    # copy, then the centered copy and the QR's working copy: 2.07 n x k.  Through gesdd's own
+    # copy and left factors, numpy's U and its signed copy it peaked at 4.13.  apply holds one
+    # centered concatenation and the (n, dim) output: 1.13; it peaked at 2.01 with two.
+    views = [rng.normal(size=(4000, d)) for d in (120, 80, 40)]
+    nxk = 4000 * 240 * 8
+    model = fit_svd_meta(views, 32)
+    assert _traced_peak(fit_svd_meta, views, 32) < 2.5 * nxk
+    assert _traced_peak(model.apply, views) < 1.5 * nxk
 
 
 def test_callers_views_come_back_unmutated(rng):
@@ -129,6 +146,38 @@ class TestSvdMeta:
         for i in range(15):
             single = model.apply([m[i : i + 1] for m in mats])
             assert np.max(np.abs(single[0] - batch[i])) <= 1e-12
+
+    @pytest.mark.parametrize("widths", [(4, 3), (20, 12), (120, 80, 40)])
+    @pytest.mark.parametrize("rows", ["below", "at", "above", "wide"])
+    def test_qr_crossover_keeps_the_plain_svd_bitwise(self, rng, widths, rows):
+        # from gesdd's crossover at 11 k // 6 rows the fit factors R of a QR; one row below it
+        # must not, as R's SVD then differs from gesdd's on the whole matrix in the last bits
+        k = sum(widths)
+        n = {"below": 11 * k // 6 - 1, "at": 11 * k // 6, "above": 11 * k // 6 + 1, "wide": k // 2}[rows]
+        views = [rng.normal(size=(n, w)) for w in widths]
+        dim = min(n, k)
+        model = fit_svd_meta(views, dim)
+        _, s, v = thin_svd(column_means_and_center(np.hstack(views))[1])
+        assert model.singular_values.tobytes() == s[:dim].tobytes()
+        assert model.projection.tobytes() == v[:, :dim].tobytes()
+
+
+_RANGE_SHAPES = {"tall": (60, (5, 3)), "wide": (6, (5, 4))}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(-1000, 1000))
+@example(-1000)
+@example(1000)
+def test_svd_fit_is_exact_under_power_of_two_scaling(k):
+    # the fit scales its centered input to a largest magnitude in [0.5, 1) first, so gesdd's
+    # own rescaling (outside about 1e+-138) never starts and the scale drops out exactly
+    for shape, (n, widths) in _RANGE_SHAPES.items():
+        views = [np.random.default_rng(7).normal(size=(n, w)) for w in widths]
+        base = fit_svd_meta(views, min(n, sum(widths)))
+        model = fit_svd_meta([np.ldexp(v, k) for v in views], base.dim)
+        assert model.projection.tobytes() == base.projection.tobytes(), shape
+        assert model.singular_values.tobytes() == np.ldexp(base.singular_values, k).tobytes(), shape
 
 
 def dense_problem(views, tau):

@@ -108,19 +108,26 @@ def test_malformed_model_file_names_path_and_field(kind, mutate, fragments, tmp_
 
 
 def test_write_peak_memory_stays_below_the_text_written(tmp_path):
-    # GCCA blocks of three views (600 + 400 + 200 wide, 100 components), rows formatted as written
     rng = np.random.default_rng(0)
-    blocks = [(f"proj{j}", rng.normal(size=(d, 100))) for j, d in enumerate((600, 400, 200))]
-    blocks.append(("eigenvalues", rng.uniform(size=100)))
-    path = tmp_path / "gcca.model"
-    tracemalloc.start()
-    try:
-        write_model(path, "GCCA", [("dims", [600, 400, 200]), ("tau", 10.0)], blocks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < path.stat().st_size
-    back = read_model(path, ("GCCA",), ["dims", "tau"])
-    assert back.fields == {"dims": ["600", "400", "200"], "tau": ["10"]}
-    for label, arr in blocks:
-        assert back.blocks[label].tobytes() == np.atleast_2d(arr).tobytes()
+    # GCCA blocks of three views (600 + 400 + 200 wide, 100 components), rows formatted as written
+    gcca = [(f"proj{j}", rng.normal(size=(d, 100))) for j, d in enumerate((600, 400, 200))]
+    gcca.append(("eigenvalues", rng.uniform(size=100)))
+    # one 300 x 3000 block: 256 of its 60 KB rows are most of the file, so chunks of a fixed
+    # number of lines held 2.5 times the text
+    wide = [("proj", rng.normal(size=(300, 3000)))]
+    cases = [("GCCA", [("dims", [600, 400, 200]), ("tau", 10.0)], gcca,
+              {"dims": ["600", "400", "200"], "tau": ["10"]}),
+             ("SVDMETA", [("dims", [3000])], wide, {"dims": ["3000"]})]
+    for magic, fields, blocks, expected in cases:
+        path = tmp_path / f"{magic}.model"
+        tracemalloc.start()
+        try:
+            write_model(path, magic, fields, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+        back = read_model(path, (magic,), list(expected))
+        assert back.fields == expected
+        for label, arr in blocks:
+            assert back.blocks[label].tobytes() == np.atleast_2d(arr).tobytes()

@@ -85,21 +85,25 @@ class TestWriteLines:
         path.write_bytes(b"old contents\n")
         seen = []
 
+        per_chunk = -(-textio._CHUNK_CHARS // 100)  # lines of 99 characters and an LF fill a chunk
+
         def lines():
-            yield from ["n" * 99] * (2 * textio._CHUNK_LINES + 1)
+            yield from ["n" * 99] * (2 * per_chunk + 1)
             seen.extend(os.path.getsize(tmp_path / name) for name in os.listdir(tmp_path)
                         if name.endswith(".tmp"))
             raise RuntimeError("formatter failed")
 
         with pytest.raises(RuntimeError, match="formatter failed"):
             write_lines(path, lines())
-        assert seen == [200 * textio._CHUNK_LINES]  # two chunks reached the temporary file
+        assert seen == [200 * per_chunk]  # two chunks reached the temporary file
         assert path.read_bytes() == b"old contents\n"
         assert sorted(os.listdir(tmp_path)) == ["out.txt"]
 
     def test_chunks_join_into_one_file(self, tmp_path):
         path = tmp_path / "out.txt"
-        lines = [str(i) for i in range(3 * textio._CHUNK_LINES + 5)]
+        # several chunks' worth of short lines, with one line longer than a chunk among them
+        lines = [str(i) for i in range(textio._CHUNK_CHARS // 2)]
+        lines.insert(1000, "x" * (textio._CHUNK_CHARS + 3))
         write_lines(path, iter(lines))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
