@@ -16,8 +16,13 @@ Three combiners are provided:
   found from the generalized eigenproblem  C theta = rho B theta  where B is
   the block diagonal of regularized per-view covariances and C holds the
   cross-view covariance blocks (diagonal blocks zeroed), solved by whitening
-  each view: theta_j = W_j^T u_j with W_j = L_j^-1 and L_j L_j^T = B_j.
-  Applying the model sums the per-view projections of the centered inputs.
+  each view: theta_j = L_j^-T u_j with L_j L_j^T = B_j.  Each centered view
+  is scaled by a power of two first, as in the SVD fit, so the model is
+  exact under power-of-two scaling of a view.  A view wider than the n rows
+  is solved on its n whitened row-space coordinates (a QR rotation); its
+  other coordinates are exact rho = 0 pairs, so the eigensolve is of size
+  sum(min(d_i, n)) rather than k.  Applying the model sums the per-view
+  projections of the centered inputs.
 
 Covariances use the population divisor n.  The per-view regularizer adds
 (tau / d_i) * trace(cov_i) to every diagonal entry of cov_i, so tau is a
@@ -229,12 +234,20 @@ def _gcca_metric(c: np.ndarray, tau: float) -> np.ndarray:
 def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
     """Fit generalized CCA on aligned views.
 
-    Whitens each centered view by the inverse Cholesky factor of its block
-    B_j of the metric, keeps the top *dim* eigenpairs of the whitened
-    cross-covariance (the one k x k matrix built) and maps them back.  A
-    singular B_j raises :class:`NotPositiveDefiniteError` naming its pivot's
-    index in the concatenated width.  Each kept pair must meet the bound
-    ||C t - rho B t|| <= 1e-7 (1 + |rho|) ||B||_F, with C t computed from the views.
+    Scales each centered view by the power of two that puts its largest
+    magnitude in [0.5, 1) and whitens it by the inverse Cholesky factor of
+    its block B_j of the metric.  The whitened block W_j of a view wider than
+    the n rows has rank <= n: the complete QR  W_j^T = Q_j R_j  rotates the
+    view's coordinates so that its first n carry all of its cross-covariance
+    and the other d_j - n are exact rho = 0 eigenvectors.  The top eigenpairs
+    of the whitened cross-covariance on the sum of min(d_j, n) coordinates,
+    merged with those rho = 0 pairs in descending order, give the *dim* kept
+    pairs, mapped back per view and scaled back by the view's power of two.
+    A singular B_j raises :class:`NotPositiveDefiniteError` naming its pivot's
+    index in the concatenated width, and a projection that overflows float64
+    once scaled back raises :class:`ValidationError` naming its view.  Each
+    kept pair must meet the bound ||C t - rho B t|| <= 1e-7 (1 + |rho|) ||B||_F
+    on the scaled views, with C t computed from the views.
     """
     tau = _check_tau(tau)
     mats = _check_views(views, min_views=2, min_rows=2)
@@ -245,35 +258,65 @@ def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
     n = mats[0].shape[0]
     offsets = np.cumsum([0, *widths]).tolist()
     spans = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
-    means, centered, whiteners = [], [], []
-    whitened = np.empty((n, k))
+    reduced = np.cumsum([0, *(min(d, n) for d in widths)]).tolist()
+    means, centered, exponents, maps = [], [], [], []
+    whitened = np.empty((n, reduced[-1]))
     for j, m in enumerate(mats):
         mu, c = column_means_and_center(m)
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(c))) <= _CONSTANT_VIEW_TOL * scale:
+        top = max(c.max(), -c.min())
+        if top <= _CONSTANT_VIEW_TOL * max(m.max(), -m.min()):
             raise ValidationError(f"view {j} is constant over the fit rows")
+        e = int(np.frexp(top)[1])
+        np.ldexp(c, -e, out=c)  # exact: the largest magnitude lands in [0.5, 1)
         try:
             w = np.linalg.inv(cholesky(_gcca_metric(c, tau)))
         except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(offsets[j] + exc.pivot_index, exc.pivot_value) from None
-        whitened[:, spans[j]] = c @ w.T
+            raise NotPositiveDefiniteError(offsets[j] + exc.pivot_index,
+                                           float(np.ldexp(exc.pivot_value, 2 * e))) from None
+        if widths[j] > n:
+            q, r = np.linalg.qr(w @ c.T, mode="complete")
+            whitened[:, reduced[j]:reduced[j + 1]] = r[:n].T
+            w = q.T @ w  # theta_j = w.T @ u_j still, in the rotated coordinates
+            del q, r  # not held through the next view's whitening
+        else:
+            whitened[:, reduced[j]:reduced[j + 1]] = c @ w.T
         means.append(mu)
         centered.append(c)
-        whiteners.append(w)
+        exponents.append(e)
+        maps.append(w)
     cross = whitened.T @ whitened
     del whitened  # not held through the eigensolve
     cross /= n
-    for s in spans:
-        cross[s, s] = 0.0
+    for a, b in zip(reduced, reduced[1:]):
+        cross[a:b, a:b] = 0.0
     values, vectors = sym_eig_desc(cross)
-    rho = values[:dim].copy()
-    theta = np.vstack([w.T @ vectors[s, :dim] for s, w in zip(spans, whiteners)])
-    theta *= lead_signs(theta)
-    projections = [theta[s].copy() for s in spans]
-    mapped = sum(c @ p for c, p in zip(centered, projections))
+    del cross
+    # a wide view's rotated coordinates past n are rho = 0 pairs; a stable sort puts them after
+    # the solved pairs of rho >= 0 and before the negative ones
+    solved = len(values)
+    rho = np.concatenate([values, np.zeros(k - solved)])
+    keep = np.argsort(-rho, kind="stable")[:dim]
+    rho = rho[keep]
+    inner = np.concatenate([np.arange(d) < n for d in widths])
+    u = np.zeros((k, dim))
+    from_solve = keep < solved
+    u[np.ix_(inner, from_solve)] = vectors[:, keep[from_solve]]
+    u[np.flatnonzero(~inner)[keep[~from_solve] - solved], ~from_solve] = 1.0
+    del vectors
+    theta = np.vstack([w.T @ u[s] for s, w in zip(spans, maps)])
+    with np.errstate(over="ignore"):  # an overflow is named below
+        projections = [np.ldexp(theta[s], -e) for s, e in zip(spans, exponents)]
+    for j, (p, e) in enumerate(zip(projections, exponents)):
+        if not np.all(np.isfinite(p)):
+            raise ValidationError(f"view {j}'s projection overflows float64 once scaled back by 2**{-e}")
+    signs = lead_signs(np.vstack(projections))
+    for p in projections:
+        p *= signs
+    mapped = sum(c @ theta[s] for c, s in zip(centered, spans))
     metric = [_gcca_metric(c, tau) for c in centered]  # built again, not kept through the eigensolve
-    residual = np.vstack([c.T @ (mapped - c @ p) / n - (b @ p) * rho
-                          for c, b, p in zip(centered, metric, projections)])
+    # on the scaled views, and unsigned: a column's sign does not change its residual's norm
+    residual = np.vstack([c.T @ (mapped - c @ theta[s]) / n - (b @ theta[s]) * rho
+                          for c, b, s in zip(centered, metric, spans)])
     bnorm = float(np.sqrt(sum(np.sum(b * b) for b in metric)))
     for t in range(dim):
         r = float(np.linalg.norm(residual[:, t]))

@@ -16,7 +16,7 @@ from metaembed.ensembles import (
 )
 from metaembed.errors import NotPositiveDefiniteError, ValidationError
 from metaembed.evaluation import cosine, pearson
-from metaembed.linalg import cholesky, column_means_and_center, thin_svd
+from metaembed.linalg import cholesky, column_means_and_center, lead_signs, sym_eig_desc, thin_svd
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -45,13 +45,19 @@ def _traced_peak(fn, *args):
 
 
 def test_gcca_fit_peak_memory(rng):
-    # n < k, as in the wide-fit workload: the k x k matrices are the largest arrays.  The fit
-    # peaks at 3.6 k x k: the whitened cross-covariance, the eigenvectors and their sorted copy,
-    # plus the per-view whiteners.  With a dense metric and scipy's generalized solver it
-    # peaked at 7.5, and at 9.5 when every view and matrix it validated was also copied.
+    # n < k, as in the wide-fit workload.  Each view wider than n is solved on its n whitened
+    # coordinates, so the eigensolve takes a 180 x 180 matrix instead of the k x k one.  It
+    # still sets the peak, over the per-view maps (the sum of d_j^2) and the centered views, at
+    # 1.57 k x k.  Solving the whole k x k problem the fit peaked at 3.6, with a dense
+    # metric and scipy's generalized solver at 7.5, and at 9.5 when every view and matrix it
+    # validated was also copied.
     views = [rng.normal(size=(60, d)) for d in (150, 100, 50)]
     kxk = 300 * 300 * 8
-    assert _traced_peak(fit_gcca, views, 20) < 4 * kxk
+    assert _traced_peak(fit_gcca, views, 20) < 2.5 * kxk
+    # n >> k, as in the ensemble-io workload: the whitened matrix, the views' centered copies
+    # and the last view's whitened block set the peak, 2.19 n x k
+    views = [rng.normal(size=(4000, d)) for d in (120, 80, 40)]
+    assert _traced_peak(fit_gcca, views, 32) < 2.4 * 4000 * 240 * 8
     assert "scipy" not in sys.modules
 
 
@@ -180,6 +186,29 @@ def test_svd_fit_is_exact_under_power_of_two_scaling(k):
         assert model.singular_values.tobytes() == np.ldexp(base.singular_values, k).tobytes(), shape
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(-1000, 1000))
+@example(-1000)
+@example(1000)
+def test_gcca_fit_is_exact_under_power_of_two_scaling(k):
+    # each centered view is scaled to a largest magnitude in [0.5, 1) first, so the scale of a
+    # view drops out exactly: the wide shape's views are wider than its rows and are solved on
+    # their whitened row space, with rho = 0 pairs for the rest of their width
+    for shape, (n, widths) in {"tall": (60, (5, 3)), "wide": (4, (5, 6))}.items():
+        views = [np.random.default_rng(7).normal(size=(n, w)) for w in widths]
+        base = fit_gcca(views, sum(widths))
+        model = fit_gcca([np.ldexp(v, k) for v in views], base.dim)
+        assert model.eigenvalues.tobytes() == base.eigenvalues.tobytes(), shape
+        for p, q in zip(model.projections, base.projections):
+            assert p.tobytes() == np.ldexp(q, -k).tobytes(), shape
+
+
+def test_gcca_projection_that_overflows_names_its_view(rng):
+    views = [rng.normal(size=(20, 3)), np.ldexp(rng.normal(size=(20, 2)), -1060)]
+    with pytest.raises(ValidationError, match=r"view 1's projection overflows float64"):
+        fit_gcca(views, dim=2)
+
+
 def dense_problem(views, tau):
     """C (diagonal blocks zeroed) and B of GCCA's generalized eigenproblem, built densely."""
     x = np.hstack([v - v.mean(axis=0) for v in views])
@@ -194,8 +223,31 @@ def dense_problem(views, tau):
     return c, b
 
 
+def reference_gcca(views, dim, tau):
+    """GCCA by whitening, unscaled and unreduced: one eigh of the k x k whitened cross-covariance."""
+    n = len(views[0])
+    centered = [column_means_and_center(v)[1] for v in views]
+    whiteners = []
+    for c in centered:
+        b = c.T @ c / n
+        b[np.diag_indices(c.shape[1])] += (tau / c.shape[1]) * np.trace(b)
+        whiteners.append(np.linalg.inv(cholesky(b)))
+    cross = np.hstack([c @ w.T for c, w in zip(centered, whiteners)])
+    cross = cross.T @ cross / n
+    offsets = np.cumsum([0, *(v.shape[1] for v in views)])
+    spans = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+    for s in spans:
+        cross[s, s] = 0.0
+    values, vectors = sym_eig_desc(cross)
+    theta = np.vstack([w.T @ vectors[s, :dim] for s, w in zip(spans, whiteners)])
+    theta *= lead_signs(theta)
+    return values[:dim], [theta[s] for s in spans]
+
+
 class TestGcca:
-    @pytest.mark.parametrize("rows", [40, 8])  # n > k and n < k
+    # n > k, n < k with every view at most n wide, and n < d_j for two views, whose last d_j - n
+    # rotated coordinates give rho = 0 pairs that dim = k needs
+    @pytest.mark.parametrize("rows", [40, 8, 3])
     def test_residual_bound_and_b_orthonormality(self, rng, rows):
         views = [rng.normal(size=(rows, d)) * scale for d, scale in ((4, 1.0), (3, 5.0), (5, 0.2))]
         model = fit_gcca(views, dim=12, tau=0.5)
@@ -210,11 +262,12 @@ class TestGcca:
         assert np.all(theta[lead, np.arange(12)] > 0)
 
     def test_eigenvalues_match_the_dense_problem(self, rng):
-        views = [rng.normal(size=(30, 3)), rng.normal(size=(30, 4)), rng.normal(size=(30, 2))]
-        model = fit_gcca(views, dim=9, tau=1.0)
-        c, b = dense_problem(views, 1.0)
-        expect = np.sort(np.linalg.eigvals(np.linalg.solve(b, c)).real)[::-1]
-        assert np.allclose(model.eigenvalues, expect, rtol=0, atol=1e-9)
+        for rows, widths in ((30, (3, 4, 2)), (4, (6, 5, 2))):  # n > k, and n < d_j for two views
+            views = [rng.normal(size=(rows, d)) for d in widths]
+            model = fit_gcca(views, dim=sum(widths), tau=1.0)
+            c, b = dense_problem(views, 1.0)
+            expect = np.sort(np.linalg.eigvals(np.linalg.solve(b, c)).real)[::-1]
+            assert np.allclose(model.eigenvalues, expect, rtol=0, atol=1e-9), rows
 
     @pytest.mark.parametrize("position, pivot", [(1, 4), (2, 6)])
     def test_singular_view_names_its_global_pivot(self, rng, position, pivot):
@@ -232,6 +285,17 @@ class TestGcca:
         assert exc.value.pivot_value == dense.value.pivot_value == 0.0
         assert f"pivot {pivot} is 0" in str(exc.value)
         assert fit_gcca(views, dim=1, tau=0.1).dim == 1
+
+    @pytest.mark.parametrize("rows, widths, dim", [(40, (4, 3, 5), 12), (300, (120, 80, 40), 32)])
+    def test_views_at_most_n_wide_keep_the_plain_whitening_bitwise(self, rng, rows, widths, dim):
+        # the power-of-two scaling is exact and no view is reduced, so the model is the plain
+        # whitening path's bit for bit, whatever the views' magnitudes
+        views = [rng.normal(size=(rows, d)) * scale for d, scale in zip(widths, (3e-7, 1.0, 5e4))]
+        model = fit_gcca(views, dim, tau=0.5)
+        values, projections = reference_gcca(views, dim, tau=0.5)
+        assert model.eigenvalues.tobytes() == values.tobytes()
+        for p, q in zip(model.projections, projections):
+            assert p.tobytes() == q.tobytes()
 
     def test_duplicated_views_are_perfectly_aligned(self, rng):
         # two copies of one view: the top generalized correlation is 1 and
