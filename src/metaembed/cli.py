@@ -273,8 +273,6 @@ def cmd_eval(args) -> int:
     if head:
         report, rows = evaluate_classification(model, table, eval_pairs, task=args.task)
     elif args.task == "sts":
-        # rows in the first-mention order the fingerprint hashes (a model's are); frees the loaded table
-        table = EmbeddingTable(ids, table.lookup(ids)) if model is None else table
         report, rows = evaluate_similarity(table, dataset.pairs, dataset.lo, dataset.hi, task=args.task)
     else:
         splits, drawn = _splits_or_drawn(dataset, args.seed)

@@ -153,7 +153,8 @@ def config_fingerprint(*parts) -> str:
             h.update(("\x1f".join(run) + "\x1f").encode())
         else:
             for token in run:
-                h.update(token)
+                for piece in token.blocks() if isinstance(token, _Rows) else (token,):
+                    h.update(piece)
                 h.update(b"\x1f")
     return h.hexdigest()
 
@@ -176,6 +177,8 @@ def _tokens(part, out: list) -> None:
             out.append(")")
     elif isinstance(part, bytes):
         out.append(part)
+    elif isinstance(part, _Rows):
+        out += (str(part.shape), part)
     elif isinstance(part, np.ndarray):
         a = np.ascontiguousarray(part, dtype=np.float64)
         out += (str(a.shape), a)  # the array is hashed through the buffer protocol, not copied
@@ -200,8 +203,21 @@ def format_report_table(reports) -> str:
     return "\n".join(lines)
 
 
-def _table_digest(table: EmbeddingTable) -> list:
-    return [table.ids, table.vectors]
+class _Rows:
+    """Rows *index* of *vectors*, fingerprinted as the array ``vectors[index]`` but gathered a block at a time."""
+
+    def __init__(self, vectors: np.ndarray, index: np.ndarray):
+        self.shape, self._vectors, self._index = (len(index), vectors.shape[1]), vectors, index
+
+    def blocks(self):
+        for start in range(0, len(self._index), _COSINE_ROWS):
+            yield np.take(self._vectors, self._index[start : start + _COSINE_ROWS], axis=0)
+
+
+def _rows_digest(table: EmbeddingTable, pairs) -> list:
+    """The ids *pairs* mention, in order of first mention, and their rows in *table*, for the fingerprint."""
+    ids = list(dict.fromkeys(ident for p in pairs for ident in (p.id_a, p.id_b)))
+    return [ids, _Rows(table.vectors, table.indices(ids))]
 
 
 def _check_pair_ids(table: EmbeddingTable, pairs) -> None:
@@ -231,8 +247,10 @@ def evaluate_similarity(table: EmbeddingTable, pairs, lo: float = 0.0, hi: float
     """Score every pair by scaled cosine of its sentence vectors.
 
     *table* maps sentence ids to vectors; each pair carries a gold score as
-    its label.  Returns (EvalReport with the Pearson correlation, rows of
-    (id_a, id_b, gold, predicted)).
+    its label.  The report's fingerprint covers the ids the pairs mention,
+    in order of first mention, and their vectors, hashed as a table of just
+    those rows would be, whatever else *table* holds.  Returns (EvalReport
+    with the Pearson correlation, rows of (id_a, id_b, gold, predicted)).
     """
     pairs = list(pairs)
     if not pairs:
@@ -245,7 +263,7 @@ def evaluate_similarity(table: EmbeddingTable, pairs, lo: float = 0.0, hi: float
     fingerprint = config_fingerprint(
         task, "pearson", lo, hi,
         [(p.id_a, p.id_b, g) for p, g in zip(pairs, golds)],
-        *_table_digest(table),
+        *_rows_digest(table, pairs),
     )
     return EvalReport(task, "pearson", value, len(pairs), fingerprint), rows
 

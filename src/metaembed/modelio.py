@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .textio import fmt, read_lines, read_rows, row_format, write_lines
+from .textio import Lines, fmt, read_lines, read_rows, row_format, write_lines
 
 __all__ = ["ModelFile", "write_model", "read_model", "sniff_model_kind"]
 
@@ -112,39 +112,38 @@ def _block_lines(label: str, arr):
 
 def read_model(path, magics: tuple, names) -> ModelFile:
     """Parse a model file whose magic is one of *magics* and whose fields are *names*, in order."""
-    lines = read_lines(path)
-    if not lines or not lines[0].strip():
-        raise FileFormatError(path, 1, "empty file; expected a model header")
-    head = lines[0].split()
-    if len(head) != 2 or head[1] != FORMAT_VERSION:
-        raise FileFormatError(path, 1, f"expected '<KIND> {FORMAT_VERSION}' header, got {lines[0]!r}")
-    magic = head[0]
-    if magic not in magics:
-        raise FileFormatError(path, 1, f"expected a {' or '.join(magics)} model, found {magic}")
-    if len(lines) < 2:
-        raise FileFormatError(path, 1, "file ends before the hyperparameter line")
-    fields = _split_fields(lines[1].split(), list(names), path)
-    blocks: dict[str, np.ndarray] = {}
-    cursor = 3  # 1-based line number of the next unread line
-    while cursor <= len(lines):
-        raw = lines[cursor - 1]
-        if not raw.strip():
-            cursor += 1
-            continue
-        tokens = raw.split()
-        if len(tokens) != 3:
-            raise FileFormatError(path, cursor, f"expected block header '<label> <rows> <cols>', got {raw!r}")
-        label = tokens[0]
-        if label in blocks:
-            raise FileFormatError(path, cursor, f"duplicate block {label!r}")
-        try:
-            rows, cols = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise FileFormatError(path, cursor, f"non-integer block shape in {raw!r}") from None
-        if rows < 1 or cols < 1:
-            raise FileFormatError(path, cursor, f"block shape must be positive, got {rows} {cols}")
-        blocks[label] = read_rows(lines, cursor + 1, rows, cols, path, label)
-        cursor += 1 + rows
+    with Lines(path) as lines:
+        line = lines.line()
+        if not line or not line.strip():
+            raise FileFormatError(path, 1, "empty file; expected a model header")
+        head = line.split()
+        if len(head) != 2 or head[1] != FORMAT_VERSION:
+            raise FileFormatError(path, 1, f"expected '<KIND> {FORMAT_VERSION}' header, got {line!r}")
+        magic = head[0]
+        if magic not in magics:
+            raise FileFormatError(path, 1, f"expected a {' or '.join(magics)} model, found {magic}")
+        line = lines.line()
+        if line is None:
+            raise FileFormatError(path, 1, "file ends before the hyperparameter line")
+        fields = _split_fields(line.split(), list(names), path)
+        blocks: dict[str, np.ndarray] = {}
+        for raw in iter(lines.line, None):
+            if not raw.strip():
+                continue
+            tokens = raw.split()
+            if len(tokens) != 3:
+                raise FileFormatError(path, lines.count,
+                                      f"expected block header '<label> <rows> <cols>', got {raw!r}")
+            label = tokens[0]
+            if label in blocks:
+                raise FileFormatError(path, lines.count, f"duplicate block {label!r}")
+            try:
+                rows, cols = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise FileFormatError(path, lines.count, f"non-integer block shape in {raw!r}") from None
+            if rows < 1 or cols < 1:
+                raise FileFormatError(path, lines.count, f"block shape must be positive, got {rows} {cols}")
+            blocks[label] = read_rows(lines, lines.count + 1, rows, cols, path, label)
     return ModelFile(str(path), magic, fields, blocks)
 
 

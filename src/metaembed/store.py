@@ -10,9 +10,11 @@ Two table kinds cover everything the combiners consume:
 
 Values are separated by single spaces; ids are arbitrary non-empty
 strings without whitespace.  Encoding, line ends, number format and atomic
-writes follow :mod:`metaembed.textio`, whose :func:`read_rows` parses every
-row of values.  Parse failures raise :class:`FileFormatError` carrying the
-path and the 1-based line number.
+writes follow :mod:`metaembed.textio`.  A reader walks its file once through
+:class:`~metaembed.textio.Lines`, and :func:`~metaembed.textio.read_rows`
+parses the rows of values a chunk at a time into the table's one array.
+Parse failures raise :class:`FileFormatError` carrying the path and the
+1-based line number.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import FileFormatError, ValidationError
 from .linalg import as_matrix
-from .textio import check_trailing, read_lines, read_rows, row_format, truncated, write_lines
+from .textio import Lines, check_trailing, read_lines, read_rows, row_format, truncated, write_lines
 
 __all__ = [
     "EmbeddingTable",
@@ -40,18 +42,17 @@ __all__ = [
 ]
 
 
-def _check_ids(ids) -> tuple[str, ...]:
-    out = tuple(ids)
-    seen = set()
+def _indexed(ids) -> tuple[tuple[str, ...], dict[str, int]]:
+    """*ids* as a tuple, and the position of each; they must be distinct non-empty strings without whitespace."""
+    out, index = tuple(ids), {}
     for i, ident in enumerate(out):
         if not isinstance(ident, str) or not ident:
             raise ValidationError(f"id at position {i} is empty or not a string")
         if ident.split() != [ident]:
             raise ValidationError(f"id {ident!r} contains whitespace")
-        if ident in seen:
+        if index.setdefault(ident, i) != i:
             raise ValidationError(f"duplicate id {ident!r}")
-        seen.add(ident)
-    return out
+    return out, index
 
 
 class EmbeddingTable:
@@ -66,12 +67,11 @@ class EmbeddingTable:
 
     def __init__(self, ids, vectors):
         self.vectors = as_matrix(vectors, "vectors")
-        self.ids = _check_ids(ids)
+        self.ids, self._index = _indexed(ids)
         if len(self.ids) != self.vectors.shape[0]:
             raise ValidationError(
                 f"{len(self.ids)} ids for {self.vectors.shape[0]} vector rows"
             )
-        self._index = {ident: i for i, ident in enumerate(self.ids)}
 
     @property
     def dim(self) -> int:
@@ -119,7 +119,7 @@ class SequenceTable:
     KIND = "sequence-table"
 
     def __init__(self, ids, matrices):
-        self.ids = _check_ids(ids)
+        self.ids, self._index = _indexed(ids)
         matrices = list(matrices)
         if len(self.ids) != len(matrices):
             raise ValidationError(f"{len(self.ids)} ids for {len(matrices)} sequences")
@@ -129,7 +129,6 @@ class SequenceTable:
         dims = {m.shape[1] for m in self.matrices}
         if len(dims) != 1:
             raise ValidationError(f"sequences have mixed widths: {sorted(dims)}")
-        self._index = {ident: i for i, ident in enumerate(self.ids)}
 
     @property
     def dim(self) -> int:
@@ -158,16 +157,16 @@ class SequenceTable:
         return cls(table.ids, [table.vectors[i : i + 1] for i in range(len(table))])
 
 
-def _parse_header(lines: list[str], path) -> tuple[int, int]:
-    if not lines or not lines[0].strip():
+def _parse_header(line: str | None, path) -> tuple[int, int]:
+    if not line or not line.strip():
         raise FileFormatError(path, 1, "empty file; expected header 'N D'")
-    tokens = lines[0].split()
+    tokens = line.split()
     if len(tokens) != 2:
-        raise FileFormatError(path, 1, f"expected header 'N D', got {lines[0]!r}")
+        raise FileFormatError(path, 1, f"expected header 'N D', got {line!r}")
     try:
         n, d = int(tokens[0]), int(tokens[1])
     except ValueError:
-        raise FileFormatError(path, 1, f"expected header 'N D', got {lines[0]!r}") from None
+        raise FileFormatError(path, 1, f"expected header 'N D', got {line!r}") from None
     if n < 1 or d < 1:
         raise FileFormatError(path, 1, f"header counts must be positive, got {n} {d}")
     return n, d
@@ -175,9 +174,9 @@ def _parse_header(lines: list[str], path) -> tuple[int, int]:
 
 def load_vector_table(path) -> EmbeddingTable:
     """Parse a vector table file."""
-    lines = read_lines(path)
-    n, d = _parse_header(lines, path)
-    return EmbeddingTable(*read_rows(lines, 2, n, d, path, keyed=True))
+    with Lines(path) as lines:
+        n, d = _parse_header(lines.line(), path)
+        return EmbeddingTable(*read_rows(lines, 2, n, d, path, keyed=True))
 
 
 def save_vector_table(path, table: EmbeddingTable) -> None:
@@ -190,56 +189,61 @@ def save_vector_table(path, table: EmbeddingTable) -> None:
 def load_sequence_table(path) -> SequenceTable:
     """Parse a sequence table file.
 
-    The block headers are walked by their counts, and then every data row is
-    parsed in one pass and split by block.  A file that fails either step is
-    parsed block by block, which names the first line at fault.
+    Each block header is checked as it is reached, and the rows of all the
+    blocks are parsed a chunk at a time into one array, whose blocks the table
+    holds as views.  A file that fails is read again block by block, which
+    names the first line at fault.
     """
-    lines = read_lines(path)
-    n, d = _parse_header(lines, path)
     try:
-        return _read_blocks(lines, n, d, path, one_pass=True)
+        with Lines(path) as lines:
+            n, d = _parse_header(lines.line(), path)
+            steps: dict[str, int] = {}
+            values = read_rows(Lines(path, _block_rows(lines, n, steps, path)), 1, None, d, path)
+            check_trailing(lines)
+            return SequenceTable(steps, np.split(values, np.cumsum(list(steps.values()))[:-1]))
     except FileFormatError:
-        return _read_blocks(lines, n, d, path, one_pass=False)
+        with Lines(path) as lines:
+            n, d = _parse_header(lines.line(), path)
+            mats = {ident: read_rows(lines, lines.count + 1, count, d, path, ident)
+                    for ident, count in _blocks(lines, n, path)}
+            check_trailing(lines)
+            return SequenceTable(mats, mats.values())
 
 
-def _read_blocks(lines: list[str], n: int, d: int, path, one_pass: bool) -> SequenceTable:
-    ids: list[str] = []
-    seen: set[str] = set()
-    mats: list[np.ndarray] = []
-    data: list[str] = []  # with *one_pass*, every block's rows
-    ends: list[int] = []
-    cursor = 2  # 1-based line number of the next unread line
+def _block_rows(lines: Lines, n: int, steps: dict, path):
+    """The data lines of each of the *n* blocks, in lists; each block's row count goes into *steps*."""
+    for ident, count in _blocks(lines, n, path):
+        steps[ident] = count
+        for part in lines.take(count):
+            count -= len(part)
+            yield part
+        if count:
+            raise truncated(path, lines.count, f"expected {steps[ident]} rows in block {ident!r}")
+
+
+def _blocks(lines: Lines, n: int, path):
+    """The id and row count of each of the *n* blocks, each header checked when it is the next line."""
+    seen = set()
     for _ in range(n):
-        if cursor > len(lines):
-            raise truncated(path, lines, f"expected {n} sequence blocks")
-        tokens = lines[cursor - 1].split()
+        line = lines.line()
+        if line is None:
+            raise truncated(path, lines.count, f"expected {n} sequence blocks")
+        tokens = line.split()
         if len(tokens) != 2 or not tokens[0].startswith("#"):
-            raise FileFormatError(path, cursor, f"expected block header '#id S', got {lines[cursor - 1]!r}")
+            raise FileFormatError(path, lines.count, f"expected block header '#id S', got {line!r}")
         ident = tokens[0][1:]
         if not ident:
-            raise FileFormatError(path, cursor, "empty id in block header")
+            raise FileFormatError(path, lines.count, "empty id in block header")
         if ident in seen:
-            raise FileFormatError(path, cursor, f"duplicate id {ident!r}")
+            raise FileFormatError(path, lines.count, f"duplicate id {ident!r}")
         seen.add(ident)
         try:
             steps = int(tokens[1])
         except ValueError:
-            raise FileFormatError(path, cursor, f"expected integer row count, got {tokens[1]!r}") from None
+            raise FileFormatError(path, lines.count, f"expected integer row count, got {tokens[1]!r}") from None
         if steps < 1:
-            raise FileFormatError(path, cursor, f"sequence length must be positive, got {steps}")
-        if not one_pass:
-            mats.append(read_rows(lines, cursor + 1, steps, d, path, ident))
-        elif cursor + steps > len(lines):
-            raise truncated(path, lines, f"expected {steps} rows in block {ident!r}")
-        else:
-            data += lines[cursor : cursor + steps]
-            ends.append(len(data))
-        cursor += 1 + steps
-        ids.append(ident)
-    check_trailing(lines, cursor - 1, path)
-    if one_pass:
-        mats = np.split(read_rows(data, 1, len(data), d, path), ends[:-1])
-    return SequenceTable(ids, mats)
+            raise FileFormatError(path, lines.count, f"sequence length must be positive, got {steps}")
+        yield ident, steps
 
 
 def save_sequence_table(path, table: SequenceTable) -> None:
@@ -253,9 +257,9 @@ def save_sequence_table(path, table: SequenceTable) -> None:
 def sniff_table_kind(path) -> str:
     """``"sequence"`` if the first data row is ``#id S`` (S all digits at D = 1), else ``"vector"``."""
     lines = read_lines(path, limit=2)
-    d = _parse_header(lines, path)[1]
+    d = _parse_header(lines[0] if lines else None, path)[1]
     if len(lines) < 2:
-        raise truncated(path, lines, "expected at least one data row")
+        raise truncated(path, len(lines), "expected at least one data row")
     first = lines[1].split()
     if len(first) == 2 and first[0].startswith("#") and (d > 1 or first[1].isdecimal()):
         return "sequence"

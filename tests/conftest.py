@@ -1,5 +1,7 @@
 """Shared fixture builders for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,13 @@ def random_spd(rng, n, jitter=0.5):
 def random_symmetric(rng, n):
     a = rng.normal(size=(n, n))
     return 0.5 * (a + a.T)
+
+
+def traced_peak(fn, *args):
+    """The peak of memory traced by ``tracemalloc`` while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

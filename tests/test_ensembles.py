@@ -1,12 +1,12 @@
 import pathlib
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from metaembed.ensembles import (
     GccaModel,
     SvdMetaModel,
@@ -35,15 +35,6 @@ class TestConcat:
             concat_views([np.ones((2, 2)), np.ones((3, 2))])
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_gcca_fit_peak_memory(rng):
     # n < k, as in the wide-fit workload.  Each view wider than n is solved on its n whitened
     # coordinates, so the eigensolve takes a 180 x 180 matrix instead of the k x k one.  It
@@ -53,11 +44,11 @@ def test_gcca_fit_peak_memory(rng):
     # validated was also copied.
     views = [rng.normal(size=(60, d)) for d in (150, 100, 50)]
     kxk = 300 * 300 * 8
-    assert _traced_peak(fit_gcca, views, 20) < 2.5 * kxk
+    assert traced_peak(fit_gcca, views, 20) < 2.5 * kxk
     # n >> k, as in the ensemble-io workload: the whitened matrix, the views' centered copies
     # and the last view's whitened block set the peak, 2.19 n x k
     views = [rng.normal(size=(4000, d)) for d in (120, 80, 40)]
-    assert _traced_peak(fit_gcca, views, 32) < 2.4 * 4000 * 240 * 8
+    assert traced_peak(fit_gcca, views, 32) < 2.4 * 4000 * 240 * 8
     assert "scipy" not in sys.modules
 
 
@@ -69,8 +60,8 @@ def test_svd_fit_and_apply_peak_memory(rng):
     views = [rng.normal(size=(4000, d)) for d in (120, 80, 40)]
     nxk = 4000 * 240 * 8
     model = fit_svd_meta(views, 32)
-    assert _traced_peak(fit_svd_meta, views, 32) < 2.5 * nxk
-    assert _traced_peak(model.apply, views) < 1.5 * nxk
+    assert traced_peak(fit_svd_meta, views, 32) < 2.5 * nxk
+    assert traced_peak(model.apply, views) < 1.5 * nxk
 
 
 def test_callers_views_come_back_unmutated(rng):
@@ -201,6 +192,33 @@ def test_gcca_fit_is_exact_under_power_of_two_scaling(k):
         assert model.eigenvalues.tobytes() == base.eigenvalues.tobytes(), shape
         for p, q in zip(model.projections, base.projections):
             assert p.tobytes() == np.ldexp(q, -k).tobytes(), shape
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(-1000, 1000))
+@example(-1000)
+@example(1000)
+def test_apply_is_exact_under_power_of_two_scaling(k):
+    # views scaled by 2**k, each model fitted on its own views: concatenation scales exactly, and
+    # GCCA's projections scale by 2**-k, so its output does not move at all.  SVD's projected rows
+    # scale exactly too, but l2_normalize_rows divides a row whose squared norm leaves the normal
+    # range by its largest magnitude first, where it otherwise multiplies by the reciprocal norm:
+    # the output is bit-equal while every row's squared norm is normal, and within an ulp beyond
+    for shape, (n, widths) in _RANGE_SHAPES.items():
+        views = [np.random.default_rng(7).normal(size=(n, w)) for w in widths]
+        scaled = [np.ldexp(v, k) for v in views]
+        assert concat_views(scaled).tobytes() == np.ldexp(concat_views(views), k).tobytes(), shape
+        gcca = fit_gcca(views, sum(widths))
+        assert fit_gcca(scaled, gcca.dim).apply(scaled).tobytes() == gcca.apply(views).tobytes(), shape
+        svd = fit_svd_meta(views, min(n, sum(widths)))
+        model = fit_svd_meta(scaled, svd.dim)
+        out, base = model.apply(scaled), svd.apply(views)
+        rows = (concat_views(scaled) - model.mean) @ model.projection
+        with np.errstate(over="ignore"):
+            sq = np.einsum("ij,ij->i", rows, rows)
+        if np.all((sq >= np.finfo(np.float64).tiny) & np.isfinite(sq)):
+            assert out.tobytes() == base.tobytes(), shape
+        assert np.max(np.abs(out - base)) <= 2.0**-52, shape
 
 
 def test_gcca_projection_that_overflows_names_its_view(rng):

@@ -345,6 +345,21 @@ class TestSimilarityDriver:
         _, rows = evaluate_similarity(table, pairs)
         assert [r[3] for r in rows] == scale_similarity(one_shot, 0.0, 5.0).tolist()
 
+    def test_fingerprint_hashes_the_mentioned_rows_as_a_table_of_them(self, rng):
+        # 2500 of 3000 ids, several gather blocks, mentioned in an order that is not the table's
+        ids = [f"s{i}" for i in range(3000)]
+        table = EmbeddingTable(ids, rng.normal(size=(3000, 4)))
+        order = [ids[i] for i in rng.permutation(3000)[:2500]]
+        pairs = [Pair(order[i], order[i + 1], float(i % 5)) for i in range(0, 2500, 2)]
+        fingerprint = evaluate_similarity(table, pairs)[0].fingerprint
+        assert fingerprint == evaluate_similarity(EmbeddingTable(order, table.lookup(order)), pairs)[0].fingerprint
+        # a row no pair mentions does not count; a mentioned one does
+        changed = table.vectors.copy()
+        changed[table.index(sorted(set(ids) - set(order))[0])] += 1.0
+        assert evaluate_similarity(EmbeddingTable(ids, changed), pairs)[0].fingerprint == fingerprint
+        changed[table.index(order[-1])] += 1.0
+        assert evaluate_similarity(EmbeddingTable(ids, changed), pairs)[0].fingerprint != fingerprint
+
     def test_zero_vector_in_a_later_chunk_rejected(self, rng):
         table, pairs = self.chunk_fixture(rng, 2 * 1024 + 5)
         vectors = np.vstack([table.vectors, np.zeros((1, 6))])

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sequence_table, make_vector_table
+from conftest import make_sequence_table, make_vector_table, traced_peak
 from metaembed import store, textio
 from metaembed.errors import FileFormatError, ValidationError
-from metaembed.modelio import read_model, sniff_model_kind
+from metaembed.modelio import read_model, sniff_model_kind, write_model
 from metaembed.store import (
     EmbeddingTable,
     SequenceTable,
@@ -352,6 +352,74 @@ def test_bulk_and_per_line_parsers_agree(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("diff") / "t.tbl"
     for bulk, per_line, _ in all_ways(path, text):
         assert bulk == per_line
+
+
+def chunked_text(rows=1200, cols=8, edits=(), header=None):
+    """A vector table of *rows* rows, about 3.3 read chunks of text, with ``{row: line}`` *edits*."""
+    rng = np.random.default_rng(5)
+    lines = [f"w{i} " + " ".join(f"{v:.17g}" for v in rng.normal(size=cols)) for i in range(rows)]
+    for row, line in dict(edits).items():
+        lines[row] = line
+    return "\n".join([header or f"{rows} {cols}", *lines]) + "\n"
+
+
+class TestChunkBoundaries:
+    # the first row of a vector table is line 2; as a sequence block line 3, as a model block line 4
+    OFFSETS = (2, 3, 4)
+
+    @pytest.mark.parametrize("row, line, error", [
+        (1, "w1 1 2 x 4 5 6 7 8", "could not parse value 'x'"),
+        (600, "w600 1 2 nan 4 5 6 7 8", "non-finite value"),
+        (1199, "w1199 1 2 3 4 5 6 7", "values, got"),
+    ])
+    def test_fault_in_first_middle_and_last_chunk(self, tmp_path, row, line, error):
+        # rows before the fault fill whole chunks that take the bulk path
+        for (bulk, per_line, taken), offset in zip(all_ways(tmp_path / "t", chunked_text(edits={row: line})),
+                                                   self.OFFSETS):
+            assert bulk == per_line and (taken or row == 1)
+            assert bulk[0] == "FileFormatError" and f":{row + offset}: " in bulk[1] and error in bulk[1], bulk
+
+    def test_duplicate_id_in_a_later_chunk(self, tmp_path):
+        path = tmp_path / "t.vec"
+        path.write_text(chunked_text(edits={1000: "w3 1 2 3 4 5 6 7 8"}))
+        bulk, per_line, taken = load_both_ways(path)
+        assert taken and bulk == per_line == ("FileFormatError", f"{path}:1002: duplicate id 'w3'")
+
+    def test_file_that_ends_chunks_early(self, tmp_path):
+        for (bulk, per_line, _), offset in zip(all_ways(tmp_path / "t", chunked_text(header="1201 8")),
+                                               self.OFFSETS):
+            assert bulk == per_line and f":{1199 + offset}: " in bulk[1] and "file ends after" in bulk[1]
+
+    def test_crlf_file_loads_as_its_lf_twin(self, tmp_path):
+        text = chunked_text()
+        lf, crlf = all_ways(tmp_path / "t", text), all_ways(tmp_path / "t", text.replace("\n", "\r\n"))
+        assert all(a[0] == b[0] == b[1] and a[0][0] == "ok" and b[2] for a, b in zip(lf, crlf))
+
+    def test_undecodable_byte_past_the_first_chunk_is_the_error(self, tmp_path):
+        # a parse fault in the first chunk gives way to the undecodable byte, as when the whole
+        # file was decoded before any row was parsed
+        text = chunked_text(edits={1: "w1 1 2 x 4 5 6 7 8", 900: "w900 1 2 \u00e9 4 5 6 7 8"})
+        path = tmp_path / "t"
+        for body, load, offset in zip(block_texts(text), (load_sequence_table, read_model_blocks), (3, 4)):
+            path.write_bytes(body.encode("utf-8").replace("\u00e9".encode("utf-8"), b"\xff"))
+            bulk, per_line, _ = load_both_ways(path, load)
+            assert bulk == per_line == ("FileFormatError", f"{path}:{900 + offset}: invalid UTF-8 byte 0xff")
+        path.write_bytes(text.encode("utf-8").replace("\u00e9".encode("utf-8"), b"\xff"))
+        assert load_both_ways(path)[:2] == (("FileFormatError", f"{path}:902: invalid UTF-8 byte 0xff"),) * 2
+
+
+@pytest.mark.parametrize("rows, cols", [(100, 3000), (8000, 48)])
+def test_readers_peak_near_the_array(rng, tmp_path, rows, cols):
+    # a wide and a tall file of each kind.  Each reader holds the array, its ids and a chunk or
+    # two of text being parsed, at most 1.49x the array on these shapes (a sequence table's
+    # array grows by a quarter at a time); holding every line of the text, they peaked at 3.7-4.2x
+    vec, seq, model = tmp_path / "t.vec", tmp_path / "t.seq", tmp_path / "t.model"
+    save_vector_table(vec, make_vector_table(rng, rows, cols))
+    save_sequence_table(seq, SequenceTable([f"s{i}" for i in range(rows // 2)],
+                                           [rng.normal(size=(2, cols)) for _ in range(rows // 2)]))
+    write_model(model, "SVDMETA", [("dims", [1])], [("proj", rng.normal(size=(rows, cols)))])
+    for path, load in [(vec, load_vector_table), (seq, load_sequence_table), (model, read_model_blocks)]:
+        assert traced_peak(load, path) < 1.5 * rows * cols * 8 + 4 * textio._CHUNK_CHARS, path.name
 
 
 class TestGoldenTables:
