@@ -21,7 +21,11 @@ Three combiners are provided:
   exact under power-of-two scaling of a view.  A view wider than the n rows
   is solved on its n whitened row-space coordinates (a QR rotation); its
   other coordinates are exact rho = 0 pairs, so the eigensolve is of size
-  sum(min(d_i, n)) rather than k.  Applying the model sums the per-view
+  sum(min(d_i, n)) rather than k.  The fit runs in two passes: a whitening
+  pass writes each view's whitened block and drops the view's centered copy
+  and map, so only the caller's views and the whitened cross-covariance are
+  alive through the eigensolve; a mapping pass then rebuilds each view's map
+  with the same arithmetic.  Applying the model sums the per-view
   projections of the centered inputs.
 
 Covariances use the population divisor n.  The per-view regularizer adds
@@ -231,6 +235,30 @@ def _gcca_metric(c: np.ndarray, tau: float) -> np.ndarray:
     return block
 
 
+def _scaled_view(m: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """A view's column means, its centered copy scaled by 2**-e, and e.
+
+    e is the exponent that puts the largest centered magnitude in [0.5, 1), so the scaling is exact.
+    """
+    mu, c = column_means_and_center(m)
+    top = max(c.max(), -c.min())
+    if top <= _CONSTANT_VIEW_TOL * max(m.max(), -m.min()):
+        raise ValidationError(f"view {j} is constant over the fit rows")
+    e = int(np.frexp(top)[1])
+    np.ldexp(c, -e, out=c)
+    return mu, c, e
+
+
+def _whitener(b: np.ndarray, offset: int, e: int) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of a scaled view's metric block *b*; a singular block is named
+    by its pivot's index in the concatenated width and its value scaled back by 2**(2e)."""
+    try:
+        return np.linalg.inv(cholesky(b))
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(offset + exc.pivot_index,
+                                       float(np.ldexp(exc.pivot_value, 2 * e))) from None
+
+
 def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
     """Fit generalized CCA on aligned views.
 
@@ -243,6 +271,14 @@ def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
     of the whitened cross-covariance on the sum of min(d_j, n) coordinates,
     merged with those rho = 0 pairs in descending order, give the *dim* kept
     pairs, mapped back per view and scaled back by the view's power of two.
+
+    The fit runs in two passes, so that only the caller's views and the
+    whitened cross-covariance are alive while it is decomposed.  The
+    whitening pass writes each view's whitened block and drops the view's
+    centered copy and map; a wide view needs only R_j there.  The mapping
+    pass rebuilds each centered copy, B_j and map, Q_j included, with the same
+    arithmetic, and frees each map once the view's projection is taken.
+
     A singular B_j raises :class:`NotPositiveDefiniteError` naming its pivot's
     index in the concatenated width, and a projection that overflows float64
     once scaled back raises :class:`ValidationError` naming its view.  Each
@@ -257,35 +293,22 @@ def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
         raise ValidationError(f"dim must be in [1, {k}], got {dim}")
     n = mats[0].shape[0]
     offsets = np.cumsum([0, *widths]).tolist()
-    spans = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
     reduced = np.cumsum([0, *(min(d, n) for d in widths)]).tolist()
-    means, centered, exponents, maps = [], [], [], []
+    means, exponents = [], []
     whitened = np.empty((n, reduced[-1]))
     for j, m in enumerate(mats):
-        mu, c = column_means_and_center(m)
-        top = max(c.max(), -c.min())
-        if top <= _CONSTANT_VIEW_TOL * max(m.max(), -m.min()):
-            raise ValidationError(f"view {j} is constant over the fit rows")
-        e = int(np.frexp(top)[1])
-        np.ldexp(c, -e, out=c)  # exact: the largest magnitude lands in [0.5, 1)
-        try:
-            w = np.linalg.inv(cholesky(_gcca_metric(c, tau)))
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(offsets[j] + exc.pivot_index,
-                                           float(np.ldexp(exc.pivot_value, 2 * e))) from None
+        mu, c, e = _scaled_view(m, j)
+        w = _whitener(_gcca_metric(c, tau), offsets[j], e)
         if widths[j] > n:
-            q, r = np.linalg.qr(w @ c.T, mode="complete")
-            whitened[:, reduced[j]:reduced[j + 1]] = r[:n].T
-            w = q.T @ w  # theta_j = w.T @ u_j still, in the rotated coordinates
-            del q, r  # not held through the next view's whitening
+            # the R of one geqrf, bit for bit the complete QR's: the mapping pass forms Q_j
+            whitened[:, reduced[j]:reduced[j + 1]] = np.linalg.qr(w @ c.T, mode="r").T
         else:
             whitened[:, reduced[j]:reduced[j + 1]] = c @ w.T
         means.append(mu)
-        centered.append(c)
         exponents.append(e)
-        maps.append(w)
+    del c, w  # not held through the eigensolve
     cross = whitened.T @ whitened
-    del whitened  # not held through the eigensolve
+    del whitened
     cross /= n
     for a, b in zip(reduced, reduced[1:]):
         cross[a:b, a:b] = 0.0
@@ -303,20 +326,29 @@ def fit_gcca(views, dim: int, tau: float = DEFAULT_TAU) -> GccaModel:
     u[np.ix_(inner, from_solve)] = vectors[:, keep[from_solve]]
     u[np.flatnonzero(~inner)[keep[~from_solve] - solved], ~from_solve] = 1.0
     del vectors
-    theta = np.vstack([w.T @ u[s] for s, w in zip(spans, maps)])
+    centered, metric, theta = [], [], []
+    for j, (m, e) in enumerate(zip(mats, exponents)):
+        c = _scaled_view(m, j)[1]
+        b = _gcca_metric(c, tau)
+        w = _whitener(b, offsets[j], e)
+        if widths[j] > n:
+            w = np.linalg.qr(w @ c.T, mode="complete")[0].T @ w  # theta_j = w.T @ u_j, rotated
+        theta.append(w.T @ u[offsets[j]:offsets[j + 1]])
+        del w  # not held through the next view's map
+        centered.append(c)
+        metric.append(b)
     with np.errstate(over="ignore"):  # an overflow is named below
-        projections = [np.ldexp(theta[s], -e) for s, e in zip(spans, exponents)]
+        projections = [np.ldexp(t, -e) for t, e in zip(theta, exponents)]
     for j, (p, e) in enumerate(zip(projections, exponents)):
         if not np.all(np.isfinite(p)):
             raise ValidationError(f"view {j}'s projection overflows float64 once scaled back by 2**{-e}")
     signs = lead_signs(np.vstack(projections))
     for p in projections:
         p *= signs
-    mapped = sum(c @ theta[s] for c, s in zip(centered, spans))
-    metric = [_gcca_metric(c, tau) for c in centered]  # built again, not kept through the eigensolve
+    mapped = sum(c @ t for c, t in zip(centered, theta))
     # on the scaled views, and unsigned: a column's sign does not change its residual's norm
-    residual = np.vstack([c.T @ (mapped - c @ theta[s]) / n - (b @ theta[s]) * rho
-                          for c, b, s in zip(centered, metric, spans)])
+    residual = np.vstack([c.T @ (mapped - c @ t) / n - (b @ t) * rho
+                          for c, b, t in zip(centered, metric, theta)])
     bnorm = float(np.sqrt(sum(np.sum(b * b) for b in metric)))
     for t in range(dim):
         r = float(np.linalg.norm(residual[:, t]))

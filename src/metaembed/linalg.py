@@ -76,7 +76,7 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
     asym = float(np.max(a - a.T))  # a - a.T is antisymmetric: its max is its largest magnitude
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(a))))
+    tol = 1e-10 * max(a.max(), -a.min())  # relative to the largest magnitude, at every scale
     if asym > tol:
         raise ValidationError(f"{name} is not symmetric: max asymmetry {asym:.6g}")
 
@@ -177,27 +177,28 @@ def l2_normalize_rows(m) -> np.ndarray:
     Zero rows are passed through unchanged with a :class:`ZeroRowWarning`
     (out-of-vocabulary placeholders may legitimately be zero).  Rows already
     unit-norm within 2.5e-13 are returned untouched, so applying the function
-    twice is bit-for-bit the same as applying it once.  Rows whose squared
-    norm underflows below the smallest normal number (to zero included) or
-    overflows are divided by their largest magnitude first, so every nonzero
-    row in the float64 range comes out unit-norm.
+    twice is bit-for-bit the same as applying it once.  Every other row is
+    scaled by the power of two that puts its largest magnitude in [0.5, 1),
+    which is exact, and multiplied by the reciprocal of its norm: the squared
+    norm neither under- nor overflows, every nonzero row in the float64 range
+    comes out unit-norm, and the output is unchanged when a row is scaled by a
+    power of two.
     """
     a = as_matrix(m)
-    sq = np.einsum("ij,ij->i", a, a)
-    zero = ~np.any(a != 0.0, axis=1)
-    skip = np.abs(sq - 1.0) <= _UNIT_SKIP_TOL
-    rescale = ~zero & ((sq < np.finfo(np.float64).tiny) | np.isinf(sq))
-    scale = np.ones_like(sq)
-    active = ~(zero | skip | rescale)
-    scale[active] = 1.0 / np.sqrt(sq[active])
+    top = np.maximum(a.max(axis=1), -a.min(axis=1))
+    e = np.frexp(top)[1]
+    out = np.ldexp(a, -e[:, None])
+    sq = np.einsum("ij,ij->i", out, out)
+    zero = top == 0.0
+    with np.errstate(over="ignore"):  # a row whose squared norm overflows is not a unit row
+        skip = zero | (np.abs(np.ldexp(sq, 2 * e) - 1.0) <= _UNIT_SKIP_TOL)
     if np.any(zero):
         warnings.warn(
             f"{int(zero.sum())} zero row(s) passed through un-normalized",
             ZeroRowWarning,
             stacklevel=2,
         )
-    out = a * scale[:, None]
-    if np.any(rescale):
-        b = a[rescale] / np.abs(a[rescale]).max(axis=1, keepdims=True)
-        out[rescale] = b / np.sqrt(np.einsum("ij,ij->i", b, b))[:, None]
+    sq[zero] = 1.0
+    out *= (1.0 / np.sqrt(sq))[:, None]
+    out[skip] = a[skip]
     return out

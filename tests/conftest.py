@@ -41,3 +41,26 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def traced_live_at(module, name, fn, *args):
+    """The memory traced by ``tracemalloc`` on each entry to ``module.name`` while ``fn(*args)`` runs.
+
+    ``module.name`` is wrapped for the call, so the callers that are counted are those that look
+    it up in *module*.
+    """
+    inner = getattr(module, name)
+    live = []
+
+    def entered(*a, **kw):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return inner(*a, **kw)
+
+    setattr(module, name, entered)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return live
+    finally:
+        tracemalloc.stop()
+        setattr(module, name, inner)

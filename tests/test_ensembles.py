@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import traced_live_at, traced_peak
+from metaembed import ensembles
 from metaembed.ensembles import (
     GccaModel,
     SvdMetaModel,
@@ -37,19 +38,32 @@ class TestConcat:
 
 def test_gcca_fit_peak_memory(rng):
     # n < k, as in the wide-fit workload.  Each view wider than n is solved on its n whitened
-    # coordinates, so the eigensolve takes a 180 x 180 matrix instead of the k x k one.  It
-    # still sets the peak, over the per-view maps (the sum of d_j^2) and the centered views, at
-    # 1.57 k x k.  Solving the whole k x k problem the fit peaked at 3.6, with a dense
-    # metric and scipy's generalized solver at 7.5, and at 9.5 when every view and matrix it
-    # validated was also copied.
+    # coordinates, so the eigensolve takes a 170 x 170 matrix instead of the k x k one, and the
+    # fit holds no map or centered view through it.  The mapping pass now sets the peak, at
+    # 1.25 k x k: the widest view's map, its Q and their product, over the centered views and
+    # metric blocks rebuilt so far.  With the maps and centered views held through the eigensolve
+    # the fit peaked at 1.57; solving the whole k x k problem at 3.6, with a dense metric and
+    # scipy's generalized solver at 7.5, and at 9.5 when every view and matrix it validated was
+    # also copied.
     views = [rng.normal(size=(60, d)) for d in (150, 100, 50)]
     kxk = 300 * 300 * 8
-    assert traced_peak(fit_gcca, views, 20) < 2.5 * kxk
-    # n >> k, as in the ensemble-io workload: the whitened matrix, the views' centered copies
-    # and the last view's whitened block set the peak, 2.19 n x k
+    assert traced_peak(fit_gcca, views, 20) < 1.4 * kxk
+    # n >> k, as in the ensemble-io workload: the whitening pass sets the peak, 2.02 n x k, with
+    # the whitened matrix, the first view's centered copy and its whitened block.  With every
+    # centered copy held it was 2.19
     views = [rng.normal(size=(4000, d)) for d in (120, 80, 40)]
-    assert traced_peak(fit_gcca, views, 32) < 2.4 * 4000 * 240 * 8
+    assert traced_peak(fit_gcca, views, 32) < 2.2 * 4000 * 240 * 8
     assert "scipy" not in sys.modules
+
+
+def test_gcca_eigensolve_sees_only_the_cross_covariance(rng):
+    # the whitening pass drops each view's centered copy and map once its whitened block is
+    # written, so on entry to the eigensolve the whitened r x r cross-covariance (r = 300 + 300
+    # + 200) is all the fit holds besides the caller's views: 1.002 of it.  A fit that held the
+    # maps and centered views through the eigensolve was at 2.44
+    views = [rng.normal(size=(300, d)) for d in (600, 400, 200)]
+    live = traced_live_at(ensembles, "sym_eig_desc", fit_gcca, views, 100)
+    assert len(live) == 1 and live[0] <= 1.1 * 800 * 800 * 8
 
 
 def test_svd_fit_and_apply_peak_memory(rng):
@@ -201,9 +215,10 @@ def test_gcca_fit_is_exact_under_power_of_two_scaling(k):
 def test_apply_is_exact_under_power_of_two_scaling(k):
     # views scaled by 2**k, each model fitted on its own views: concatenation scales exactly, and
     # GCCA's projections scale by 2**-k, so its output does not move at all.  SVD's projected rows
-    # scale exactly too, but l2_normalize_rows divides a row whose squared norm leaves the normal
-    # range by its largest magnitude first, where it otherwise multiplies by the reciprocal norm:
-    # the output is bit-equal while every row's squared norm is normal, and within an ulp beyond
+    # scale exactly too, and l2_normalize_rows scales each row by a power of two before it takes
+    # the norm, so its output does not move either wherever the projected rows are exact.  They
+    # are at every k but the wide shape's lowest: its sixth direction is null, and its
+    # projections, rounding noise at about 1e-16 of a row's norm, go subnormal below 2**-967
     for shape, (n, widths) in _RANGE_SHAPES.items():
         views = [np.random.default_rng(7).normal(size=(n, w)) for w in widths]
         scaled = [np.ldexp(v, k) for v in views]
@@ -214,11 +229,11 @@ def test_apply_is_exact_under_power_of_two_scaling(k):
         model = fit_svd_meta(scaled, svd.dim)
         out, base = model.apply(scaled), svd.apply(views)
         rows = (concat_views(scaled) - model.mean) @ model.projection
-        with np.errstate(over="ignore"):
-            sq = np.einsum("ij,ij->i", rows, rows)
-        if np.all((sq >= np.finfo(np.float64).tiny) & np.isfinite(sq)):
+        if np.ldexp(rows, -k).tobytes() == ((concat_views(views) - svd.mean) @ svd.projection).tobytes():
             assert out.tobytes() == base.tobytes(), shape
-        assert np.max(np.abs(out - base)) <= 2.0**-52, shape
+        else:
+            assert shape == "wide" and k < -967
+            assert np.max(np.abs(out - base)) <= 2.0**-52, shape
 
 
 def test_gcca_projection_that_overflows_names_its_view(rng):
@@ -242,24 +257,46 @@ def dense_problem(views, tau):
 
 
 def reference_gcca(views, dim, tau):
-    """GCCA by whitening, unscaled and unreduced: one eigh of the k x k whitened cross-covariance."""
+    """GCCA by whitening in one pass, unscaled: every map is held through one eigh.
+
+    A view wider than the n rows is rotated by the complete QR of its whitened block, solved on its
+    first n coordinates, and adds the others as rho = 0 pairs, merged into the solved pairs by a
+    stable descending sort.
+    """
     n = len(views[0])
     centered = [column_means_and_center(v)[1] for v in views]
-    whiteners = []
+    blocks, maps = [], []
     for c in centered:
         b = c.T @ c / n
         b[np.diag_indices(c.shape[1])] += (tau / c.shape[1]) * np.trace(b)
-        whiteners.append(np.linalg.inv(cholesky(b)))
-    cross = np.hstack([c @ w.T for c, w in zip(centered, whiteners)])
-    cross = cross.T @ cross / n
-    offsets = np.cumsum([0, *(v.shape[1] for v in views)])
-    spans = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
-    for s in spans:
-        cross[s, s] = 0.0
+        w = np.linalg.inv(cholesky(b))
+        if c.shape[1] > n:
+            q, r = np.linalg.qr(w @ c.T, mode="complete")
+            blocks.append(r[:n].T)
+            w = q.T @ w
+        else:
+            blocks.append(c @ w.T)
+        maps.append(w)
+    whitened = np.hstack(blocks)
+    cross = whitened.T @ whitened / n
+    offsets = np.cumsum([0, *(b.shape[1] for b in blocks)])
+    for a, b in zip(offsets, offsets[1:]):
+        cross[a:b, a:b] = 0.0
     values, vectors = sym_eig_desc(cross)
-    theta = np.vstack([w.T @ vectors[s, :dim] for s, w in zip(spans, whiteners)])
-    theta *= lead_signs(theta)
-    return values[:dim], [theta[s] for s in spans]
+    rest = [(j, i) for j, c in enumerate(centered) for i in range(n, c.shape[1])]
+    rho = np.concatenate([values, np.zeros(len(rest))])
+    keep = np.argsort(-rho, kind="stable")[:dim]
+    coords = [np.zeros((c.shape[1], dim)) for c in centered]
+    for t, pair in enumerate(keep):
+        if pair < len(values):
+            for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
+                coords[j][:b - a, t] = vectors[a:b, pair]
+        else:
+            j, i = rest[pair - len(values)]
+            coords[j][i, t] = 1.0
+    theta = [w.T @ u for w, u in zip(maps, coords)]
+    signs = lead_signs(np.vstack(theta))
+    return rho[keep], [t * signs for t in theta]
 
 
 class TestGcca:
@@ -308,6 +345,19 @@ class TestGcca:
     def test_views_at_most_n_wide_keep_the_plain_whitening_bitwise(self, rng, rows, widths, dim):
         # the power-of-two scaling is exact and no view is reduced, so the model is the plain
         # whitening path's bit for bit, whatever the views' magnitudes
+        views = [rng.normal(size=(rows, d)) * scale for d, scale in zip(widths, (3e-7, 1.0, 5e4))]
+        model = fit_gcca(views, dim, tau=0.5)
+        values, projections = reference_gcca(views, dim, tau=0.5)
+        assert model.eigenvalues.tobytes() == values.tobytes()
+        for p, q in zip(model.projections, projections):
+            assert p.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("rows, widths, dim", [(8, (12, 3, 9), 10), (8, (12, 3, 9), 24),
+                                                   (30, (45, 20, 60), 40), (30, (45, 20, 60), 125)])
+    def test_wide_views_match_the_one_pass_fit_bitwise(self, rng, rows, widths, dim):
+        # two views wider than n: the whitening pass takes only R of each one's whitened block and
+        # the mapping pass rebuilds its map with the complete QR, so the model is the one-pass
+        # fit's bit for bit, with dim = k taking every rho = 0 pair from the maps' rows past n
         views = [rng.normal(size=(rows, d)) * scale for d, scale in zip(widths, (3e-7, 1.0, 5e4))]
         model = fit_gcca(views, dim, tau=0.5)
         values, projections = reference_gcca(views, dim, tau=0.5)

@@ -151,6 +151,20 @@ class TestSymEig:
         with pytest.raises(ValidationError, match="square"):
             sym_eig_desc(np.ones((2, 3)))
 
+    def test_symmetry_tolerance_is_relative_at_every_scale(self):
+        # the tolerance is 1e-10 of the largest magnitude, so scaling by a power of two changes no
+        # verdict: an asymmetric matrix is refused, and a symmetric one, also off by 1e-12 of its
+        # scale, is accepted, by both functions that check
+        asym = np.array([[1.0, 2.0], [0.0, 1.0]])
+        sym = np.array([[2.0, 1.0], [1.0, 2.0]])
+        near = sym + np.array([[0.0, 1e-12], [0.0, 0.0]])
+        for k in range(-1000, 1001):
+            for fn in (sym_eig_desc, cholesky):
+                with pytest.raises(ValidationError, match="not symmetric"):
+                    fn(np.ldexp(asym, k))
+                fn(np.ldexp(sym, k))
+                fn(np.ldexp(near, k))
+
     def test_repeat_calls_are_bitwise_identical(self, rng):
         a = random_symmetric(rng, 8)
         r1 = sym_eig_desc(a)
@@ -296,12 +310,15 @@ class TestL2Normalize:
         assert np.allclose(y, [[RT2 / 2, RT2 / 2, 0.0], [-RT2 / 2, 0.0, RT2 / 2]], rtol=0, atol=1e-15)
 
     def test_underflowing_squared_norm_is_not_a_zero_row(self):
-        # every entry squares to 0, yet the row is nonzero: no warning, unit out
+        # every entry squares to 0, yet the row is nonzero: no warning, unit out.  The row is
+        # normalized as its power-of-two scaling into the normal range is, so it gives the bits
+        # that [3, -4, 0] * 2**-e gives
         x = np.array([[3e-170, -4e-170, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             y = l2_normalize_rows(x)
-        assert np.array_equal(y, [[0.6, -0.8, 0.0]])
+        assert np.array_equal(y, [[0.6, -0.7999999999999999, 0.0]])
+        assert y.tobytes() == l2_normalize_rows(np.ldexp(x, 560)).tobytes()
 
     def test_direction_preserved(self, rng):
         x = rng.normal(size=(10, 3))
