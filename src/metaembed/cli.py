@@ -288,7 +288,8 @@ def cmd_eval(args) -> int:
         fingerprint = config_fingerprint(args.task, probe.metric, [digests[str(p)] for p in inputs],
                                          list(probe_config), drawn, list(splits))
         report = EvalReport(args.task, probe.metric, probe.test, probe.n_test, fingerprint)
-        metrics.update(dev=probe.dev, rounds=probe.history.rounds)
+        # rounds, best_round (an index into dev_curve), stopped_early and dev_curve
+        metrics.update(dev=probe.dev, **probe.history._asdict())
         rows = [(p.id_a, p.id_b, p.label, pred) for p, pred in zip(parts[2], probe.test_predictions)]
 
     _emit_report(report)

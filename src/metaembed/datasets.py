@@ -95,10 +95,14 @@ class PairDataset(NamedTuple):
         return [self.pairs[i] for i in getattr(self.splits, part)]
 
 
-def _check_id(token: str, path, lineno: int, column: str) -> str:
-    if token.split() != [token]:  # empty, or holds whitespace
-        raise FileFormatError(path, lineno, f"bad {column} value {token!r}")
-    return token
+def _check_id(token: str, seen: dict, path, lineno: int, column: str) -> str:
+    """*token* as the one string *seen* keeps for it, checked when first seen."""
+    kept = seen.get(token)
+    if kept is None:
+        if token.split() != [token]:  # empty, or holds whitespace
+            raise FileFormatError(path, lineno, f"bad {column} value {token!r}")
+        kept = seen[token] = token
+    return kept
 
 
 def _score(raw: str, lo: float, hi: float, path, lineno: int) -> float:
@@ -114,7 +118,7 @@ def _score(raw: str, lo: float, hi: float, path, lineno: int) -> float:
 def _label(raw: str, inventory: tuple, path, lineno: int, what: str = "class") -> str:
     if raw not in inventory:
         raise FileFormatError(path, lineno, f"unknown {what} {raw!r}; expected one of {', '.join(inventory)}")
-    return raw
+    return inventory[inventory.index(raw)]  # the inventory's own string, stored once
 
 
 def _is_official(lines) -> bool:
@@ -126,24 +130,29 @@ def _canonical(path, lines, score_range=None, classes=None) -> PairDataset:
     """The dataset of a canonical file's *lines*.
 
     Labels are scores inside *score_range* or members of *classes*; with
-    neither, the classes are the file's own labels, sorted.
+    neither, the classes are the file's own labels, sorted.  Each distinct
+    id and class label is stored as one string.
     """
     if score_range is not None:
         lo, hi = score_range
     pairs = []
+    ids: dict = {}
+    labels: dict = {}
     for i, line in enumerate(lines, start=1):
         row = line.split("\t")
         if row == [""]:
             continue
         if len(row) != 5:
             raise FileFormatError(path, i, f"expected 5 tab-separated columns, got {len(row)}")
-        id_a = _check_id(row[0], path, i, "id_a")
-        id_b = _check_id(row[1], path, i, "id_b")
+        id_a = _check_id(row[0], ids, path, i, "id_a")
+        id_b = _check_id(row[1], ids, path, i, "id_b")
         label = row[2]
         if score_range is not None:
             label = _score(label, lo, hi, path, i)
         elif classes is not None:
             label = _label(label, classes, path, i)
+        else:
+            label = labels.setdefault(label, label)
         pairs.append(Pair(id_a, id_b, label))
     if not pairs:
         raise FileFormatError(path, max(1, len(lines)), "no pair rows")
@@ -169,13 +178,14 @@ def _official(path, lines) -> tuple:
     score_pairs = []
     class_pairs = []
     by_split = {part: [] for part in SPLIT_NAMES}
+    pair_ids: dict = {}
     for i, line in enumerate(lines[1:], start=2):
         row = line.split("\t")
         if row == [""]:
             continue
         if len(row) != len(header):
             raise FileFormatError(path, i, f"expected {len(header)} fields, got {len(row)}")
-        pid = _check_id(row[col["pair_ID"]], path, i, "pair_ID")
+        pid = _check_id(row[col["pair_ID"]], pair_ids, path, i, "pair_ID")
         value = _score(row[col["relatedness_score"]], lo, hi, path, i)
         label = _label(row[col["entailment_judgment"]], entailment, path, i, "entailment class")
         if has_split:

@@ -37,7 +37,9 @@ __all__ = [
 ]
 
 _ZERO_VECTOR = "cosine of a zero vector is undefined"
-_COSINE_ROWS = 1024  # pairs whose vectors are gathered at a time to score similarity
+# pairs whose vectors are gathered at a time to score similarity, and rows at a time to fingerprint
+# them; cosines are per row and the fingerprint is a stream, so neither result depends on it
+_COSINE_ROWS = 256
 
 
 def _vector(v, name: str) -> np.ndarray:

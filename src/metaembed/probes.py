@@ -21,9 +21,10 @@ defined correlation with anything.
 
 Features are the [u; v; |u-v|; u*v] rows of sentence pairs.  Any split may
 give them as a matrix or as :class:`PairRows`, the pairs' row indices into a
-table of sentence vectors, gathered a minibatch (training) or 256 rows (dev
-and test scoring) at a time into one reused buffer: no (n, 4D) matrix is
-built, and both forms give bitwise-equal weights and reports at any size.
+table of sentence vectors.  A probe call gathers them a minibatch (training)
+or 64 rows (the overflow check, dev and test scoring) at a time into one
+buffer that every split shares: no (n, 4D) matrix is built, and both forms
+give bitwise-equal weights and reports at any size.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ __all__ = [
 # inside one tenacity window of rounds, which the stated protocol relies on
 _PROBE_LR = 1e-2
 _SCORE_BINS = np.arange(1.0, 6.0)  # integer bin values 1..5
-_CHECK_ROWS = 256  # pairs gathered at a time to check features for overflow and to score them
+_BLOCK_ROWS = 64  # pairs gathered at a time to check and to score features; the default minibatch
 
 
 class ProbeConfig(NamedTuple):
@@ -95,23 +96,22 @@ def _check_config(config: ProbeConfig) -> None:
         raise ValidationError("batch_size, tenacity and epoch_size must be positive")
 
 
-def _check_features(x, name: str):
+def _check_features(x, name: str, rows):
     """*x* checked without a copy: a float64 matrix, or PairRows.
 
-    PairRows are gathered a few rows at a time for the check: |u-v| and u*v
-    of finite vectors can still overflow.
+    PairRows are gathered a block at a time by *rows* for the check: |u-v|
+    and u*v of finite vectors can still overflow.
     """
     if not isinstance(x, PairRows):
         return as_matrix(x, f"{name} features")
-    blocks, rows = _blocks(x)
-    for block in blocks:
-        if not np.all(np.isfinite(rows(block))):
+    for block in _blocks(x.shape[0]):
+        if not np.all(np.isfinite(rows(x, block))):
             raise ValidationError(f"{name} features contains non-finite entries")
     return x
 
 
-def _check_split(x, t, name: str) -> tuple:
-    xm = _check_features(x, name)
+def _check_split(x, t, name: str, rows=None) -> tuple:
+    xm = _check_features(x, name, rows or _gatherer())
     tm = np.asarray(t, dtype=np.float64)
     if tm.shape[0] != xm.shape[0]:
         raise ValidationError(f"{name}: {xm.shape[0]} feature rows for {tm.shape[0]} targets")
@@ -123,8 +123,8 @@ def _weights(flat: np.ndarray, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     return flat[:-n_out].reshape(n_out, -1), flat[-n_out:]
 
 
-def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: int):
-    """Shared round-based trainer; returns ((w, b), history)."""
+def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: int, rows=None):
+    """Shared round-based trainer, gathering minibatches with *rows*; returns ((w, b), history)."""
     if max_rounds < 1:
         raise ValidationError(f"max_rounds must be positive, got {max_rounds}")
     n, n_feat = train_x.shape
@@ -137,7 +137,7 @@ def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: 
     grad_w, grad_b = _weights(grad, n_out)
     w[...] = xavier_uniform(rngs["weights"], n_out, n_feat)
     adam = Adam({"wb": flat}, lr=_PROBE_LR)
-    batch_rows = _gatherer(train_x, min(n, config.batch_size))
+    rows = rows or _gatherer()
     best_metric = -np.inf
     best = flat.copy()
     best_round = 0
@@ -149,9 +149,9 @@ def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: 
         for e in range(config.epoch_size):
             order = rngs["shuffle"].permutation(n)
             for b_idx, start in enumerate(range(0, n, config.batch_size)):
-                rows = order[start : start + config.batch_size]
-                x = batch_rows(rows)
-                t = train_t[rows]
+                picks = order[start : start + config.batch_size]
+                x = rows(train_x, picks)
+                t = train_t[picks]
                 logits = x @ w.T + b
                 shifted = logits - logits.max(axis=1, keepdims=True)
                 lse = np.log(np.exp(shifted).sum(axis=1))
@@ -159,7 +159,7 @@ def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: 
                 if not np.isfinite(loss):
                     raise NonFiniteLossError(rnd * config.epoch_size + e + 1, b_idx + 1, loss)
                 probs = np.exp(shifted - lse[:, None])
-                d_logits = (probs - t) / len(rows)
+                d_logits = (probs - t) / len(picks)
                 np.matmul(d_logits.T, x, out=grad_w)
                 np.sum(d_logits, axis=0, out=grad_b)
                 adam.step({"wb": grad})
@@ -180,24 +180,23 @@ def _train_softmax(train_x, train_t, dev_eval, config: ProbeConfig, max_rounds: 
     return (w, b), ProbeHistory(rounds, best_round, stopped_early, curve)
 
 
-def _blocks(x) -> tuple:
-    """Blocks of min(n, _CHECK_ROWS) rows covering *x*'s n rows, the last ending at n, and a gatherer."""
-    size = min(x.shape[0], _CHECK_ROWS)
-    starts = [*range(0, x.shape[0] - size, _CHECK_ROWS), x.shape[0] - size]
-    return [slice(s, s + size) for s in starts], _gatherer(x, size)
+def _blocks(n: int) -> list:
+    """Slices of min(n, _BLOCK_ROWS) rows covering n rows, the last ending at n."""
+    size = min(n, _BLOCK_ROWS)
+    return [slice(s, s + size) for s in (*range(0, n - size, _BLOCK_ROWS), n - size)]
 
 
-def _logits(x, w, b) -> np.ndarray:
-    """x @ w.T + b in products of one block shape, since BLAS rows can depend on the row count."""
-    blocks, rows = _blocks(x)
+def _logits(x, w, b, rows=None) -> np.ndarray:
+    """x @ w.T + b in products of min(n, 64) rows gathered by *rows*: BLAS rows depend on the row count."""
+    rows = rows or _gatherer()
     out = np.empty((x.shape[0], w.shape[0]))
-    for block in blocks:
-        out[block] = rows(block) @ w.T + b
+    for block in _blocks(x.shape[0]):
+        out[block] = rows(x, block) @ w.T + b
     return out
 
 
-def _softmax_rows(x, w, b) -> np.ndarray:
-    logits = _logits(x, w, b)
+def _softmax_rows(x, w, b, rows) -> np.ndarray:
+    logits = _logits(x, w, b, rows)
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
 
@@ -221,20 +220,21 @@ def probe_classification(train_x, train_labels, dev_x, dev_labels, test_x, test_
             t[k, index[lab]] = 1.0
         return t
 
-    tx, tt = _check_split(train_x, onehot(train_labels, "train"), "train")
-    dx, dt = _check_split(dev_x, onehot(dev_labels, "dev"), "dev")
-    sx, st = _check_split(test_x, onehot(test_labels, "test"), "test")
+    rows = _gatherer()
+    tx, tt = _check_split(train_x, onehot(train_labels, "train"), "train", rows)
+    dx, dt = _check_split(dev_x, onehot(dev_labels, "dev"), "dev", rows)
+    sx, st = _check_split(test_x, onehot(test_labels, "test"), "test", rows)
     absent = [c for c, seen in zip(classes, tt.any(axis=0)) if not seen]
     if absent:
         raise ValidationError(f"class {absent[0]!r} has no examples in the train split")
 
     def dev_metric(w, b):
-        pred = np.argmax(_logits(dx, w, b), axis=1)
+        pred = np.argmax(_logits(dx, w, b, rows), axis=1)
         return accuracy(np.argmax(dt, axis=1).tolist(), pred.tolist())
 
-    (w, b), history = _train_softmax(tx, tt, dev_metric, config, max_rounds)
+    (w, b), history = _train_softmax(tx, tt, dev_metric, config, max_rounds, rows)
     dev = dev_metric(w, b)
-    test_pred = np.argmax(_logits(sx, w, b), axis=1)
+    test_pred = np.argmax(_logits(sx, w, b, rows), axis=1)
     test = accuracy(np.argmax(st, axis=1).tolist(), test_pred.tolist())
     predictions = [classes[i] for i in test_pred]
     return ProbeReport("accuracy", dev, test, tx.shape[0], dx.shape[0], sx.shape[0], history, predictions)
@@ -272,16 +272,17 @@ def probe_relatedness(train_x, train_scores, dev_x, dev_scores, test_x, test_sco
     # each split's scores are read once, into the array its targets and gold both come from
     train_gold, dev_gold, test_gold = (np.asarray(list(s), dtype=np.float64).reshape(-1)
                                        for s in (train_scores, dev_scores, test_scores))
-    tx, tt = _check_split(train_x, relatedness_targets(train_gold), "train")
-    dx, _ = _check_split(dev_x, relatedness_targets(dev_gold), "dev")
-    sx, _ = _check_split(test_x, relatedness_targets(test_gold), "test")
+    rows = _gatherer()
+    tx, tt = _check_split(train_x, relatedness_targets(train_gold), "train", rows)
+    dx, _ = _check_split(dev_x, relatedness_targets(dev_gold), "dev", rows)
+    sx, _ = _check_split(test_x, relatedness_targets(test_gold), "test", rows)
 
     def dev_metric(w, b):
-        return pearson(relatedness_score(_softmax_rows(dx, w, b)), dev_gold)
+        return pearson(relatedness_score(_softmax_rows(dx, w, b, rows)), dev_gold)
 
-    (w, b), history = _train_softmax(tx, tt, dev_metric, config, max_rounds)
+    (w, b), history = _train_softmax(tx, tt, dev_metric, config, max_rounds, rows)
     dev = dev_metric(w, b)
-    test_pred = relatedness_score(_softmax_rows(sx, w, b))
+    test_pred = relatedness_score(_softmax_rows(sx, w, b, rows))
     test = pearson(test_pred, test_gold)
     return ProbeReport("pearson", dev, test, tx.shape[0], dx.shape[0], sx.shape[0], history, test_pred.tolist())
 
@@ -331,20 +332,24 @@ def pair_rows(table: EmbeddingTable, pairs) -> PairRows:
                     table.indices(p.id_b for p in pairs))
 
 
-def _gatherer(x, size: int):
-    """A function from row picks (at most *size*) to the feature rows of *x* at them.
+def _gatherer():
+    """A function from (x, row picks) to the feature rows of *x* at them.
 
-    A matrix is indexed; PairRows are gathered into one reused (size, 4D)
-    buffer, whose leading rows come back.
+    A matrix is indexed.  PairRows are gathered into one buffer, kept from
+    call to call and replaced only when a call needs more rows or another
+    width; its leading rows come back.
     """
-    if not isinstance(x, PairRows):
-        return x.__getitem__
-    out = np.empty((size, x.shape[1]))
-    quarters = np.hsplit(out, 4)
+    out = np.empty((0, 0))
 
-    def rows(picks):
+    def rows(x, picks):
+        nonlocal out
+        if not isinstance(x, PairRows):
+            return x[picks]
         a, b = x.a[picks], x.b[picks]
-        _fill_features([q[: len(a)] for q in quarters], x.vectors[a], x.vectors[b])
+        if len(a) > out.shape[0] or x.shape[1] != out.shape[1]:
+            out = None  # the old buffer goes before the new one is made
+            out = np.empty((len(a), x.shape[1]))
+        _fill_features(np.hsplit(out[: len(a)], 4), x.vectors[a], x.vectors[b])
         return out[: len(a)]
 
     return rows
@@ -352,5 +357,4 @@ def _gatherer(x, size: int):
 
 def pair_feature_matrix(table: EmbeddingTable, pairs) -> np.ndarray:
     """:func:`pair_features` for each pair's sentence vectors in *table*."""
-    rows = pair_rows(table, pairs)
-    return _gatherer(rows, rows.shape[0])(slice(None))
+    return _gatherer()(pair_rows(table, pairs), slice(None))

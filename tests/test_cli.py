@@ -493,6 +493,27 @@ class TestEval:
         manifest = json.loads((tmp_path / "metaembed-eval.manifest.json").read_text())
         assert manifest["metrics"]["rounds"] >= 1
 
+    @pytest.mark.parametrize("tenacity", [1, 2, 200])
+    def test_probe_manifest_keeps_the_dev_curve(self, tmp_path, rng, capsys, monkeypatch, tenacity):
+        monkeypatch.chdir(tmp_path)
+        table_path, pairs_path = self.embeddings_fixture(tmp_path, rng, n_pairs=40)
+        manifests = []
+        for _ in range(2):
+            code, _, _ = run(capsys, "eval", "sick-r", "--inputs", table_path, "--dataset", pairs_path,
+                             "--epoch-size", 1, "--tenacity", tenacity)
+            assert code == 0
+            manifests.append((tmp_path / "metaembed-eval.manifest.json").read_text())
+        assert manifests[0] == manifests[1]
+        metrics = json.loads(manifests[0])["metrics"]
+        curve, best = metrics["dev_curve"], metrics["best_round"]
+        assert len(curve) == metrics["rounds"]
+        assert curve[best] == metrics["dev"]
+        # best_round is the first round to reach the best dev score, counted from 0
+        assert all(c < curve[best] for c in curve[:best]) and max(curve) == curve[best]
+        # training stops once tenacity rounds in a row fail to beat the best, or at 200 rounds
+        assert metrics["stopped_early"] == (metrics["rounds"] - 1 - best == tenacity)
+        assert metrics["stopped_early"] or metrics["rounds"] == 200
+
     def test_probe_negative_seed_exits_2(self, tmp_path, rng, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         table_path, pairs_path = self.embeddings_fixture(tmp_path, rng, n_pairs=40)

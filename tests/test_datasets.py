@@ -119,6 +119,39 @@ class TestCanonicalFormat:
         with pytest.raises(FileFormatError, match=f"{path}:1.*bad id_a"):
             load_dataset(path, "sts")
 
+    def test_each_id_and_label_is_stored_once(self, tmp_path):
+        for task, x, y in ((None, "x", "y"), ("nli", "neutral", "entailment")):
+            path = canonical_file(tmp_path, ("a", "b", x, "-", "-"), ("b", "a", y, "-", "-"),
+                                  ("a", "c", x, "-", "-"))
+            pairs = load_dataset(path, task).pairs
+            assert pairs[0].id_a is pairs[1].id_b is pairs[2].id_a
+            assert pairs[0].id_b is pairs[1].id_a
+            assert pairs[0].label is pairs[2].label
+        assert pairs[1].label is TASK_CLASSES["nli"][0]
+        _, classes = official_datasets(official_file(tmp_path, [
+            ("1", "a", "b", "4.5", "NEUTRAL", "TRAIN"), ("2", "a", "c", "1.2", "NEUTRAL", "TEST")]))
+        assert classes.pairs[0].label is classes.pairs[1].label is TASK_CLASSES["sick-e"][1]
+
+    def test_a_bad_id_is_reported_at_its_first_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\tb\t1\t-\t-\nc\td e\t1\t-\t-\nd e\ta\t1\t-\t-\n")
+        with pytest.raises(FileFormatError, match=f"{path}:2: bad id_b value 'd e'"):
+            load_dataset(path, "sts")
+
+    @pytest.mark.parametrize("line, task, message", [
+        ("a\tb\t1\t-", "sts", "expected 5 tab-separated columns, got 4"),
+        ("a\tb\thigh\t-\t-", "sts", "could not parse score 'high'"),
+        ("b\ta\t6.1\t-\t-", "sts", r"score 6.1 outside \[0, 5\]"),
+        ("a\tb\tmaybe\t-\t-", "paraphrase", "unknown class 'maybe'"),
+        ("a\t\tparaphrase\t-\t-", "paraphrase", "bad id_b value ''"),
+    ])
+    def test_faults_after_seen_ids_name_their_own_line(self, tmp_path, line, task, message):
+        label = "1" if task == "sts" else "paraphrase"
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"a\tb\t{label}\t-\t-\nb\ta\t{label}\t-\t-\n{line}\na\tb\t{label}\t-\t-\n")
+        with pytest.raises(FileFormatError, match=f"{path}:3: {message}"):
+            load_dataset(path, task)
+
     @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\f", "\x1c", "\x1e", "\v"])
     def test_sentence_with_unicode_line_separator(self, tmp_path, sep):
         path = tmp_path / "pairs.tsv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from metaembed.datasets import Pair
 from metaembed.errors import NonFiniteLossError, ValidationError
 from metaembed.optim import Adam
@@ -364,12 +365,12 @@ class TestPerMinibatchFeatures:
         (w_x, b_x), history_x = _train_softmax(x, targets, dev_eval, config, 6)
         assert (w_x.tobytes(), b_x.tobytes(), history_x) == (w.tobytes(), b.tobytes(), history)
 
-    # dev and test sizes around the 256-row scoring block, at widths 4D = 20 and 4D = 1024;
+    # dev and test sizes around the 64-row scoring block, at widths 4D = 20 and 4D = 1024;
     # the first three ids name the pair count and batch size
     @pytest.mark.parametrize("n_train, n_eval, dim, batch_size", [
         pytest.param(60, 30, 5, 16, id="120-16"), pytest.param(61, 31, 5, 16, id="123-16"),
         pytest.param(10, 5, 5, 64, id="20-64"),
-        *(pytest.param(60, n, 256, 16, id=f"width256-eval{n}") for n in (1, 255, 256, 257, 700))])
+        *(pytest.param(60, n, 256, 16, id=f"width256-eval{n}") for n in (1, 63, 64, 65, 256, 700))])
     def test_probes_match_on_rows_and_on_matrices(self, n_train, n_eval, dim, batch_size):
         table, pairs, labels, scores = self.fixture(n_train + 2 * n_eval, dim=dim)
         splits = [slice(0, n_train), slice(n_train, n_train + n_eval), slice(n_train + n_eval, None)]
@@ -390,12 +391,12 @@ class TestPerMinibatchFeatures:
             assert (report.n_train, report.n_dev, report.n_test) == (n_train, n_eval, n_eval)
             assert len(report.test_predictions) == n_eval
 
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 700])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 256, 513, 700])
     def test_scoring_blocks_have_one_shape_and_cover_every_row(self, n):
         table, pairs, _, _ = self.fixture(n, dim=256)
         x, rows = pair_feature_matrix(table, pairs), pair_rows(table, pairs)
-        blocks, _ = _blocks(x)
-        assert {b.stop - b.start for b in blocks} == {min(n, 256)}
+        blocks = _blocks(n)
+        assert {b.stop - b.start for b in blocks} == {min(n, 64)}
         assert blocks[-1].stop == n
         assert sorted(set(np.concatenate([np.arange(n)[b] for b in blocks]))) == list(range(n))
         rng = np.random.default_rng(n)
@@ -404,6 +405,18 @@ class TestPerMinibatchFeatures:
             logits = _logits(x, w, b)
             assert logits.tobytes() == _logits(rows, w, b).tobytes()
             assert np.allclose(logits, x @ w.T + b, rtol=1e-12, atol=1e-12)
+
+    def test_relatedness_probe_on_rows_holds_about_one_block_of_features(self):
+        # D = 1024, so one 64-row block of [u; v; |u-v|; u*v] features is 2 MiB
+        n_train, n_eval, dim = 300, 1000, 1024
+        table, pairs, _, scores = self.fixture(n_train + 2 * n_eval, dim=dim, n_ids=200)
+        splits = [slice(0, n_train), slice(n_train, n_train + n_eval), slice(n_train + n_eval, None)]
+        data = []
+        for s in splits:
+            data += [pair_rows(table, pairs[s]), scores[s]]
+        config = ProbeConfig(epoch_size=1, tenacity=1, seed=2)
+        block = 64 * 4 * dim * 8
+        assert traced_peak(probe_relatedness, *data, config, 3) <= 2.5 * block
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("late", [False, True])
