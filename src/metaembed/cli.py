@@ -175,7 +175,10 @@ def cmd_fit(args) -> int:
             raise ValidationError("gcca needs --d (the number of retained components)")
         model = fit_gcca(views, args.d, DEFAULT_TAU if args.tau is None else args.tau)
     model.save(args.out)
-    _write_manifest(args, _digests(args.inputs), [args.out], {"dropped": dropped})
+    metrics = {"dropped": dropped}
+    if args.method == "gcca":
+        metrics["residual_ratio"] = model.residual_ratio
+    _write_manifest(args, _digests(args.inputs), [args.out], metrics)
     print(f"wrote {args.out}: {args.method} model over {len(ids)} rows")
     print(f"retained_d {model.dim}")
     if args.method == "gcca":

@@ -10,9 +10,10 @@ largest-magnitude entry is positive.  Fitted model files therefore do not
 depend on the backend's sign choices.
 
 For a matrix with at least 11/6 as many rows as columns (MNTHR), ``gesdd``
-factors A = QR first and takes the SVD of R, so :func:`thin_svd` of R from
-``numpy.linalg.qr`` gives A's s and v bit for bit; the SVD fit uses this and
-never forms an (n, k) left factor.  ``gesdd`` also rescales a matrix whose
+factors A = QR first and takes the SVD of R.  From there on the SVD fit
+passes :func:`thin_svd` an R it streams over row blocks with
+``numpy.linalg.qr`` (TSQR), which gives A's s and v to rounding and never
+forms A or an (n, k) left factor.  ``gesdd`` also rescales a matrix whose
 largest entry lies outside about 1e+-138, which makes its results inexact
 under scaling; the SVD fit first scales its input by a power of two to a
 largest magnitude in [0.5, 1), which is exact.

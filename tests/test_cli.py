@@ -163,6 +163,20 @@ class TestFitApply:
         assert code == 0
         assert load_vector_table(out).dim == 2
 
+    @pytest.mark.parametrize("n, dims", [(60, (5, 4, 3)), (6, (5, 4))])
+    def test_gcca_manifest_keeps_the_residual_ratio(self, tmp_path, rng, capsys, n, dims):
+        # a tall fit (k <= n) checks its residuals from the Gram matrix, a wide one from the views
+        _, paths = write_vec_tables(tmp_path, rng, n=n, dims=dims)
+        runs = []
+        for _ in range(2):
+            code, _, _ = run(capsys, "fit", "--method", "gcca", "--inputs", *paths,
+                             "--d", 3, "--out", tmp_path / "g.model")
+            assert code == 0
+            runs.append([(tmp_path / name).read_bytes() for name in ("g.model", "g.model.manifest.json")])
+        assert runs[0] == runs[1]
+        ratio = json.loads(runs[0][1])["metrics"]["residual_ratio"]
+        assert np.isfinite(ratio) and 0.0 <= ratio < 1e-3
+
     def test_tau_rejected_for_svd(self, tmp_path, rng, capsys):
         _, paths = write_vec_tables(tmp_path, rng)
         code, _, stderr = run(capsys, "fit", "--method", "svd", "--inputs", *paths,

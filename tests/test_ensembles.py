@@ -48,33 +48,46 @@ def test_gcca_fit_peak_memory(rng):
     views = [rng.normal(size=(60, d)) for d in (150, 100, 50)]
     kxk = 300 * 300 * 8
     assert traced_peak(fit_gcca, views, 20) < 1.4 * kxk
-    # n >> k, as in the ensemble-io workload: the whitening pass sets the peak, 2.02 n x k, with
-    # the whitened matrix, the first view's centered copy and its whitened block.  With every
-    # centered copy held it was 2.19
+    # n >> k, as in the ensemble-io workload: the fit accumulates the k x k Gram matrix over row
+    # blocks built from the views, so the widest view's centered copy, taken for its mean, sets
+    # the peak at 0.51 n x k.  Whitening each view in an (n, k) matrix it peaked at 2.02, and at
+    # 2.19 with every centered copy held
     views = [rng.normal(size=(4000, d)) for d in (120, 80, 40)]
-    assert traced_peak(fit_gcca, views, 32) < 2.2 * 4000 * 240 * 8
+    assert traced_peak(fit_gcca, views, 32) < 0.75 * 4000 * 240 * 8
     assert "scipy" not in sys.modules
 
 
 def test_gcca_eigensolve_sees_only_the_cross_covariance(rng):
-    # the whitening pass drops each view's centered copy and map once its whitened block is
-    # written, so on entry to the eigensolve the whitened r x r cross-covariance (r = 300 + 300
-    # + 200) is all the fit holds besides the caller's views: 1.002 of it.  A fit that held the
-    # maps and centered views through the eigensolve was at 2.44
+    # n < k: the whitening pass drops each view's centered copy and map once its whitened block
+    # is written, so on entry to the eigensolve the whitened r x r cross-covariance (r = 300 +
+    # 300 + 200) is all the fit holds besides the caller's views: 1.002 of it.  A fit that held
+    # the maps and centered views through the eigensolve was at 2.44
     views = [rng.normal(size=(300, d)) for d in (600, 400, 200)]
     live = traced_live_at(ensembles, "sym_eig_desc", fit_gcca, views, 100)
     assert len(live) == 1 and live[0] <= 1.1 * 800 * 800 * 8
 
 
+def test_tall_gcca_eigensolve_sees_the_gram_and_cross_covariance(rng):
+    # k <= n: on entry to the eigensolve the fit holds the k x k Gram matrix (its diagonal blocks
+    # turned into the metric blocks B_j), the k x k cross-covariance and each view's d_j x d_j
+    # whitening map, which the projections need after it: 2.39 k x k here, and no row block
+    widths = (120, 80, 40)
+    views = [rng.normal(size=(4000, d)) for d in widths]
+    live = traced_live_at(ensembles, "sym_eig_desc", fit_gcca, views, 32)
+    assert len(live) == 1 and live[0] <= 1.02 * (2 * 240 * 240 + sum(d * d for d in widths)) * 8
+
+
 def test_svd_fit_and_apply_peak_memory(rng):
-    # n >> k, as in the ensemble-io workload.  The fit holds the concatenation and its centered
-    # copy, then the centered copy and the QR's working copy: 2.07 n x k.  Through gesdd's own
-    # copy and left factors, numpy's U and its signed copy it peaked at 4.13.  apply holds one
-    # centered concatenation and the (n, dim) output: 1.13; it peaked at 2.01 with two.
+    # n >> k, as in the ensemble-io workload.  The fit takes each view's mean from its own centered
+    # copy and then streams R of a QR over row blocks of max(k, n / 16) rows built from the views,
+    # so the widest view's centered copy sets the peak at 0.51 n x k.  Through the concatenation,
+    # its centered copy and the QR's working copy it peaked at 2.07, and at 4.13 through gesdd's
+    # own copy and left factors.  apply holds one centered concatenation and the (n, dim) output:
+    # 1.13; it peaked at 2.01 with two.
     views = [rng.normal(size=(4000, d)) for d in (120, 80, 40)]
     nxk = 4000 * 240 * 8
     model = fit_svd_meta(views, 32)
-    assert traced_peak(fit_svd_meta, views, 32) < 2.5 * nxk
+    assert traced_peak(fit_svd_meta, views, 32) < 0.75 * nxk
     assert traced_peak(model.apply, views) < 1.5 * nxk
 
 
@@ -161,16 +174,40 @@ class TestSvdMeta:
     @pytest.mark.parametrize("widths", [(4, 3), (20, 12), (120, 80, 40)])
     @pytest.mark.parametrize("rows", ["below", "at", "above", "wide"])
     def test_qr_crossover_keeps_the_plain_svd_bitwise(self, rng, widths, rows):
-        # from gesdd's crossover at 11 k // 6 rows the fit factors R of a QR; one row below it
-        # must not, as R's SVD then differs from gesdd's on the whole matrix in the last bits
+        # below gesdd's crossover at 11 k // 6 rows the fit takes the SVD of the whole centered
+        # matrix, bit for bit; from there on it streams R of a QR over row blocks, which moves
+        # the last bits, so it is held to the whole matrix's SVD within rounding
         k = sum(widths)
         n = {"below": 11 * k // 6 - 1, "at": 11 * k // 6, "above": 11 * k // 6 + 1, "wide": k // 2}[rows]
         views = [rng.normal(size=(n, w)) for w in widths]
         dim = min(n, k)
         model = fit_svd_meta(views, dim)
         _, s, v = thin_svd(column_means_and_center(np.hstack(views))[1])
-        assert model.singular_values.tobytes() == s[:dim].tobytes()
-        assert model.projection.tobytes() == v[:, :dim].tobytes()
+        if rows in ("below", "wide"):
+            assert model.singular_values.tobytes() == s[:dim].tobytes()
+            assert model.projection.tobytes() == v[:, :dim].tobytes()
+        else:
+            assert_svd_close(model, s[:dim], v[:, :dim])
+
+    def test_streamed_qr_matches_the_plain_svd_at_block_edges(self, rng):
+        # blocks of max(k, ceil(n / 16)) rows: at the crossover the last block is short of k rows,
+        # 2k and 16k rows fill two and sixteen blocks exactly, 2k + 1 leaves a last block of one
+        # row, 16k + 1 is the first n with blocks wider than k, and 40k takes 2.5k-row blocks
+        for widths in ((5, 3), (20, 12)):
+            k = sum(widths)
+            for n in (11 * k // 6, 2 * k, 2 * k + 1, 16 * k, 16 * k + 1, 40 * k):
+                views = [rng.normal(size=(n, w)) for w in widths]
+                model = fit_svd_meta(views, k)
+                _, s, v = thin_svd(column_means_and_center(np.hstack(views))[1])
+                assert_svd_close(model, s, v)
+
+
+def assert_svd_close(model, s, v):
+    """Singular values within 1e-13 s_0 of *s*, and each projection column within 1e-10 of *v*'s
+    once its sign is fixed."""
+    assert np.max(np.abs(model.singular_values - s)) <= 1e-13 * s[0]
+    signs = np.sign(np.sum(model.projection * v, axis=0))
+    assert np.max(np.abs(model.projection * signs - v)) <= 1e-10
 
 
 _RANGE_SHAPES = {"tall": (60, (5, 3)), "wide": (6, (5, 4))}
@@ -341,16 +378,24 @@ class TestGcca:
         assert f"pivot {pivot} is 0" in str(exc.value)
         assert fit_gcca(views, dim=1, tau=0.1).dim == 1
 
-    @pytest.mark.parametrize("rows, widths, dim", [(40, (4, 3, 5), 12), (300, (120, 80, 40), 32)])
+    @pytest.mark.parametrize("rows, widths, dim", [(40, (4, 3, 5), 12), (300, (120, 80, 40), 32),
+                                                   (10, (4, 3, 5), 12)])
     def test_views_at_most_n_wide_keep_the_plain_whitening_bitwise(self, rng, rows, widths, dim):
-        # the power-of-two scaling is exact and no view is reduced, so the model is the plain
-        # whitening path's bit for bit, whatever the views' magnitudes
+        # with k > n and no view wider than n, no view is reduced and the power-of-two scaling is
+        # exact, so the model is the plain whitening path's bit for bit, whatever the views'
+        # magnitudes.  With k <= n the fit whitens from the Gram matrix accumulated over row
+        # blocks, which moves the last bits
         views = [rng.normal(size=(rows, d)) * scale for d, scale in zip(widths, (3e-7, 1.0, 5e4))]
         model = fit_gcca(views, dim, tau=0.5)
         values, projections = reference_gcca(views, dim, tau=0.5)
-        assert model.eigenvalues.tobytes() == values.tobytes()
-        for p, q in zip(model.projections, projections):
-            assert p.tobytes() == q.tobytes()
+        if sum(widths) > rows:
+            assert model.eigenvalues.tobytes() == values.tobytes()
+            for p, q in zip(model.projections, projections):
+                assert p.tobytes() == q.tobytes()
+        else:
+            assert np.max(np.abs(model.eigenvalues - values)) <= 1e-14
+            for p, q in zip(model.projections, projections):
+                assert np.all(np.max(np.abs(p - q), axis=0) <= 1e-11 * np.max(np.abs(q), axis=0))
 
     @pytest.mark.parametrize("rows, widths, dim", [(8, (12, 3, 9), 10), (8, (12, 3, 9), 24),
                                                    (30, (45, 20, 60), 40), (30, (45, 20, 60), 125)])
