@@ -311,7 +311,7 @@ def cmd_info(args) -> int:
     except MetaEmbedError:
         kind = None
     if kind in _MODEL_CLASSES:
-        described = _load_model(args.path)
+        described = _MODEL_CLASSES[kind].load(args.path)
     else:
         described = load_table(args.path)
         kind = described.KIND

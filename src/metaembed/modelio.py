@@ -143,7 +143,7 @@ def read_model(path, magics: tuple, names) -> ModelFile:
                 raise FileFormatError(path, lines.count, f"non-integer block shape in {raw!r}") from None
             if rows < 1 or cols < 1:
                 raise FileFormatError(path, lines.count, f"block shape must be positive, got {rows} {cols}")
-            blocks[label] = read_rows(lines, lines.count + 1, rows, cols, path, label)
+            blocks[label] = read_rows(lines, rows, cols, path, label)
     return ModelFile(str(path), magic, fields, blocks)
 
 

@@ -176,7 +176,7 @@ def load_vector_table(path) -> EmbeddingTable:
     """Parse a vector table file."""
     with Lines(path) as lines:
         n, d = _parse_header(lines.line(), path)
-        return EmbeddingTable(*read_rows(lines, 2, n, d, path, keyed=True))
+        return EmbeddingTable(*read_rows(lines, n, d, path, keyed=True))
 
 
 def save_vector_table(path, table: EmbeddingTable) -> None:
@@ -191,59 +191,47 @@ def load_sequence_table(path) -> SequenceTable:
 
     Each block header is checked as it is reached, and the rows of all the
     blocks are parsed a chunk at a time into one array, whose blocks the table
-    holds as views.  A file that fails is read again block by block, which
-    names the first line at fault.
+    holds as views.  A fault in a header is raised once the rows before it are
+    parsed, so that the first fault in the file is the one named.
     """
-    try:
-        with Lines(path) as lines:
-            n, d = _parse_header(lines.line(), path)
-            steps: dict[str, int] = {}
-            values = read_rows(Lines(path, _block_rows(lines, n, steps, path)), 1, None, d, path)
-            check_trailing(lines)
-            return SequenceTable(steps, np.split(values, np.cumsum(list(steps.values()))[:-1]))
-    except FileFormatError:
-        with Lines(path) as lines:
-            n, d = _parse_header(lines.line(), path)
-            mats = {ident: read_rows(lines, lines.count + 1, count, d, path, ident)
-                    for ident, count in _blocks(lines, n, path)}
-            check_trailing(lines)
-            return SequenceTable(mats, mats.values())
+    with Lines(path) as lines:
+        n, d = _parse_header(lines.line(), path)
+        steps, faults = {}, []
+        values = read_rows(lines, _blocks(lines, n, steps, faults, path), d, path)
+        if faults:
+            raise faults[0]
+        check_trailing(lines)
+        return SequenceTable(steps, np.split(values, np.cumsum(list(steps.values()))[:-1]))
 
 
-def _block_rows(lines: Lines, n: int, steps: dict, path):
-    """The data lines of each of the *n* blocks, in lists; each block's row count goes into *steps*."""
-    for ident, count in _blocks(lines, n, path):
-        steps[ident] = count
-        for part in lines.take(count):
-            count -= len(part)
-            yield part
-        if count:
-            raise truncated(path, lines.count, f"expected {steps[ident]} rows in block {ident!r}")
-
-
-def _blocks(lines: Lines, n: int, path):
-    """The id and row count of each of the *n* blocks, each header checked when it is the next line."""
-    seen = set()
+def _blocks(lines: Lines, n: int, steps: dict, faults: list, path):
+    """The id and row count of each of the *n* blocks, also put in *steps*, each header checked when
+    it is the next line.  A faulty header ends the blocks, and its error goes into *faults*, to be
+    raised once the rows before it are parsed; an undecodable byte is raised at once."""
     for _ in range(n):
         line = lines.line()
-        if line is None:
-            raise truncated(path, lines.count, f"expected {n} sequence blocks")
-        tokens = line.split()
-        if len(tokens) != 2 or not tokens[0].startswith("#"):
-            raise FileFormatError(path, lines.count, f"expected block header '#id S', got {line!r}")
-        ident = tokens[0][1:]
-        if not ident:
-            raise FileFormatError(path, lines.count, "empty id in block header")
-        if ident in seen:
-            raise FileFormatError(path, lines.count, f"duplicate id {ident!r}")
-        seen.add(ident)
         try:
-            steps = int(tokens[1])
-        except ValueError:
-            raise FileFormatError(path, lines.count, f"expected integer row count, got {tokens[1]!r}") from None
-        if steps < 1:
-            raise FileFormatError(path, lines.count, f"sequence length must be positive, got {steps}")
-        yield ident, steps
+            if line is None:
+                raise truncated(path, lines.count, f"expected {n} sequence blocks")
+            tokens = line.split()
+            if len(tokens) != 2 or not tokens[0].startswith("#"):
+                raise FileFormatError(path, lines.count, f"expected block header '#id S', got {line!r}")
+            ident = tokens[0][1:]
+            if not ident:
+                raise FileFormatError(path, lines.count, "empty id in block header")
+            if ident in steps:
+                raise FileFormatError(path, lines.count, f"duplicate id {ident!r}")
+            try:
+                count = int(tokens[1])
+            except ValueError:
+                raise FileFormatError(path, lines.count, f"expected integer row count, got {tokens[1]!r}") from None
+            if count < 1:
+                raise FileFormatError(path, lines.count, f"sequence length must be positive, got {count}")
+        except FileFormatError as exc:
+            faults.append(exc)
+            return
+        steps[ident] = count
+        yield ident, count
 
 
 def save_sequence_table(path, table: SequenceTable) -> None:
@@ -268,7 +256,12 @@ def sniff_table_kind(path) -> str:
 
 def load_table(path) -> EmbeddingTable | SequenceTable:
     """Parse a vector or sequence table, whichever :func:`sniff_table_kind` finds."""
-    return (load_sequence_table if sniff_table_kind(path) == "sequence" else load_vector_table)(path)
+    try:
+        kind = sniff_table_kind(path)
+    except FileFormatError:
+        with Lines(path):  # an undecodable byte after the sniffed lines is the error to report
+            raise
+    return (load_sequence_table if kind == "sequence" else load_vector_table)(path)
 
 
 def intersect_ids(tables) -> list[str]:

@@ -122,18 +122,18 @@ class Lines:
     A context manager; ``count`` lines have been handed out.  An OS error
     raises :class:`FileFormatError` naming line 1, and an error raised inside
     the ``with`` gives way to an undecodable byte further on, as if the whole
-    file had been decoded first.  Given *parts*, an iterable of lists of
-    lines, it hands those lines out instead, numbered from ``count + 1``.
+    file had been decoded first.
     """
 
-    def __init__(self, path, parts=None, count: int = 0):
-        self.path, self.count, self._chunk, self._pos, self._f = path, count, [], 0, None
-        if parts is None:
-            try:
-                self._f = open(path, "rb")
-            except OSError as exc:
-                raise FileFormatError(path, 1, f"cannot read file: {exc}") from exc
-        self._chunks = _decoded(self._f, path) if parts is None else _joined(parts)
+    def __init__(self, path):
+        self.path, self.count, self._chunk, self._pos = path, 0, [], 0
+        try:
+            self._f = open(path, "rb")
+        except OSError as exc:
+            raise FileFormatError(path, 1, f"cannot read file: {exc}") from exc
+        # a chunk is read once every line before it has been handed out, so its first line is count + 1
+        reads = iter(lambda: self._f.readlines(_CHUNK_CHARS), [])
+        self._chunks = (_decode(raw, self.count + 1, path) for raw in reads)
 
     def __enter__(self):
         return self
@@ -172,29 +172,7 @@ class Lines:
     def left(self) -> int:
         """The characters not yet handed out, one per line end: the bytes left in the file, or fewer."""
         self._ready()
-        unread = os.fstat(self._f.fileno()).st_size - self._f.tell() if self._f else 0
-        return unread + sum(len(line) + 1 for line in self._chunk[self._pos :])
-
-
-def _joined(parts):
-    """The lists of lines *parts*, joined into lists of about :data:`_CHUNK_CHARS` characters or more."""
-    chunk, size = [], 0
-    for part in parts:
-        chunk += part
-        size += sum(map(len, part)) + len(part)
-        if size >= _CHUNK_CHARS:
-            yield chunk
-            chunk, size = [], 0
-    if chunk:
-        yield chunk
-
-
-def _decoded(f, path):
-    """The lines of binary file *f*, decoded, in lists of about :data:`_CHUNK_CHARS` bytes."""
-    count = 0
-    while raw := f.readlines(_CHUNK_CHARS):
-        yield _decode(raw, count + 1, path)
-        count += len(raw)
+        return os.fstat(self._f.fileno()).st_size - self._f.tell() + sum(len(s) + 1 for s in self._chunk[self._pos :])
 
 
 # the ASCII whitespace other than " " and LF; no line holds an LF, and U+0020 is
@@ -202,51 +180,63 @@ def _decoded(f, path):
 _OTHER_SPACES = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
 
 
-def read_rows(lines: Lines | list[str], start: int, rows: int | None, cols: int, path,
-              label: str | None = None, *, keyed: bool = False):
-    """Lines ``start .. start + rows - 1`` (1-based) of *path* as a (rows, cols) array of finite values.
+def read_rows(lines: Lines, rows, cols: int, path, label: str | None = None, *, keyed: bool = False):
+    """The next rows of *lines* as an array of finite values, *cols* to a row.
 
-    *lines* is a :class:`Lines` with line *start* next, or a list of every
-    line of the file; with *rows* None, every line it has left is a row.  With
-    *keyed*, rows are ``key v1 ... vCOLS`` with distinct keys, the result is
-    (keys, values), and only blank lines may follow the rows, as in a vector
-    table.  *label* names the block in errors.  The array is allocated once if
-    the text left can hold the rows (a value takes a character and a
-    separator), and grows as they are parsed if not.  A chunk of plain rows is
-    parsed in one C pass, any other row by row, which reads the same values
-    and names the first line at fault.
+    *rows* is a count, or (label, count) blocks whose iterator reads each
+    block's header from *lines*; their rows go into one array.  With *keyed*,
+    rows are ``key v1 ... vCOLS`` with distinct keys, the result is (keys,
+    values), and only blank lines may follow, as in a vector table.  *label*
+    names a counted block in errors.  Given a count, the array is allocated
+    once if the text left can hold the rows (a value takes a character and a
+    separator); else it grows.  A chunk of rows, short blocks joined, is parsed
+    in one C pass if plain and row by row if not, which reads the same values
+    and names the first fault as if each block were read on its own.
     """
-    if isinstance(lines, list):
-        lines = Lines(path, [lines[start - 1 :]], start - 1)
-    out = np.empty((rows if rows and 2 * rows * cols <= lines.left() else 0, cols))
-    keys, seen, filled, bad = ([] if keyed else None), set(), 0, None
-    parts = lines.take(rows or sys.maxsize)
-    part = next(parts, None)
-    while part:
-        # with rows declared, the next part shows whether the file ends too soon to complete them;
-        # such rows are parsed one at a time, up to the fault
-        first, after = start + filled, (next(parts, None) if rows else None)
-        got = None if rows and after is None and filled + len(part) < rows else _bulk_rows(part, cols, keyed)
-        if got is None or keyed and not seen.isdisjoint(got[0]):
-            got = _row_by_row(part, first, cols, path, seen if keyed else None)
-            finite = np.isfinite(got[1]).all(axis=1)
-            bad = first + int(np.argmin(finite)) if bad is None and not finite.all() else bad
+    counted = isinstance(rows, int)
+    out = np.empty((rows if counted and 2 * rows * cols <= lines.left() else 0, cols))
+    keys, seen, filled, bad = [], set(), 0, None
+    for group in _groups(lines, [(label, rows)] if counted else rows, path):
+        # rows the file ends inside, or after a non-finite value, are parsed one at a time
+        got = not bad and group[-1][2] and _bulk_rows([line for _, _, part in group for line in part], cols, keyed)
+        if not got or keyed and not seen.isdisjoint(got[0]):
+            *got, bad = _row_by_row(group, cols, path, seen if keyed else None, bad)
         if keyed:
             seen.update(got[0])
             keys += got[0]
-        if filled + len(part) > len(out):
-            out.resize((max(filled + len(part), len(out) * 5 // 4), cols), refcheck=False)
-        out[filled : filled + len(part)] = got[1]
-        filled, part = filled + len(part), (after if rows else next(parts, None))
-    if rows and filled < rows:
-        what = "data rows" if label is None else f"rows in block {label!r}"
-        raise truncated(path, lines.count, f"expected {rows} {what}")
+        if filled + len(got[1]) > len(out):
+            out.resize((max(filled + len(got[1]), len(out) * 5 // 4), cols), refcheck=False)
+        out[filled : filled + len(got[1])] = got[1]
+        filled += len(got[1])
     if keyed:
         check_trailing(lines)
-    if bad is not None:
-        raise FileFormatError(path, bad, "non-finite value" + ("" if label is None else f" in block {label!r}"))
+    if bad:
+        raise bad[1]
     out.resize((filled, cols), refcheck=False)
     return (keys, out) if keyed else out
+
+
+def _groups(lines: Lines, blocks, path):
+    """Each block's rows as parts ``(first line number, label, lines)``, in lists of about 64 KiB.
+
+    *blocks* holds (label, count) pairs.  A block the file ends inside gets an
+    empty last part, and its error is raised once that part's list is parsed.
+    """
+    group, size = [], 0
+    for label, rows in blocks:
+        end = lines.count + rows  # the number of the block's last line
+        for part in lines.take(rows):
+            group.append((lines.count - len(part) + 1, label, part))
+            size += sum(map(len, part)) + len(part)
+            if size >= _CHUNK_CHARS:
+                yield group
+                group, size = [], 0
+        if lines.count < end:
+            yield group + [(lines.count + 1, label, [])]
+            what = "data rows" if label is None else f"rows in block {label!r}"
+            raise truncated(path, lines.count, f"expected {rows} {what}")
+    if group:
+        yield group
 
 
 def _bulk_rows(lines: list[str], cols: int, keyed: bool):
@@ -279,32 +269,39 @@ def _bulk_rows(lines: list[str], cols: int, keyed: bool):
     return keys, values
 
 
-def _row_by_row(lines: list[str], first: int, cols: int, path, seen: set | None):
-    """(keys or None, values) of *lines*, numbered from *first*, parsed one value at a time.
+def _row_by_row(group, cols: int, path, seen: set | None, bad):
+    """(keys or None, values, bad) of the parts *group*, parsed one value at a time.
 
     With *seen*, the keys of the rows before, the rows are keyed and each key
-    must be new.  Finiteness is left to the caller.
+    must be new.  *bad*, None or the block and error of the first non-finite
+    value, is raised once that block has ended.
     """
     keys, out = ([] if seen is not None else None), []
-    for lineno, line in enumerate(lines, start=first):
-        tokens = line.split()
-        if seen is not None:
-            if not tokens:
-                raise FileFormatError(path, lineno, "unexpected blank line")
-            if tokens[0] in seen:
-                raise FileFormatError(path, lineno, f"duplicate id {tokens[0]!r}")
-            seen.add(tokens[0])
-            keys.append(tokens.pop(0))
-        if len(tokens) != cols:
-            raise FileFormatError(path, lineno, f"expected {cols} values, got {len(tokens)}")
-        row = np.empty(cols)
-        for i, token in enumerate(tokens):
-            try:
-                row[i] = float(token)
-            except ValueError:
-                raise FileFormatError(path, lineno, f"could not parse value {token!r}") from None
-        out.append(row)
-    return keys, np.array(out)
+    for first, block, part in group:
+        if bad and bad[0] != block:
+            raise bad[1]
+        for lineno, line in enumerate(part, start=first):
+            tokens = line.split()
+            if seen is not None:
+                if not tokens:
+                    raise FileFormatError(path, lineno, "unexpected blank line")
+                if tokens[0] in seen:
+                    raise FileFormatError(path, lineno, f"duplicate id {tokens[0]!r}")
+                seen.add(tokens[0])
+                keys.append(tokens.pop(0))
+            if len(tokens) != cols:
+                raise FileFormatError(path, lineno, f"expected {cols} values, got {len(tokens)}")
+            row = np.empty(cols)
+            for i, token in enumerate(tokens):
+                try:
+                    row[i] = float(token)
+                except ValueError:
+                    raise FileFormatError(path, lineno, f"could not parse value {token!r}") from None
+            if not bad and not np.isfinite(row).all():
+                where = "" if block is None else f" in block {block!r}"
+                bad = block, FileFormatError(path, lineno, "non-finite value" + where)
+            out.append(row)
+    return keys, np.array(out).reshape(-1, cols), bad
 
 
 def check_trailing(lines: Lines) -> None:

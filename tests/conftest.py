@@ -1,6 +1,9 @@
 """Shared fixture builders for the test suite."""
 
+import builtins
+import contextlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +34,20 @@ def random_spd(rng, n, jitter=0.5):
 def random_symmetric(rng, n):
     a = rng.normal(size=(n, n))
     return 0.5 * (a + a.T)
+
+
+@contextlib.contextmanager
+def counted_opens(path):
+    """A list that gains an entry each time *path* is opened inside the ``with``."""
+    real, opened = builtins.open, []
+
+    def counting(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", counting):
+        yield opened
 
 
 def traced_peak(fn, *args):

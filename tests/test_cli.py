@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import counted_opens
 from metaembed import __version__
 from metaembed.cli import main
 from metaembed.store import (
@@ -865,6 +866,24 @@ class TestInfo:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.splitlines() == [
             f"error: {path}:3: expected 134217728 rows in block 'a'; file ends after line 3"]
+
+    def test_undecodable_byte_is_reported_before_a_header_fault(self, tmp_path, rng, capsys):
+        # info and combine read a table through the same loader, so they name the same fault
+        path = tmp_path / "h.vec"
+        path.write_bytes(b"x y z\na 1\n\xff 2\n")
+        _, other = write_vec_tables(tmp_path, rng)
+        for argv in (["info", path], ["combine", "--method", "con", "--inputs", path, other[0],
+                                      "--out", tmp_path / "o.vec"]):
+            code, stdout, stderr = run(capsys, *argv)
+            assert (code, stdout, stderr.splitlines()) == (2, "", [f"error: {path}:3: invalid UTF-8 byte 0xff"])
+
+    def test_info_opens_a_model_file_twice(self, tmp_path, capsys):
+        # once to sniff its kind and once to load it
+        path = tmp_path / "m.model"
+        path.write_bytes((GOLDEN / "svdmeta.model").read_bytes())
+        with counted_opens(path) as opened:
+            code, stdout, _ = run(capsys, "info", path)
+        assert code == 0 and stdout.startswith("kind SVDMETA\n") and len(opened) == 2
 
     def test_undecodable_table_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.vec"

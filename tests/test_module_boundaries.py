@@ -111,6 +111,17 @@ def test_only_textio_opens_text_files():
     assert offenders(text_opens, [p for p in MODULES if p.name != "textio.py"]) == {}
 
 
+def users_of(name: str) -> set:
+    """The modules other than textio that import or name *name*."""
+    return {p.stem for p in MODULES if p.name != "textio.py" and name in names_used(parsed(p))}
+
+
+def test_one_reader_of_rows():
+    # tables and models are parsed through Lines and read_rows; read_lines serves pair files and sniffers
+    assert users_of("Lines") == users_of("read_rows") == {"store", "modelio"}
+    assert users_of("read_lines") == {"datasets", "store", "modelio"}
+
+
 def test_cli_reads_inputs_only_through_load_table_and_load_dataset():
     assert names_used(parsed(PACKAGE / "cli.py")) & CLI_FORBIDDEN == set()
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_sequence_table, make_vector_table, traced_peak
+from conftest import counted_opens, make_sequence_table, make_vector_table, traced_peak
 from metaembed import store, textio
 from metaembed.errors import FileFormatError, ValidationError
 from metaembed.modelio import read_model, sniff_model_kind, write_model
@@ -395,6 +395,22 @@ class TestChunkBoundaries:
         lf, crlf = all_ways(tmp_path / "t", text), all_ways(tmp_path / "t", text.replace("\n", "\r\n"))
         assert all(a[0] == b[0] == b[1] and a[0][0] == "ok" and b[2] for a, b in zip(lf, crlf))
 
+    @pytest.mark.parametrize("edits, header, line, error", [
+        ({1: "w1 1 2 x 4 5 6 7 8"}, None, 4, "could not parse value 'x'"),
+        ({600: "w600 1 2 nan 4 5 6 7 8"}, None, 603, "non-finite value in block 's'"),
+        ({1199: "w1199 1 2 3 4 5 6 7"}, None, 1202, "expected 9 values, got 8"),
+        ({}, "1201 8", 1202, "expected 1201 rows in block 's'; file ends after line 1202"),
+        ({1: "w1 1 2 x 4 5 6 7 8", 900: "w900 1 2 \u00e9 4 5 6 7 8"}, None, 903, "invalid UTF-8 byte 0xff"),
+    ])
+    def test_failing_sequence_table_is_read_once(self, tmp_path, edits, header, line, error):
+        # the rows before a fault are parsed in the pass that finds it; no second read names it
+        path = tmp_path / "t.seq"
+        seq = block_texts(chunked_text(edits=edits, header=header))[0]
+        path.write_bytes(seq.encode("utf-8").replace("\u00e9".encode("utf-8"), b"\xff"))
+        with counted_opens(path) as opened, pytest.raises(FileFormatError) as exc:
+            load_sequence_table(path)
+        assert str(exc.value) == f"{path}:{line}: {error}" and len(opened) == 1
+
     def test_undecodable_byte_past_the_first_chunk_is_the_error(self, tmp_path):
         # a parse fault in the first chunk gives way to the undecodable byte, as when the whole
         # file was decoded before any row was parsed
@@ -490,6 +506,22 @@ class TestSequenceTableFormat:
         with pytest.raises(FileFormatError, match=f"{path}:6: non-finite value in block 'b'"):
             load_sequence_table(path)
 
+    @pytest.mark.parametrize("text, line, error", [
+        ("2 2\n#a 1\nnan 2\n#b x\n1 2\n", 3, "non-finite value in block 'a'"),
+        ("2 2\n#a 1\nnan 2\n", 3, "non-finite value in block 'a'"),
+        ("2 2\n#a 2\nnan 2\n1 x\n", 4, "could not parse value 'x'"),
+        ("2 2\n#a 2\nnan 2\n", 3, "expected 2 rows in block 'a'; file ends after line 3"),
+        ("2 2\n#a 1\n1 x\n#a 1\n", 3, "could not parse value 'x'"),
+    ])
+    def test_faults_are_named_as_if_each_block_were_read_on_its_own(self, tmp_path, text, line, error):
+        # a non-finite value is named when its block ends: after a later fault in its own rows or a
+        # missing row, before a fault in a later block header
+        path = tmp_path / "bad.seq"
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as exc:
+            load_sequence_table(path)
+        assert str(exc.value) == f"{path}:{line}: {error}"
+
     def test_from_vector_table(self, rng):
         vt = make_vector_table(rng, 5, 3)
         st = SequenceTable.from_vector_table(vt)
@@ -555,6 +587,17 @@ class TestSniff:
         path = tmp_path / "t.tbl"
         path.write_text(f"1 1\n{row}\n")
         assert sniff_table_kind(path) == kind
+
+    @pytest.mark.parametrize("text", [b"x y z\na 1\n\xff 2\n", b"0 1\na 1\n\xff 2\n", b"1 2\n"])
+    def test_load_table_reports_an_undecodable_byte_before_what_the_sniff_finds(self, tmp_path, text):
+        path = tmp_path / "h.vec"
+        path.write_bytes(text)
+        with pytest.raises(FileFormatError) as sniffed:
+            sniff_table_kind(path)
+        with pytest.raises(FileFormatError) as loaded:
+            load_table(path)
+        expected = f"{path}:3: invalid UTF-8 byte 0xff" if b"\xff" in text else str(sniffed.value)
+        assert str(loaded.value) == expected and sniffed.value.line == 1
 
     def test_load_table_picks_the_loader(self, rng, tmp_path):
         vpath = tmp_path / "v.tbl"

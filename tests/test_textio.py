@@ -6,7 +6,7 @@ import pytest
 
 from metaembed import textio
 from metaembed.errors import FileFormatError, ValidationError
-from metaembed.textio import fmt, fmt_row, read_lines, read_rows, write_lines
+from metaembed.textio import Lines, fmt, fmt_row, read_lines, read_rows, write_lines
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -146,9 +146,17 @@ class TestValues:
         assert fmt_row([]) == ""
 
     def test_read_rows_reports_truncation(self, tmp_path):
-        lines = ["hdr", "1 2", "3 4"]
-        assert np.array_equal(read_rows(lines, 2, 2, 2, "f", "w"), [[1, 2], [3, 4]])
+        path = tmp_path / "f"
+        path.write_text("hdr\n1 2\n3 4\n")
+        with Lines(path) as lines:
+            lines.line()
+            assert np.array_equal(read_rows(lines, 2, 2, path, "w"), [[1, 2], [3, 4]])
         with pytest.raises(FileFormatError, match=r"f:3: expected 3 rows in block 'w'; file ends after line 3"):
-            read_rows(lines, 2, 3, 2, "f", "w")
+            with Lines(path) as lines:
+                lines.line()
+                read_rows(lines, 3, 2, path, "w")
+        path.write_text("1 2\n3 x\n")
         with pytest.raises(FileFormatError, match=r"f:2: could not parse value 'x'"):
-            read_rows(["1 2", "3 x"], 2, 1, 2, "f", "w")
+            with Lines(path) as lines:
+                lines.line()
+                read_rows(lines, 1, 2, path, "w")
