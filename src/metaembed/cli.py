@@ -45,6 +45,7 @@ from .evaluation import (
     evaluate_classification,
     evaluate_similarity,
     format_report_table,
+    pair_ids,
 )
 from .modelio import sniff_model_kind
 from .probes import ProbeConfig, pair_rows, probe_classification, probe_relatedness
@@ -106,11 +107,6 @@ def _load_sequence_like(paths) -> list[SequenceTable]:
     """Load each path as a sequence table, viewing vector tables as length-1 sequences."""
     tables = [load_table(p) for p in paths]
     return [t if isinstance(t, SequenceTable) else SequenceTable.from_vector_table(t) for t in tables]
-
-
-def _pair_ids(pairs) -> list[str]:
-    """Every id the pairs mention, once each, in order of first mention."""
-    return list(dict.fromkeys(ident for p in pairs for ident in (p.id_a, p.id_b)))
 
 
 def _load_model(path):
@@ -219,7 +215,7 @@ def cmd_train(args) -> int:
     metrics: dict = {"epoch_losses": history}
     parts = [(part, [dataset.pairs[i] for i in indices])
              for part, indices in (("train", train_idx), ("dev", dev_idx)) if indices]
-    table = embed_table(model, tables, _pair_ids(p for _, pairs in parts for p in pairs))
+    table = embed_table(model, tables, pair_ids(p for _, pairs in parts for p in pairs))
     for part, pairs in parts:
         report, _ = evaluate_classification(model, table, pairs, task=part)
         metrics[f"{part}_accuracy"] = report.value
@@ -271,7 +267,7 @@ def cmd_eval(args) -> int:
             eval_pairs = dataset.split_pairs("test")
             if not eval_pairs:
                 raise ValidationError(f"{args.dataset}: no pairs in the test split")
-    ids = _pair_ids(eval_pairs)
+    ids = pair_ids(eval_pairs)
     table = _sentence_vectors(model, args.inputs, ids)
     if head:
         report, rows = evaluate_classification(model, table, eval_pairs, task=args.task)

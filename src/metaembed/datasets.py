@@ -16,8 +16,11 @@ by their first line:
   Sentence ids are derived as ``<pair_ID>_A`` and ``<pair_ID>_B``.
   SemEval_set values TRAIN/TRIAL/TEST map to train/dev/test splits.
 
-Each rule is checked once, while its row is parsed, and a failure names the
-file and line.  The evaluation tasks are :data:`TASKS`; each has a score
+The file is read once through :class:`~metaembed.textio.Lines`, about 64 KiB
+of text at a time, and each row is parsed as its chunk arrives, so a load
+holds the dataset it builds and one chunk of text, never every line.  Each
+rule is checked once, while its row is parsed, and a failure names the file
+and line.  The evaluation tasks are :data:`TASKS`; each has a score
 range in :data:`TASK_RANGES` or a class inventory in :data:`TASK_CLASSES`.
 
 Splits are stored as index tuples into the pair list.  Canonical files
@@ -28,6 +31,8 @@ ends follow :mod:`metaembed.textio`.
 
 from __future__ import annotations
 
+import itertools
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +40,7 @@ import numpy as np
 from .errors import FileFormatError, ValidationError
 from .optim import seed_sequence
 from .store import sequence_views
-from .textio import read_lines
+from .textio import Lines
 
 __all__ = [
     "Pair",
@@ -121,41 +126,38 @@ def _label(raw: str, inventory: tuple, path, lineno: int, what: str = "class") -
     return inventory[inventory.index(raw)]  # the inventory's own string, stored once
 
 
-def _is_official(lines) -> bool:
-    """Whether *lines* open with an official export's header."""
-    return bool(lines) and lines[0].split("\t")[0] == "pair_ID"
-
-
-def _canonical(path, lines, score_range=None, classes=None) -> PairDataset:
-    """The dataset of a canonical file's *lines*.
+def _canonical(lines: Lines, parts, score_range=None, classes=None) -> PairDataset:
+    """The dataset of a canonical file, whose lines come in *parts* from *lines*.
 
     Labels are scores inside *score_range* or members of *classes*; with
     neither, the classes are the file's own labels, sorted.  Each distinct
     id and class label is stored as one string.
     """
+    path = lines.path
     if score_range is not None:
         lo, hi = score_range
     pairs = []
     ids: dict = {}
     labels: dict = {}
-    for i, line in enumerate(lines, start=1):
-        row = line.split("\t")
-        if row == [""]:
-            continue
-        if len(row) != 5:
-            raise FileFormatError(path, i, f"expected 5 tab-separated columns, got {len(row)}")
-        id_a = _check_id(row[0], ids, path, i, "id_a")
-        id_b = _check_id(row[1], ids, path, i, "id_b")
-        label = row[2]
-        if score_range is not None:
-            label = _score(label, lo, hi, path, i)
-        elif classes is not None:
-            label = _label(label, classes, path, i)
-        else:
-            label = labels.setdefault(label, label)
-        pairs.append(Pair(id_a, id_b, label))
+    for part in parts:
+        for i, line in enumerate(part, start=lines.count - len(part) + 1):
+            row = line.split("\t")
+            if row == [""]:
+                continue
+            if len(row) != 5:
+                raise FileFormatError(path, i, f"expected 5 tab-separated columns, got {len(row)}")
+            id_a = _check_id(row[0], ids, path, i, "id_a")
+            id_b = _check_id(row[1], ids, path, i, "id_b")
+            label = row[2]
+            if score_range is not None:
+                label = _score(label, lo, hi, path, i)
+            elif classes is not None:
+                label = _label(label, classes, path, i)
+            else:
+                label = labels.setdefault(label, label)
+            pairs.append(Pair(id_a, id_b, label))
     if not pairs:
-        raise FileFormatError(path, max(1, len(lines)), "no pair rows")
+        raise FileFormatError(path, max(1, lines.count), "no pair rows")
     if score_range is not None:
         return PairDataset(str(path), "score", tuple(pairs), lo, hi, None, None)
     classes = tuple(sorted({p.label for p in pairs}) if classes is None else classes)
@@ -164,9 +166,9 @@ def _canonical(path, lines, score_range=None, classes=None) -> PairDataset:
     return PairDataset(str(path), "classes", tuple(pairs), None, None, classes, None)
 
 
-def _official(path, lines) -> tuple:
-    """The (scores, classes) datasets of *lines*, which open with an official export's header."""
-    header = lines[0].split("\t")
+def _official(lines: Lines, header: list, parts) -> tuple:
+    """The (scores, classes) datasets of an official export with *header*, whose rows come in *parts*."""
+    path = lines.path
     required = ["pair_ID", "sentence_A", "sentence_B", "relatedness_score", "entailment_judgment"]
     missing = [c for c in required if c not in header]
     if missing:
@@ -179,25 +181,26 @@ def _official(path, lines) -> tuple:
     class_pairs = []
     by_split = {part: [] for part in SPLIT_NAMES}
     pair_ids: dict = {}
-    for i, line in enumerate(lines[1:], start=2):
-        row = line.split("\t")
-        if row == [""]:
-            continue
-        if len(row) != len(header):
-            raise FileFormatError(path, i, f"expected {len(header)} fields, got {len(row)}")
-        pid = _check_id(row[col["pair_ID"]], pair_ids, path, i, "pair_ID")
-        value = _score(row[col["relatedness_score"]], lo, hi, path, i)
-        label = _label(row[col["entailment_judgment"]], entailment, path, i, "entailment class")
-        if has_split:
-            raw = row[col["SemEval_set"]]
-            if raw not in _OFFICIAL_SPLITS:
-                raise FileFormatError(path, i, f"unknown SemEval_set value {raw!r}")
-            by_split[_OFFICIAL_SPLITS[raw]].append(len(score_pairs))
-        id_a, id_b = f"{pid}_A", f"{pid}_B"
-        score_pairs.append(Pair(id_a, id_b, value))
-        class_pairs.append(Pair(id_a, id_b, label))
+    for part in parts:
+        for i, line in enumerate(part, start=lines.count - len(part) + 1):
+            row = line.split("\t")
+            if row == [""]:
+                continue
+            if len(row) != len(header):
+                raise FileFormatError(path, i, f"expected {len(header)} fields, got {len(row)}")
+            pid = _check_id(row[col["pair_ID"]], pair_ids, path, i, "pair_ID")
+            value = _score(row[col["relatedness_score"]], lo, hi, path, i)
+            label = _label(row[col["entailment_judgment"]], entailment, path, i, "entailment class")
+            if has_split:
+                raw = row[col["SemEval_set"]]
+                if raw not in _OFFICIAL_SPLITS:
+                    raise FileFormatError(path, i, f"unknown SemEval_set value {raw!r}")
+                by_split[_OFFICIAL_SPLITS[raw]].append(len(score_pairs))
+            id_a, id_b = f"{pid}_A", f"{pid}_B"
+            score_pairs.append(Pair(id_a, id_b, value))
+            class_pairs.append(Pair(id_a, id_b, label))
     if not score_pairs:
-        raise FileFormatError(path, max(1, len(lines)), "no pair rows")
+        raise FileFormatError(path, max(1, lines.count), "no pair rows")
     splits = Splits(*(tuple(by_split[part]) for part in SPLIT_NAMES)) if has_split else None
     return (PairDataset(str(path), "score", tuple(score_pairs), lo, hi, None, splits),
             PairDataset(str(path), "classes", tuple(class_pairs), None, None, entailment, splits))
@@ -214,16 +217,19 @@ def load_dataset(path, task: str | None = None) -> PairDataset:
     """
     if task is not None and task not in TASKS:
         raise ValidationError(f"task must be one of {TASKS}, got {task!r}")
-    lines = read_lines(path)
-    if not _is_official(lines):
-        return _canonical(path, lines, TASK_RANGES.get(task), TASK_CLASSES.get(task))
-    if task in TASK_CLASSES and task != "sick-e":
-        raise ValidationError(
-            f"an official export carries relatedness scores and entailment classes; "
-            f"task {task!r} needs a canonical file"
-        )
-    scores, classes = _official(path, lines)
-    return scores if task in TASK_RANGES else classes
+    with Lines(path) as lines:
+        parts = lines.take(sys.maxsize)
+        first = next(parts, [""])  # its first line tells the layouts apart; an empty file has a blank one
+        header = first[0].split("\t")
+        if header[0] != "pair_ID":
+            return _canonical(lines, itertools.chain([first], parts), TASK_RANGES.get(task), TASK_CLASSES.get(task))
+        if task in TASK_CLASSES and task != "sick-e":
+            raise ValidationError(
+                f"an official export carries relatedness scores and entailment classes; "
+                f"task {task!r} needs a canonical file"
+            )
+        scores, classes = _official(lines, header, itertools.chain([first[1:]], parts))
+        return scores if task in TASK_RANGES else classes
 
 
 def random_splits(n: int, seed: int = 0, ratios=(0.7, 0.1, 0.2)) -> Splits:

@@ -34,6 +34,7 @@ __all__ = [
     "evaluate_similarity",
     "evaluate_classification",
     "embed_table",
+    "pair_ids",
 ]
 
 _ZERO_VECTOR = "cosine of a zero vector is undefined"
@@ -216,10 +217,9 @@ class _Rows:
             yield np.take(self._vectors, self._index[start : start + _COSINE_ROWS], axis=0)
 
 
-def _rows_digest(table: EmbeddingTable, pairs) -> list:
-    """The ids *pairs* mention, in order of first mention, and their rows in *table*, for the fingerprint."""
-    ids = list(dict.fromkeys(ident for p in pairs for ident in (p.id_a, p.id_b)))
-    return [ids, _Rows(table.vectors, table.indices(ids))]
+def pair_ids(pairs) -> list[str]:
+    """Every id *pairs* mention, once each, in order of first mention."""
+    return list(dict.fromkeys(ident for p in pairs for ident in (p.id_a, p.id_b)))
 
 
 def _check_pair_ids(table: EmbeddingTable, pairs) -> None:
@@ -249,9 +249,9 @@ def evaluate_similarity(table: EmbeddingTable, pairs, lo: float = 0.0, hi: float
     """Score every pair by scaled cosine of its sentence vectors.
 
     *table* maps sentence ids to vectors; each pair carries a gold score as
-    its label.  The report's fingerprint covers the ids the pairs mention,
-    in order of first mention, and their vectors, hashed as a table of just
-    those rows would be, whatever else *table* holds.  Returns (EvalReport
+    its label.  The report's fingerprint covers the pairs' :func:`pair_ids`
+    and their vectors, hashed as a table of just those rows would be,
+    whatever else *table* holds.  Returns (EvalReport
     with the Pearson correlation, rows of (id_a, id_b, gold, predicted)).
     """
     pairs = list(pairs)
@@ -262,10 +262,11 @@ def evaluate_similarity(table: EmbeddingTable, pairs, lo: float = 0.0, hi: float
     preds = scale_similarity(_pair_cosines(table, pairs), lo, hi)
     value = pearson(preds, golds)
     rows = [(p.id_a, p.id_b, g, pred) for p, g, pred in zip(pairs, golds, preds.tolist())]
+    ids = pair_ids(pairs)
     fingerprint = config_fingerprint(
         task, "pearson", lo, hi,
         [(p.id_a, p.id_b, g) for p, g in zip(pairs, golds)],
-        *_rows_digest(table, pairs),
+        ids, _Rows(table.vectors, table.indices(ids)),
     )
     return EvalReport(task, "pearson", value, len(pairs), fingerprint), rows
 

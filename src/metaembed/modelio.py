@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .textio import Lines, fmt, read_lines, read_rows, row_format, write_lines
+from .textio import Lines, fmt, read_rows, row_format, write_lines
 
 __all__ = ["ModelFile", "write_model", "read_model", "sniff_model_kind"]
 
@@ -110,16 +110,20 @@ def _block_lines(label: str, arr):
     return itertools.chain([f"{label} {a.shape[0]} {a.shape[1]}"], (row % tuple(v.tolist()) for v in a))
 
 
+def _header(line: str | None, path) -> list[str]:
+    """The tokens of the header *line*, which must hold some."""
+    if not line or not line.strip():
+        raise FileFormatError(path, 1, "empty file; expected a model header")
+    return line.split()
+
+
 def read_model(path, magics: tuple, names) -> ModelFile:
     """Parse a model file whose magic is one of *magics* and whose fields are *names*, in order."""
     with Lines(path) as lines:
         line = lines.line()
-        if not line or not line.strip():
-            raise FileFormatError(path, 1, "empty file; expected a model header")
-        head = line.split()
-        if len(head) != 2 or head[1] != FORMAT_VERSION:
+        magic, *version = _header(line, path)
+        if version != [FORMAT_VERSION]:
             raise FileFormatError(path, 1, f"expected '<KIND> {FORMAT_VERSION}' header, got {line!r}")
-        magic = head[0]
         if magic not in magics:
             raise FileFormatError(path, 1, f"expected a {' or '.join(magics)} model, found {magic}")
         line = lines.line()
@@ -163,7 +167,5 @@ def _split_fields(tokens: list[str], names: list[str], path) -> dict[str, list[s
 
 def sniff_model_kind(path) -> str:
     """First token of the header line, e.g. ``"GCCA"``."""
-    lines = read_lines(path, limit=1)
-    if not lines or not lines[0].strip():
-        raise FileFormatError(path, 1, "empty file; expected a model header")
-    return lines[0].split()[0]
+    with Lines(path) as lines:
+        return _header(lines.line(), path)[0]

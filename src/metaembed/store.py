@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import FileFormatError, ValidationError
 from .linalg import as_matrix
-from .textio import Lines, check_trailing, read_lines, read_rows, row_format, truncated, write_lines
+from .textio import Lines, check_trailing, read_rows, row_format, truncated, write_lines
 
 __all__ = [
     "EmbeddingTable",
@@ -244,11 +244,12 @@ def save_sequence_table(path, table: SequenceTable) -> None:
 
 def sniff_table_kind(path) -> str:
     """``"sequence"`` if the first data row is ``#id S`` (S all digits at D = 1), else ``"vector"``."""
-    lines = read_lines(path, limit=2)
-    d = _parse_header(lines[0] if lines else None, path)[1]
-    if len(lines) < 2:
-        raise truncated(path, len(lines), "expected at least one data row")
-    first = lines[1].split()
+    with Lines(path) as lines:
+        d = _parse_header(lines.line(), path)[1]
+        first = lines.line()
+        if first is None:
+            raise truncated(path, lines.count, "expected at least one data row")
+    first = first.split()
     if len(first) == 2 and first[0].startswith("#") and (d > 1 or first[1].isdecimal()):
         return "sequence"
     return "vector"
@@ -256,12 +257,7 @@ def sniff_table_kind(path) -> str:
 
 def load_table(path) -> EmbeddingTable | SequenceTable:
     """Parse a vector or sequence table, whichever :func:`sniff_table_kind` finds."""
-    try:
-        kind = sniff_table_kind(path)
-    except FileFormatError:
-        with Lines(path):  # an undecodable byte after the sniffed lines is the error to report
-            raise
-    return (load_sequence_table if kind == "sequence" else load_vector_table)(path)
+    return (load_sequence_table if sniff_table_kind(path) == "sequence" else load_vector_table)(path)
 
 
 def intersect_ids(tables) -> list[str]:

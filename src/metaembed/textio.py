@@ -6,11 +6,12 @@ column may hold U+2028, a form feed and the like).  A byte that is not UTF-8
 raises :class:`FileFormatError` naming its line, before any other fault of
 the file.  Floats are written with 17 significant digits, so a save/load
 round trip reproduces every float64 bit for bit; a row of them is formatted
-with one :func:`row_format` string.  Tables and models are read through
-:class:`Lines` about 64 KiB of text at a time, and :func:`read_rows` parses
-each chunk of rows into one array allocated for all of them: a reader holds
-the array and a chunk, never the whole text, and allocates nothing for rows
-the file does not hold.  A write goes to a temporary file next to the
+with one :func:`row_format` string.  Every file the package reads, tables,
+models, pair files and the first lines a sniffer looks at, is read through
+:class:`Lines` about 64 KiB of text at a time, so no reader holds a file's
+text whole, and :func:`read_rows` parses each chunk of rows of values into
+one array allocated for all of them, allocating nothing for rows the file
+does not hold.  A write goes to a temporary file next to the
 destination, which then replaces it in one step: a write that fails leaves
 the old file as it was and no temporary file behind.  Lines go out about
 64 KiB of text at a time, so a writer that passes them lazily holds no more
@@ -20,7 +21,6 @@ than that and its longest line, whatever the file's size or row width.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import sys
 import warnings
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import FileFormatError, ValidationError
 
-__all__ = ["fmt", "fmt_row", "row_format", "read_lines", "write_lines", "Lines", "read_rows", "check_trailing",
+__all__ = ["fmt", "fmt_row", "row_format", "write_lines", "Lines", "read_rows", "check_trailing",
            "truncated"]
 
 
@@ -47,22 +47,6 @@ def fmt_row(values) -> str:
     """Space-separated :func:`fmt` of each value."""
     values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
     return row_format(len(values)) % values
-
-
-def read_lines(path, limit: int | None = None) -> list[str]:
-    """The lines of *path* without their line ends; only the first *limit* if given.
-
-    For pair files, parsed line by line, and for the sniffers, which read the
-    first lines only; tables and models are read through :class:`Lines`.
-    Lines are read and decoded one at a time: a buffer the size of the file,
-    once freed, would raise glibc's mmap threshold to that size, so that the
-    large arrays made after it would come from a fragmented heap.
-    """
-    try:
-        with open(path, "rb") as f:
-            return _decode(itertools.islice(f, limit), 1, path)
-    except OSError as exc:
-        raise FileFormatError(path, 1, f"cannot read file: {exc}") from exc
 
 
 def _decode(raw, first: int, path) -> list[str]:

@@ -338,23 +338,15 @@ class TestTrain:
         assert code == 2
         assert "--m only applies to cdme" in stderr
 
-    def test_dataset_is_read_once(self, tmp_path, rng, capsys, monkeypatch):
-        import metaembed.datasets as datasets
-
+    def test_dataset_is_read_once(self, tmp_path, rng, capsys):
+        # opened once to parse it and once to hash it for the manifest
         tables, pairs = self.train_fixture(tmp_path, rng)
-        reads = []
-        original = datasets.read_lines
-
-        def counting(path, *args, **kwargs):
-            reads.append(str(path))
-            return original(path, *args, **kwargs)
-
-        monkeypatch.setattr(datasets, "read_lines", counting)
-        code, _, _ = run(capsys, "train", "--mode", "dme", "--inputs", *tables,
-                         "--dataset", pairs, "--d-prime", 4, "--m-enc", 3,
-                         "--epochs", 1, "--out", tmp_path / "m.model")
+        with counted_opens(pairs) as opened:
+            code, _, _ = run(capsys, "train", "--mode", "dme", "--inputs", *tables,
+                             "--dataset", pairs, "--d-prime", 4, "--m-enc", 3,
+                             "--epochs", 1, "--out", tmp_path / "m.model")
         assert code == 0
-        assert reads.count(str(pairs)) == 1
+        assert len(opened) == 2
 
     def test_sentences_shared_by_train_and_dev_are_embedded_once(self, tmp_path, rng, capsys, monkeypatch):
         # every pair mentions s0, so the one dev pair of the 9/1 draw shares it with train
@@ -876,6 +868,17 @@ class TestInfo:
                                       "--out", tmp_path / "o.vec"]):
             code, stdout, stderr = run(capsys, *argv)
             assert (code, stdout, stderr.splitlines()) == (2, "", [f"error: {path}:3: invalid UTF-8 byte 0xff"])
+
+    def test_undecodable_byte_is_reported_before_an_unknown_model_kind(self, tmp_path, rng, capsys):
+        # info, apply and eval sniff a model's kind through the same reader, so they name the same fault
+        path = tmp_path / "foo.model"
+        path.write_bytes(b"FOO v1\n\xff\n")
+        ids, tables = write_vec_tables(tmp_path, rng)
+        pairs = write_canonical(tmp_path / "p.tsv", [(ids[0], ids[1], 1.0), (ids[2], ids[3], 2.0)])
+        for argv in (["info", path], ["apply", path, "--inputs", *tables, "--out", tmp_path / "o.vec"],
+                     ["eval", "sts", path, "--inputs", *tables, "--dataset", pairs]):
+            code, stdout, stderr = run(capsys, *argv)
+            assert (code, stdout, stderr.splitlines()) == (2, "", [f"error: {path}:2: invalid UTF-8 byte 0xff"])
 
     def test_info_opens_a_model_file_twice(self, tmp_path, capsys):
         # once to sniff its kind and once to load it

@@ -1,8 +1,10 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from metaembed.datasets import (
     Pair,
     PairDataset,
@@ -170,6 +172,23 @@ class TestCanonicalFormat:
         path.write_bytes(b"a\tb\t1\t-\t-\nc\td\t2\tcaf\xe9\t-\n")
         with pytest.raises(FileFormatError, match=f"{path}:2.*invalid UTF-8 byte 0xe9"):
             load_dataset(path, "sts")
+
+    @pytest.mark.parametrize("official", [False, True])
+    def test_faults_past_the_first_chunk_name_their_line(self, tmp_path, official):
+        # the file is read about 64 KiB at a time; line numbers run on across the chunks
+        sentences = "sentence a number {0}\tsentence b number {0}"
+        rows = [f"{i}\t2.5\tNEUTRAL\tTRAIN\t" if official else f"a{i}\tb{i}\t2.5\t" for i in range(6000)]
+        rows = [row + sentences.format(i) for i, row in enumerate(rows)]
+        rows[4999] = rows[4999].replace("2.5", "9.5")
+        path = tmp_path / "pairs.tsv"
+        header = "pair_ID\trelatedness_score\tentailment_judgment\tSemEval_set\tsentence_A\tsentence_B\n"
+        path.write_text((header if official else "") + "\n".join(rows) + "\n")
+        assert path.stat().st_size > 2 * 65536
+        with pytest.raises(FileFormatError, match=rf"{path}:{5000 + official}: score 9.5 outside"):
+            load_dataset(path, "sick-r")
+        path.write_bytes(path.read_bytes().replace(b"9.5", b"2.5") + b"\xff\n")
+        with pytest.raises(FileFormatError, match=rf"{path}:{6001 + official}: invalid UTF-8 byte 0xff"):
+            load_dataset(path, "sick-r")
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "pairs.tsv"
@@ -425,3 +444,18 @@ class TestMakePairExamples:
         ds = PairDataset("toy", "score", (Pair("a", "b", 1.0),), 0.0, 5.0, None, None)
         with pytest.raises(ValidationError, match="score-labeled, need classes"):
             make_pair_examples(ds, self.tables())
+
+
+def test_pair_file_is_parsed_as_it_is_read(tmp_path):
+    # a load holds the dataset it builds and a chunk of the file's text, never every line
+    path = tmp_path / "pairs.tsv"
+    path.write_text("".join(f"s{2 * i}\ts{2 * i + 1}\t{i % 11 / 2:g}\tsentence a number {i}\tsentence b number {i}\n"
+                            for i in range(10_000)))
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(path, "sts")
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.pairs) == 10_000
+    assert traced_peak(load_dataset, path, "sts") < 1.6 * size

@@ -117,9 +117,11 @@ def users_of(name: str) -> set:
 
 
 def test_one_reader_of_rows():
-    # tables and models are parsed through Lines and read_rows; read_lines serves pair files and sniffers
-    assert users_of("Lines") == users_of("read_rows") == {"store", "modelio"}
-    assert users_of("read_lines") == {"datasets", "store", "modelio"}
+    # every file is read through Lines, and tables and models are parsed through read_rows
+    assert users_of("Lines") == {"store", "modelio", "datasets"}
+    assert users_of("read_rows") == {"store", "modelio"}
+    textio = parsed(PACKAGE / "textio.py")
+    assert "read_lines" not in {node.name for node in ast.walk(textio) if isinstance(node, ast.FunctionDef)}
 
 
 def test_cli_reads_inputs_only_through_load_table_and_load_dataset():

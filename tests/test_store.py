@@ -560,16 +560,16 @@ class TestSniff:
         assert sniff_table_kind(vpath) == "vector"
         assert sniff_table_kind(spath) == "sequence"
 
-    def test_sniffers_read_only_the_first_lines(self, tmp_path):
-        vpath = tmp_path / "v.tbl"
-        vpath.write_bytes(b"2 1\na 1\n\xff 2\n")
-        spath = tmp_path / "s.seq"
-        spath.write_bytes(b"1 1\n#a 1\n\xff\n")
-        mpath = tmp_path / "m.model"
-        mpath.write_bytes(b"GCCA v1\n\xff\n")
-        assert sniff_table_kind(vpath) == "vector"
-        assert sniff_table_kind(spath) == "sequence"
-        assert sniff_model_kind(mpath) == "GCCA"
+    @pytest.mark.parametrize("name, text, line", [("v.tbl", b"2 1\na 1\n\xff 2\n", 3),
+                                                  ("s.seq", b"1 1\n#a 1\n\xff\n", 3),
+                                                  ("m.model", b"GCCA v1\n\xff\n", 2)])
+    def test_sniffers_name_an_undecodable_byte(self, tmp_path, name, text, line):
+        # a sniffer reads its first lines through Lines, which decodes the bytes around them too
+        path = tmp_path / name
+        path.write_bytes(text)
+        with pytest.raises(FileFormatError) as exc:
+            (sniff_model_kind if name.endswith(".model") else sniff_table_kind)(path)
+        assert str(exc.value) == f"{path}:{line}: invalid UTF-8 byte 0xff"
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_first_id_starting_with_hash_is_a_vector_row(self, rng, tmp_path, d):
@@ -588,16 +588,17 @@ class TestSniff:
         path.write_text(f"1 1\n{row}\n")
         assert sniff_table_kind(path) == kind
 
-    @pytest.mark.parametrize("text", [b"x y z\na 1\n\xff 2\n", b"0 1\na 1\n\xff 2\n", b"1 2\n"])
-    def test_load_table_reports_an_undecodable_byte_before_what_the_sniff_finds(self, tmp_path, text):
+    @pytest.mark.parametrize("text, fault", [(b"x y z\na 1\n\xff 2\n", "3: invalid UTF-8 byte 0xff"),
+                                             (b"0 1\na 1\n\xff 2\n", "3: invalid UTF-8 byte 0xff"),
+                                             (b"1 2\n", "1: expected at least one data row; file ends after line 1")])
+    def test_load_table_reports_an_undecodable_byte_before_what_the_sniff_finds(self, tmp_path, text, fault):
         path = tmp_path / "h.vec"
         path.write_bytes(text)
         with pytest.raises(FileFormatError) as sniffed:
             sniff_table_kind(path)
         with pytest.raises(FileFormatError) as loaded:
             load_table(path)
-        expected = f"{path}:3: invalid UTF-8 byte 0xff" if b"\xff" in text else str(sniffed.value)
-        assert str(loaded.value) == expected and sniffed.value.line == 1
+        assert str(loaded.value) == str(sniffed.value) == f"{path}:{fault}"
 
     def test_load_table_picks_the_loader(self, rng, tmp_path):
         vpath = tmp_path / "v.tbl"

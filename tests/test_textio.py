@@ -6,51 +6,52 @@ import pytest
 
 from metaembed import textio
 from metaembed.errors import FileFormatError, ValidationError
-from metaembed.textio import Lines, fmt, fmt_row, read_lines, read_rows, write_lines
+from metaembed.textio import Lines, fmt, fmt_row, read_rows, write_lines
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
+def all_lines(path) -> list[str]:
+    """Every line of *path*, read through :class:`Lines`."""
+    with Lines(path) as lines:
+        return list(iter(lines.line, None))
+
+
 def golden_table_values() -> np.ndarray:
     """Every value in the golden vector and sequence tables (headers, ids and block lines skipped)."""
-    vec = [line.split()[1:] for line in read_lines(GOLDEN / "table.vec")[1:]]
-    seq = [line.split() for line in read_lines(GOLDEN / "table.seq")[1:] if not line.startswith("#")]
+    vec = [line.split()[1:] for line in all_lines(GOLDEN / "table.vec")[1:]]
+    seq = [line.split() for line in all_lines(GOLDEN / "table.seq")[1:] if not line.startswith("#")]
     return np.array([float(t) for row in vec + seq for t in row])
 
 
-class TestReadLines:
+class TestLines:
     def test_splits_on_lf_only(self, tmp_path):
         path = tmp_path / "t.txt"
-        path.write_bytes("a b\fc\x1cd\x85e\nf\n".encode("utf-8"))
-        assert read_lines(path) == ["a b\fc\x1cd\x85e", "f"]
+        path.write_bytes("a b\fc\x1cd\x85e\u2028g\nf\n".encode("utf-8"))
+        assert all_lines(path) == ["a b\fc\x1cd\x85e\u2028g", "f"]
 
     def test_crlf_and_missing_final_newline(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"a b\r\n\r\nc")
-        assert read_lines(path) == ["a b", "", "c"]
+        assert all_lines(path) == ["a b", "", "c"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"")
-        assert read_lines(path) == []
-
-    def test_limit_reads_only_the_first_lines(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_bytes(b"one\r\ntwo\n\xff\n")
-        assert read_lines(path, limit=2) == ["one", "two"]
-        with pytest.raises(FileFormatError, match=r"t.txt:3: invalid UTF-8 byte 0xff"):
-            read_lines(path)
+        with Lines(path) as lines:
+            assert (lines.line(), list(lines.take(5)), lines.count) == (None, [], 0)
 
     def test_undecodable_byte_names_its_line(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"ok\nok\ncaf\xe9\n")
         with pytest.raises(FileFormatError, match=r"t.txt:3: invalid UTF-8 byte 0xe9") as exc:
-            read_lines(path)
+            all_lines(path)
         assert exc.value.line == 3
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileFormatError, match="cannot read file"):
-            read_lines(tmp_path / "nope.txt")
+        with pytest.raises(FileFormatError, match="cannot read file") as exc:
+            all_lines(tmp_path / "nope.txt")
+        assert exc.value.line == 1
 
 
 class TestWriteLines:
