@@ -28,27 +28,14 @@ everything else (bad usage, bad files, bad math).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-import traceback
 
 from . import __version__
 from .datasets import TASKS, load_dataset, make_pair_examples, random_splits
-from .dynamic import DynamicModel, TrainConfig, new_dynamic_model, train_dynamic
 from .ensembles import DEFAULT_TAU, GccaModel, SvdMetaModel, concat_views, fit_gcca, fit_svd_meta
 from .errors import MetaEmbedError, NonFiniteLossError, ValidationError
-from .evaluation import (
-    EvalReport,
-    config_fingerprint,
-    embed_table,
-    evaluate_classification,
-    evaluate_similarity,
-    format_report_table,
-    pair_ids,
-)
 from .modelio import sniff_model_kind
-from .probes import ProbeConfig, pair_rows, probe_classification, probe_relatedness
 from .store import (
     EmbeddingTable,
     SequenceTable,
@@ -58,20 +45,15 @@ from .store import (
     load_vector_table,
     save_vector_table,
 )
-from .textio import fmt, fmt_row, write_lines
+from .textio import file_digest, fmt, fmt_row, write_lines
 
 __all__ = ["main", "build_parser"]
 
-_MODEL_CLASSES = {"SVDMETA": SvdMetaModel, "GCCA": GccaModel, "DME": DynamicModel, "CDME": DynamicModel}
+# the dynamic layer (and lstm, probes and evaluation) is imported only by the commands that run it
+_ENSEMBLE_MODELS = {"SVDMETA": SvdMetaModel, "GCCA": GccaModel}
+_DYNAMIC_KINDS = ("DME", "CDME")
+_MODEL_KINDS = (*_ENSEMBLE_MODELS, *_DYNAMIC_KINDS)
 _SVD_DEFAULT_CAP = 3072
-
-
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _flag_values(args) -> dict:
@@ -100,7 +82,7 @@ def _write_manifest(args, digests, outputs, metrics=None):
 
 
 def _digests(paths) -> dict:
-    return {str(p): _sha256(p) for p in paths}
+    return {str(p): file_digest(p) for p in paths}
 
 
 def _load_sequence_like(paths) -> list[SequenceTable]:
@@ -109,16 +91,20 @@ def _load_sequence_like(paths) -> list[SequenceTable]:
     return [t if isinstance(t, SequenceTable) else SequenceTable.from_vector_table(t) for t in tables]
 
 
-def _load_model(path):
-    kind = sniff_model_kind(path)
-    if kind not in _MODEL_CLASSES:
+def _load_model(path, kind=None):
+    """``(kind, model)`` of the model file at *path*, whose kind, if known, is *kind*."""
+    kind = sniff_model_kind(path) if kind is None else kind
+    if kind not in _MODEL_KINDS:
         raise ValidationError(
-            f"{path}: unknown model kind {kind!r}; expected one of {tuple(_MODEL_CLASSES)}"
+            f"{path}: unknown model kind {kind!r}; expected one of {_MODEL_KINDS}"
         )
-    return _MODEL_CLASSES[kind].load(path)
+    if kind in _DYNAMIC_KINDS:
+        from .dynamic import DynamicModel
+        return kind, DynamicModel.load(path)
+    return kind, _ENSEMBLE_MODELS[kind].load(path)
 
 
-def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
+def _sentence_vectors(kind, model, paths, ids=None) -> EmbeddingTable:
     """*model*'s vectors for *ids* (default: every shared id) from the tables at *paths*.
 
     With no model, *paths* holds one table of sentence vectors that must cover *ids*; it is returned.
@@ -131,11 +117,12 @@ def _sentence_vectors(model, paths, ids=None) -> EmbeddingTable:
                 f"{paths[0]}: missing vector(s) for {len(missing)} pair id(s), e.g. {missing[0]!r}"
             )
         return table
-    dynamic = isinstance(model, DynamicModel)
+    dynamic = kind in _DYNAMIC_KINDS
     tables = _load_sequence_like(paths) if dynamic else [load_vector_table(p) for p in paths]
     shared = intersect_ids(tables)  # disjoint tables are refused even when *ids* is given
     ids = shared if ids is None else ids
     if dynamic:
+        from .evaluation import embed_table
         return embed_table(model, tables, ids)
     views = [t.lookup(ids) for t in tables]
     del tables  # not held through the model's apply
@@ -183,7 +170,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    out_table = _sentence_vectors(_load_model(args.model), args.inputs)
+    out_table = _sentence_vectors(*_load_model(args.model), args.inputs)
     save_vector_table(args.out, out_table)
     _write_manifest(args, _digests([args.model] + args.inputs), [args.out])
     print(f"wrote {args.out}: {len(out_table)} rows, width {out_table.dim}")
@@ -191,6 +178,9 @@ def cmd_apply(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .dynamic import TrainConfig, new_dynamic_model, train_dynamic
+    from .evaluation import embed_table, evaluate_classification, pair_ids
+
     if args.mode == "dme" and args.m is not None:
         raise ValidationError("--m only applies to cdme (the attention recurrence width)")
     tables = _load_sequence_like(args.inputs)
@@ -238,24 +228,20 @@ def _splits_or_drawn(dataset, seed: int):
     return splits, drawn
 
 
-def _emit_report(report: EvalReport) -> None:
-    print(json.dumps(report._asdict()))
-    print(format_report_table([report]))
-
-
 def cmd_eval(args) -> int:
+    from .evaluation import (EvalReport, config_fingerprint, evaluate_classification, evaluate_similarity,
+                             format_report_table, pair_ids)
+
     if args.model is None and len(args.inputs) != 1:
         raise ValidationError("without a model, give exactly one vector table of sentence vectors")
     dataset = load_dataset(args.dataset, args.task)
-    probe_config = ProbeConfig(batch_size=args.batch, tenacity=args.tenacity,
-                               epoch_size=args.epoch_size, seed=args.seed)
     inputs = [args.dataset] + args.inputs + ([args.model] if args.model else [])
     digests = _digests(inputs)
-    model = None if args.model is None else _load_model(args.model)
+    kind, model = (None, None) if args.model is None else _load_model(args.model)
     metrics: dict = {}
 
     # a dynamic model scores a class task with its own pair head, on the test split if there is one
-    head = isinstance(model, DynamicModel) and dataset.kind == "classes"
+    head = kind in _DYNAMIC_KINDS and dataset.kind == "classes"
     eval_pairs = dataset.pairs
     if head:
         unknown = [c for c in dataset.classes if c not in model.classes]
@@ -268,12 +254,16 @@ def cmd_eval(args) -> int:
             if not eval_pairs:
                 raise ValidationError(f"{args.dataset}: no pairs in the test split")
     ids = pair_ids(eval_pairs)
-    table = _sentence_vectors(model, args.inputs, ids)
+    table = _sentence_vectors(kind, model, args.inputs, ids)
     if head:
         report, rows = evaluate_classification(model, table, eval_pairs, task=args.task)
     elif args.task == "sts":
         report, rows = evaluate_similarity(table, dataset.pairs, dataset.lo, dataset.hi, task=args.task)
     else:
+        from .probes import ProbeConfig, pair_rows, probe_classification, probe_relatedness
+
+        probe_config = ProbeConfig(batch_size=args.batch, tenacity=args.tenacity,
+                                   epoch_size=args.epoch_size, seed=args.seed)
         splits, drawn = _splits_or_drawn(dataset, args.seed)
         parts = [[dataset.pairs[i] for i in part] for part in splits]
         data = []
@@ -291,7 +281,8 @@ def cmd_eval(args) -> int:
         metrics.update(dev=probe.dev, **probe.history._asdict())
         rows = [(p.id_a, p.id_b, p.label, pred) for p, pred in zip(parts[2], probe.test_predictions)]
 
-    _emit_report(report)
+    print(json.dumps(report._asdict()))
+    print(format_report_table([report]))
     metrics.update((field, value) for field, value in report._asdict().items() if field != "task")
     if args.out:
         lines = ["id_a\tid_b\tgold\tpredicted"]
@@ -306,8 +297,8 @@ def cmd_info(args) -> int:
         kind = sniff_model_kind(args.path)
     except MetaEmbedError:
         kind = None
-    if kind in _MODEL_CLASSES:
-        described = _MODEL_CLASSES[kind].load(args.path)
+    if kind in _MODEL_KINDS:
+        described = _load_model(args.path, kind)[1]
     else:
         described = load_table(args.path)
         kind = described.KIND
@@ -402,6 +393,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
         traceback.print_exc()
         return 2
 

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .lstm import BLOCK_ROWS
 from .store import EmbeddingTable, sequence_views
 
 __all__ = [
@@ -318,6 +317,8 @@ def embed_table(model, tables, ids) -> EmbeddingTable:
     :data:`~metaembed.lstm.BLOCK_ROWS` at a time, so a block pads little;
     each row is bitwise the vector ``model.embed`` gives that sentence alone.
     """
+    from .lstm import BLOCK_ROWS  # the model's own layer: a similarity or probe eval never loads it
+
     ids = list(ids)
     if not ids:
         raise ValidationError("no ids to embed")

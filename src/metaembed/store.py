@@ -15,17 +15,35 @@ writes follow :mod:`metaembed.textio`.  A reader walks its file once through
 parses the rows of values a chunk at a time into the table's one array.
 Parse failures raise :class:`FileFormatError` carrying the path and the
 1-based line number.
+
+A vector table is parsed once per content: :func:`load_vector_table` keeps
+each parsed table in a cache directory, keyed by the sha256 of the bytes it
+parsed, and a later load of the same bytes reads the arrays from there
+instead of the text.  The directory is ``$METAEMBED_CACHE``, by default
+``${XDG_CACHE_HOME:-~/.cache}/metaembed``.  An entry that is missing or
+fails a check is a miss, a directory that cannot be written means no
+caching, and neither shows in any output.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
 from .linalg import as_matrix
-from .textio import Lines, check_trailing, read_rows, row_format, truncated, write_lines
+from .textio import (
+    Lines,
+    check_trailing,
+    file_digest,
+    read_rows,
+    replace_file,
+    row_format,
+    truncated,
+    write_lines,
+)
 
 __all__ = [
     "EmbeddingTable",
@@ -173,10 +191,66 @@ def _parse_header(line: str | None, path) -> tuple[int, int]:
 
 
 def load_vector_table(path) -> EmbeddingTable:
-    """Parse a vector table file."""
-    with Lines(path) as lines:
-        n, d = _parse_header(lines.line(), path)
-        return EmbeddingTable(*read_rows(lines, n, d, path, keyed=True))
+    """Parse a vector table file, or read the same table from the cache if its bytes were parsed before."""
+    table = _cached_vector_table(path)
+    if table is None:
+        with Lines(path, digest=True) as lines:
+            n, d = _parse_header(lines.line(), path)
+            table = EmbeddingTable(*read_rows(lines, n, d, path, keyed=True))
+        _cache_vector_table(lines.digest(), table)  # the bytes parsed, read to the end
+    return table
+
+
+# names an entry's layout and the reader's rules; change it whenever either changes
+_CACHE_TAG = "vector-table-1"
+
+
+def _cache_entry(digest: str) -> str:
+    """The path of the entry for bytes of sha256 *digest*; an OSError when there is no cache directory."""
+    root = os.environ.get("METAEMBED_CACHE")
+    if not root:
+        base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser(os.path.join("~", ".cache"))
+        if not os.path.isabs(base):  # a relative XDG_CACHE_HOME, or a home that is unknown: no caching
+            raise FileNotFoundError("no cache directory")
+        root = os.path.join(base, "metaembed")
+    return os.path.join(root, f"{digest}.{_CACHE_TAG}.npy")
+
+
+def _cached_vector_table(path) -> EmbeddingTable | None:
+    """The table cached for the bytes of *path*, or None if there is none or it fails a check.
+
+    Only a regular file is looked up: hashing a pipe would consume what the parse is to read.
+    """
+    try:
+        if not os.path.isfile(path):
+            return None
+        with open(_cache_entry(file_digest(path)), "rb") as f:
+            values = np.load(f, allow_pickle=False)
+            ids = np.load(f, allow_pickle=False)
+            if f.read(1):
+                return None
+        if values.dtype != np.float64 or ids.dtype != np.uint8 or ids.ndim != 1:
+            return None
+        return EmbeddingTable(ids.tobytes().decode("utf-8").split("\n"), values)
+    except (OSError, EOFError, ValueError, ValidationError):
+        return None
+
+
+def _cache_vector_table(digest: str, table: EmbeddingTable) -> None:
+    """Write the cache entry of *table*, parsed from bytes of sha256 *digest*: its values, then its
+    ids as UTF-8 joined by LF; an entry that cannot be written is left out."""
+    ids = np.frombuffer("\n".join(table.ids).encode("utf-8"), dtype=np.uint8)
+
+    def write(f):
+        np.save(f, table.vectors, allow_pickle=False)
+        np.save(f, ids, allow_pickle=False)
+
+    try:
+        entry = _cache_entry(digest)
+        os.makedirs(os.path.dirname(entry), mode=0o700, exist_ok=True)
+        replace_file(entry, write, 0o600)
+    except (OSError, ValidationError):
+        pass
 
 
 def save_vector_table(path, table: EmbeddingTable) -> None:

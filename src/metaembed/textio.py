@@ -11,16 +11,20 @@ models, pair files and the first lines a sniffer looks at, is read through
 :class:`Lines` about 64 KiB of text at a time, so no reader holds a file's
 text whole, and :func:`read_rows` parses each chunk of rows of values into
 one array allocated for all of them, allocating nothing for rows the file
-does not hold.  A write goes to a temporary file next to the
-destination, which then replaces it in one step: a write that fails leaves
-the old file as it was and no temporary file behind.  Lines go out about
-64 KiB of text at a time, so a writer that passes them lazily holds no more
-than that and its longest line, whatever the file's size or row width.
+does not hold.  :func:`file_digest` takes a file's sha256 the same 64 KiB
+at a time, and :class:`Lines` can hash the bytes it reads, so that a reader
+knows the digest of exactly what it parsed.  A write goes to a temporary
+file next to the destination, which then replaces it in one step: a write
+that fails leaves the old file as it was and no temporary file behind.
+Lines go out about 64 KiB of text at a time, so a writer that passes them
+lazily holds no more than that and its longest line, whatever the file's
+size or row width.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import sys
 import warnings
@@ -29,8 +33,8 @@ import numpy as np
 
 from .errors import FileFormatError, ValidationError
 
-__all__ = ["fmt", "fmt_row", "row_format", "write_lines", "Lines", "read_rows", "check_trailing",
-           "truncated"]
+__all__ = ["fmt", "fmt_row", "row_format", "write_lines", "replace_file", "file_digest", "Lines",
+           "read_rows", "check_trailing", "truncated"]
 
 
 def fmt(x: float) -> str:
@@ -84,14 +88,28 @@ def write_lines(path, lines) -> None:
     ``open(path, "w")`` would give it (0666 less the umask).  An OS error
     raises :class:`ValidationError` naming *path*.
     """
+    def write(f):
+        for chunk in _chunks(lines):
+            f.write(("\n".join(chunk) + "\n").encode("utf-8"))
+
+    replace_file(path, write)
+
+
+def replace_file(path, write, mode: int = 0o666) -> None:
+    """Replace *path* with what ``write(f)`` writes to a binary file, in one atomic step.
+
+    The bytes go to a temporary file next to *path*, created with *mode*
+    less the umask, which then replaces *path*; a write that fails leaves
+    the old file as it was and no temporary file behind.  An OS error raises
+    :class:`ValidationError` naming *path*.
+    """
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
         with open(fd, "wb") as f:
-            for chunk in _chunks(lines):
-                f.write(("\n".join(chunk) + "\n").encode("utf-8"))
+            write(f)
         os.replace(tmp, path)
     except OSError as exc:
         raise ValidationError(f"{path}: cannot write file: {exc.strerror or exc}") from exc
@@ -100,24 +118,44 @@ def write_lines(path, lines) -> None:
             os.unlink(tmp)
 
 
+def file_digest(path) -> str:
+    """The sha256 of the bytes of *path*, in hex, read about 64 KiB at a time."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(_CHUNK_CHARS), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
 class Lines:
     """The lines of a file, decoded about 64 KiB of text at a time and handed out in order.
 
     A context manager; ``count`` lines have been handed out.  An OS error
     raises :class:`FileFormatError` naming line 1, and an error raised inside
     the ``with`` gives way to an undecodable byte further on, as if the whole
-    file had been decoded first.
+    file had been decoded first.  With *digest*, the raw bytes are hashed as
+    they are read, and :meth:`digest` is the sha256 of those that were.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, *, digest: bool = False):
         self.path, self.count, self._chunk, self._pos = path, 0, [], 0
+        self._hash = hashlib.sha256() if digest else None
         try:
             self._f = open(path, "rb")
         except OSError as exc:
             raise FileFormatError(path, 1, f"cannot read file: {exc}") from exc
         # a chunk is read once every line before it has been handed out, so its first line is count + 1
-        reads = iter(lambda: self._f.readlines(_CHUNK_CHARS), [])
-        self._chunks = (_decode(raw, self.count + 1, path) for raw in reads)
+        self._chunks = (_decode(raw, self.count + 1, path) for raw in iter(self._read, []))
+
+    def _read(self) -> list[bytes]:
+        raw = self._f.readlines(_CHUNK_CHARS)
+        if self._hash is not None:
+            self._hash.update(b"".join(raw))
+        return raw
+
+    def digest(self) -> str:
+        """The sha256, in hex, of the bytes read so far: of the whole file once a reader has met its end."""
+        return self._hash.hexdigest()
 
     def __enter__(self):
         return self

@@ -2,6 +2,9 @@
 
 import builtins
 import contextlib
+import os
+import pathlib
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -9,6 +12,19 @@ import numpy as np
 import pytest
 
 from metaembed.store import EmbeddingTable, SequenceTable
+
+
+@pytest.fixture(scope="session", autouse=True)
+def table_cache(tmp_path_factory):
+    """The session's cache of parsed vector tables, outside the user's own; subprocesses inherit it.
+
+    Session-scoped: hypothesis refuses function-scoped fixtures in its tests.  A test that needs an
+    empty cache points ``METAEMBED_CACHE`` at a directory of its own.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        path = tmp_path_factory.mktemp("table-cache")
+        mp.setenv("METAEMBED_CACHE", str(path))
+        yield path
 
 
 @pytest.fixture
@@ -34,6 +50,13 @@ def random_spd(rng, n, jitter=0.5):
 def random_symmetric(rng, n):
     a = rng.normal(size=(n, n))
     return 0.5 * (a + a.T)
+
+
+@contextlib.contextmanager
+def empty_table_cache():
+    """An empty cache of parsed vector tables for the ``with``: a new directory, removed after it."""
+    with tempfile.TemporaryDirectory() as path, mock.patch.dict(os.environ, {"METAEMBED_CACHE": path}):
+        yield pathlib.Path(path)
 
 
 @contextlib.contextmanager

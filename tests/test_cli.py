@@ -255,8 +255,7 @@ class TestDroppedIds:
 
 
 def record_embedded_ids(monkeypatch):
-    """The ids of every embed_table call, whichever module makes it."""
-    import metaembed.cli as cli
+    """The ids of every embed_table call; cli imports it from evaluation when it runs."""
     import metaembed.evaluation as evaluation
 
     calls = []
@@ -266,7 +265,6 @@ def record_embedded_ids(monkeypatch):
         calls.append(list(ids))
         return original(model, tables, calls[-1])
 
-    monkeypatch.setattr(cli, "embed_table", recording)
     monkeypatch.setattr(evaluation, "embed_table", recording)
     return calls
 

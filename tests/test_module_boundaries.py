@@ -219,3 +219,29 @@ except NotPositiveDefiniteError as exc:
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
     assert run_fresh(code) == ["2", "1 0.0", "[]"]
+
+
+def test_commands_import_only_the_layers_they_run():
+    code = """
+import contextlib, io, os, sys, tempfile
+import numpy as np
+from metaembed import cli
+from metaembed.store import EmbeddingTable, save_vector_table
+os.chdir(tempfile.mkdtemp())
+rng = np.random.default_rng(0)
+for k in range(2):
+    save_vector_table(f"t{k}.vec", EmbeddingTable([f"s{i}" for i in range(9)], rng.normal(size=(9, 3))))
+commands = [["combine", "--method", "con", "--inputs", "t0.vec", "t1.vec", "--out", "c.vec"], ["info", "c.vec"]]
+for method in ("svd", "gcca"):
+    commands += [["fit", "--method", method, "--inputs", "t0.vec", "t1.vec", "--d", "2", "--out", method],
+                 ["apply", method, "--inputs", "t0.vec", "t1.vec", "--out", method + ".vec"], ["info", method]]
+with open("pairs.tsv", "w") as f:
+    f.write("s1\\ts2\\t1.5\\t-\\t-\\ns3\\ts4\\t3\\t-\\t-\\ns5\\ts6\\t4\\t-\\t-\\n")
+layers, loaded = ("dynamic", "lstm", "probes", "evaluation"), []
+for batch in (commands, [["eval", "sts", "--inputs", "svd.vec", "--dataset", "pairs.tsv"]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(argv) for argv in batch]
+    loaded.append((codes, sorted(m for m in sys.modules if m.split(".")[-1] in layers)))
+print(loaded)
+"""
+    assert run_fresh(code) == [str([([0] * 8, []), ([0], ["metaembed.evaluation"])])]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import counted_opens, make_sequence_table, make_vector_table, traced_peak
+from conftest import counted_opens, empty_table_cache, make_sequence_table, make_vector_table, traced_peak
 from metaembed import store, textio
 from metaembed.errors import FileFormatError, ValidationError
 from metaembed.modelio import read_model, sniff_model_kind, write_model
@@ -88,9 +88,10 @@ class TestEmbeddingTable:
             made.append(real(a, name) is a)
             return a
 
-        with mock.patch.object(store, "as_matrix", recording):
-            load_vector_table(path)
-        assert made == [True]
+        with mock.patch.object(store, "as_matrix", recording), empty_table_cache():
+            load_vector_table(path)  # parsed
+            load_vector_table(path)  # read from the cache
+        assert made == [True, True]
 
     def test_indices(self):
         t = EmbeddingTable(["a", "b", "c"], np.zeros((3, 1)))
@@ -217,7 +218,8 @@ def loaded(obj):
 def load_both_ways(path, load=load_vector_table):
     """``load(path)`` with and without the bulk parser, and whether the bulk parser took any rows.
 
-    Each outcome is ("ok", names, arrays) or (error type, message).
+    Each outcome is ("ok", names, arrays) or (error type, message).  Each load starts from an empty
+    cache of parsed tables, so that both parse the text.
     """
     taken = []
 
@@ -229,7 +231,7 @@ def load_both_ways(path, load=load_vector_table):
     real = textio._bulk_rows
     outcomes = []
     for patched in (spy, lambda lines, cols, keyed: None):
-        with mock.patch.object(textio, "_bulk_rows", patched):
+        with mock.patch.object(textio, "_bulk_rows", patched), empty_table_cache():
             try:
                 outcomes.append(("ok", *loaded(load(path))))
             except (FileFormatError, ValidationError) as exc:
@@ -435,7 +437,8 @@ def test_readers_peak_near_the_array(rng, tmp_path, rows, cols):
                                            [rng.normal(size=(2, cols)) for _ in range(rows // 2)]))
     write_model(model, "SVDMETA", [("dims", [1])], [("proj", rng.normal(size=(rows, cols)))])
     for path, load in [(vec, load_vector_table), (seq, load_sequence_table), (model, read_model_blocks)]:
-        assert traced_peak(load, path) < 1.5 * rows * cols * 8 + 4 * textio._CHUNK_CHARS, path.name
+        with empty_table_cache():
+            assert traced_peak(load, path) < 1.5 * rows * cols * 8 + 4 * textio._CHUNK_CHARS, path.name
 
 
 class TestGoldenTables:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 
@@ -6,7 +7,7 @@ import pytest
 
 from metaembed import textio
 from metaembed.errors import FileFormatError, ValidationError
-from metaembed.textio import Lines, fmt, fmt_row, read_rows, write_lines
+from metaembed.textio import Lines, file_digest, fmt, fmt_row, read_rows, replace_file, write_lines
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -22,6 +23,29 @@ def golden_table_values() -> np.ndarray:
     vec = [line.split()[1:] for line in all_lines(GOLDEN / "table.vec")[1:]]
     seq = [line.split() for line in all_lines(GOLDEN / "table.seq")[1:] if not line.startswith("#")]
     return np.array([float(t) for row in vec + seq for t in row])
+
+
+class TestDigests:
+    @pytest.mark.parametrize("size", [0, 1, textio._CHUNK_CHARS, 3 * textio._CHUNK_CHARS + 5])
+    def test_file_digest_is_the_sha256_of_the_bytes(self, tmp_path, size):
+        path = tmp_path / "f.bin"
+        path.write_bytes(os.urandom(size))
+        assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_lines_hash_what_they_read(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"".join(b"row %d\r\n" % i for i in range(30000)) + b"no final newline")
+        with Lines(path, digest=True) as lines:
+            assert lines.line() == "row 0"
+            assert lines.digest() != file_digest(path)  # one chunk of several read so far
+            assert list(iter(lines.line, None))[-1] == "no final newline"
+        assert lines.digest() == file_digest(path)
+
+    def test_replace_file_gives_the_mode_asked_less_the_umask(self, tmp_path):
+        path = tmp_path / "f.bin"
+        replace_file(path, lambda f: f.write(b"x"), 0o600)
+        assert path.read_bytes() == b"x" and path.stat().st_mode & 0o777 == 0o600
+        assert os.listdir(tmp_path) == ["f.bin"]
 
 
 class TestLines:
