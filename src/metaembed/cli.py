@@ -12,14 +12,14 @@ Subcommands:
 Input tables are always aligned over the sorted intersection of their ids.
 Every command that writes an output also writes ``<output>.manifest.json``
 recording the command line, resolved flag values, the package version,
-sha256 digests of the inputs, the seed, and any headline metrics, so a
-result file can always be traced back to what produced it.  Manifests hold
-nothing run-dependent beyond that: rerunning a command with the same flags,
-seeds and inputs rewrites every output file, manifest included, byte for
-byte.  ``eval`` without ``--out`` writes ``metaembed-eval.manifest.json`` in
-the working directory.  ``eval`` prints its result as one JSON line
-``{task, metric, value, n, fingerprint}`` followed by the same report as an
-aligned table.
+the sha256 of each input's bytes as its loader parsed them (each input is
+read once), the seed, and any headline metrics, so a result file can always
+be traced back to what produced it.  Manifests hold nothing run-dependent
+beyond that: rerunning a command with the same flags, seeds and inputs
+rewrites every output file, manifest included, byte for byte.  ``eval``
+without ``--out`` writes ``metaembed-eval.manifest.json`` in the working
+directory.  ``eval`` prints its result as one JSON line ``{task, metric,
+value, n, fingerprint}`` followed by the same report as an aligned table.
 
 Exit codes: 0 on success, 3 when training aborts on a non-finite loss, 2 for
 everything else (bad usage, bad files, bad math).
@@ -45,7 +45,7 @@ from .store import (
     load_vector_table,
     save_vector_table,
 )
-from .textio import file_digest, fmt, fmt_row, write_lines
+from .textio import fmt, fmt_row, write_lines
 
 __all__ = ["main", "build_parser"]
 
@@ -66,23 +66,19 @@ def _flag_values(args) -> dict:
     return out
 
 
-def _write_manifest(args, digests, outputs, metrics=None):
+def _write_manifest(args, inputs, digests, outputs, metrics=None):
     record = {
         "command": args.command,
         "argv": list(getattr(args, "_argv", [])),
         "flags": _flag_values(args),
         "version": __version__,
-        "inputs": digests,
+        "inputs": dict(zip(map(str, inputs), digests)),
         "outputs": [str(p) for p in outputs],
         "seed": getattr(args, "seed", None),
         "metrics": metrics or {},
     }
     path = f"{outputs[0]}.manifest.json" if outputs else "metaembed-eval.manifest.json"
     write_lines(path, [json.dumps(record, indent=2, sort_keys=True)])
-
-
-def _digests(paths) -> dict:
-    return {str(p): file_digest(p) for p in paths}
 
 
 def _load_sequence_like(paths) -> list[SequenceTable]:
@@ -104,8 +100,8 @@ def _load_model(path, kind=None):
     return kind, _ENSEMBLE_MODELS[kind].load(path)
 
 
-def _sentence_vectors(kind, model, paths, ids=None) -> EmbeddingTable:
-    """*model*'s vectors for *ids* (default: every shared id) from the tables at *paths*.
+def _sentence_vectors(kind, model, paths, ids=None) -> tuple[EmbeddingTable, list]:
+    """*model*'s vectors for *ids* (default: every shared id) from the tables at *paths*, and their digests.
 
     With no model, *paths* holds one table of sentence vectors that must cover *ids*; it is returned.
     """
@@ -116,30 +112,31 @@ def _sentence_vectors(kind, model, paths, ids=None) -> EmbeddingTable:
             raise ValidationError(
                 f"{paths[0]}: missing vector(s) for {len(missing)} pair id(s), e.g. {missing[0]!r}"
             )
-        return table
+        return table, [table.digest]
     dynamic = kind in _DYNAMIC_KINDS
     tables = _load_sequence_like(paths) if dynamic else [load_vector_table(p) for p in paths]
     shared = intersect_ids(tables)  # disjoint tables are refused even when *ids* is given
     ids = shared if ids is None else ids
+    digests = [t.digest for t in tables]
     if dynamic:
         from .evaluation import embed_table
-        return embed_table(model, tables, ids)
+        return embed_table(model, tables, ids), digests
     views = [t.lookup(ids) for t in tables]
     del tables  # not held through the model's apply
-    return EmbeddingTable(ids, model.apply(views))
+    return EmbeddingTable(ids, model.apply(views)), digests
 
 
 def _aligned_inputs(paths):
     tables = [load_vector_table(p) for p in paths]
     ids, views = align_by_id(tables)
-    return ids, views, [len(t) - len(ids) for t in tables]
+    return ids, views, [len(t) - len(ids) for t in tables], [t.digest for t in tables]
 
 
 def cmd_combine(args) -> int:
-    ids, views, dropped = _aligned_inputs(args.inputs)
+    ids, views, dropped, digests = _aligned_inputs(args.inputs)
     table = EmbeddingTable(ids, concat_views(views))
     save_vector_table(args.out, table)
-    _write_manifest(args, _digests(args.inputs), [args.out], {"dropped": dropped})
+    _write_manifest(args, args.inputs, digests, [args.out], {"dropped": dropped})
     print(f"wrote {args.out}: {len(ids)} rows, width {table.dim}")
     return 0
 
@@ -147,7 +144,7 @@ def cmd_combine(args) -> int:
 def cmd_fit(args) -> int:
     if args.method != "gcca" and args.tau is not None:
         raise ValidationError("--tau only applies to gcca")
-    ids, views, dropped = _aligned_inputs(args.inputs)
+    ids, views, dropped, digests = _aligned_inputs(args.inputs)
     if args.method == "svd":
         d = args.d
         if d is None:
@@ -161,7 +158,7 @@ def cmd_fit(args) -> int:
     metrics = {"dropped": dropped}
     if args.method == "gcca":
         metrics["residual_ratio"] = model.residual_ratio
-    _write_manifest(args, _digests(args.inputs), [args.out], metrics)
+    _write_manifest(args, args.inputs, digests, [args.out], metrics)
     print(f"wrote {args.out}: {args.method} model over {len(ids)} rows")
     print(f"retained_d {model.dim}")
     if args.method == "gcca":
@@ -170,9 +167,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    out_table = _sentence_vectors(*_load_model(args.model), args.inputs)
+    kind, model = _load_model(args.model)
+    out_table, digests = _sentence_vectors(kind, model, args.inputs)
     save_vector_table(args.out, out_table)
-    _write_manifest(args, _digests([args.model] + args.inputs), [args.out])
+    _write_manifest(args, [args.model] + args.inputs, [model.digest] + digests, [args.out])
     print(f"wrote {args.out}: {len(out_table)} rows, width {out_table.dim}")
     return 0
 
@@ -188,7 +186,7 @@ def cmd_train(args) -> int:
     if dataset.splits is not None:
         train_idx = dataset.splits.train
         dev_idx = dataset.splits.dev
-        if not train_idx:
+        if not len(train_idx):
             raise ValidationError(f"{args.dataset}: no pairs in the train split")
     else:
         drawn = random_splits(len(dataset.pairs), seed=args.seed, ratios=(0.9, 0.1, 0.0))
@@ -204,13 +202,14 @@ def cmd_train(args) -> int:
                 + [f"{i},{fmt(loss)}" for i, loss in enumerate(history, start=1)])
     metrics: dict = {"epoch_losses": history}
     parts = [(part, [dataset.pairs[i] for i in indices])
-             for part, indices in (("train", train_idx), ("dev", dev_idx)) if indices]
+             for part, indices in (("train", train_idx), ("dev", dev_idx)) if len(indices)]
     table = embed_table(model, tables, pair_ids(p for _, pairs in parts for p in pairs))
     for part, pairs in parts:
         report, _ = evaluate_classification(model, table, pairs, task=part)
         metrics[f"{part}_accuracy"] = report.value
         print(f"{part}_accuracy {report.value:.6f}")
-    _write_manifest(args, _digests(args.inputs + [args.dataset]), [args.out, loss_csv], metrics)
+    _write_manifest(args, args.inputs + [args.dataset], [t.digest for t in tables] + [dataset.digest],
+                    [args.out, loss_csv], metrics)
     print(f"wrote {args.out}: {args.mode} model, {len(examples)} training pairs, "
           f"classes {' '.join(dataset.classes)}")
     return 0
@@ -221,7 +220,7 @@ def _splits_or_drawn(dataset, seed: int):
     drawn = dataset.splits is None
     splits = random_splits(len(dataset.pairs), seed=seed) if drawn else dataset.splits
     for name, part in zip(("train", "dev", "test"), splits):
-        if not part:
+        if not len(part):
             raise ValidationError(
                 f"dataset {dataset.name!r}: empty {name} split; probes need train, dev and test pairs"
             )
@@ -235,8 +234,6 @@ def cmd_eval(args) -> int:
     if args.model is None and len(args.inputs) != 1:
         raise ValidationError("without a model, give exactly one vector table of sentence vectors")
     dataset = load_dataset(args.dataset, args.task)
-    inputs = [args.dataset] + args.inputs + ([args.model] if args.model else [])
-    digests = _digests(inputs)
     kind, model = (None, None) if args.model is None else _load_model(args.model)
     metrics: dict = {}
 
@@ -253,8 +250,9 @@ def cmd_eval(args) -> int:
             eval_pairs = dataset.split_pairs("test")
             if not eval_pairs:
                 raise ValidationError(f"{args.dataset}: no pairs in the test split")
-    ids = pair_ids(eval_pairs)
-    table = _sentence_vectors(kind, model, args.inputs, ids)
+    table, digests = _sentence_vectors(kind, model, args.inputs, pair_ids(eval_pairs))
+    inputs = [args.dataset] + args.inputs + ([args.model] if args.model else [])
+    digests = [dataset.digest] + digests + ([model.digest] if args.model else [])
     if head:
         report, rows = evaluate_classification(model, table, eval_pairs, task=args.task)
     elif args.task == "sts":
@@ -274,8 +272,8 @@ def cmd_eval(args) -> int:
             probe = probe_relatedness(*data, probe_config)
         else:
             probe = probe_classification(*data, dataset.classes, probe_config)
-        fingerprint = config_fingerprint(args.task, probe.metric, [digests[str(p)] for p in inputs],
-                                         list(probe_config), drawn, list(splits))
+        fingerprint = config_fingerprint(args.task, probe.metric, digests, list(probe_config), drawn,
+                                         [s.tolist() for s in splits])
         report = EvalReport(args.task, probe.metric, probe.test, probe.n_test, fingerprint)
         # rounds, best_round (an index into dev_curve), stopped_early and dev_curve
         metrics.update(dev=probe.dev, **probe.history._asdict())
@@ -288,7 +286,7 @@ def cmd_eval(args) -> int:
         lines = ["id_a\tid_b\tgold\tpredicted"]
         lines += ["\t".join(fmt(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
         write_lines(args.out, lines)
-    _write_manifest(args, digests, [args.out] if args.out else [], metrics)
+    _write_manifest(args, inputs, digests, [args.out] if args.out else [], metrics)
     return 0
 
 

@@ -23,7 +23,7 @@ rule is checked once, while its row is parsed, and a failure names the file
 and line.  The evaluation tasks are :data:`TASKS`; each has a score
 range in :data:`TASK_RANGES` or a class inventory in :data:`TASK_CLASSES`.
 
-Splits are stored as index tuples into the pair list.  Canonical files
+Splits are stored as int64 index arrays into the pair list.  Canonical files
 carry no split information; use :func:`random_splits` to draw a
 deterministic seeded partition when a task needs one.  Encoding and line
 ends follow :mod:`metaembed.textio`.
@@ -75,11 +75,11 @@ class Pair(NamedTuple):
 
 
 class Splits(NamedTuple):
-    """Disjoint index tuples into a dataset's pair list."""
+    """Disjoint int64 index arrays into a dataset's pair list."""
 
-    train: tuple
-    dev: tuple
-    test: tuple
+    train: np.ndarray
+    dev: np.ndarray
+    test: np.ndarray
 
 
 class PairDataset(NamedTuple):
@@ -90,6 +90,7 @@ class PairDataset(NamedTuple):
     hi: float | None
     classes: tuple | None
     splits: Splits | None
+    digest: str | None = None  # the sha256 of the file it was read from
 
     def split_pairs(self, part: str) -> list:
         """Pairs of one split, e.g. ``split_pairs("train")``."""
@@ -159,11 +160,11 @@ def _canonical(lines: Lines, parts, score_range=None, classes=None) -> PairDatas
     if not pairs:
         raise FileFormatError(path, max(1, lines.count), "no pair rows")
     if score_range is not None:
-        return PairDataset(str(path), "score", tuple(pairs), lo, hi, None, None)
+        return PairDataset(str(path), "score", tuple(pairs), lo, hi, None, None, lines.digest())
     classes = tuple(sorted({p.label for p in pairs}) if classes is None else classes)
     if len(classes) < 2:
         raise ValidationError(f"{path}: need at least two distinct classes, got {list(classes)}")
-    return PairDataset(str(path), "classes", tuple(pairs), None, None, classes, None)
+    return PairDataset(str(path), "classes", tuple(pairs), None, None, classes, None, lines.digest())
 
 
 def _official(lines: Lines, header: list, parts) -> tuple:
@@ -201,9 +202,9 @@ def _official(lines: Lines, header: list, parts) -> tuple:
             class_pairs.append(Pair(id_a, id_b, label))
     if not score_pairs:
         raise FileFormatError(path, max(1, lines.count), "no pair rows")
-    splits = Splits(*(tuple(by_split[part]) for part in SPLIT_NAMES)) if has_split else None
-    return (PairDataset(str(path), "score", tuple(score_pairs), lo, hi, None, splits),
-            PairDataset(str(path), "classes", tuple(class_pairs), None, None, entailment, splits))
+    splits = Splits(*(np.array(by_split[part], dtype=np.int64) for part in SPLIT_NAMES)) if has_split else None
+    return (PairDataset(str(path), "score", tuple(score_pairs), lo, hi, None, splits, lines.digest()),
+            PairDataset(str(path), "classes", tuple(class_pairs), None, None, entailment, splits, lines.digest()))
 
 
 def load_dataset(path, task: str | None = None) -> PairDataset:
@@ -246,11 +247,7 @@ def random_splits(n: int, seed: int = 0, ratios=(0.7, 0.1, 0.2)) -> Splits:
     order = rng.permutation(n)
     n_train = int(n * ratios[0])
     n_dev = int(n * ratios[1])
-    return Splits(
-        tuple(int(i) for i in order[:n_train]),
-        tuple(int(i) for i in order[n_train : n_train + n_dev]),
-        tuple(int(i) for i in order[n_train + n_dev :]),
-    )
+    return Splits(order[:n_train], order[n_train : n_train + n_dev], order[n_train + n_dev :])
 
 
 def make_pair_examples(dataset: PairDataset, tables, indices=None) -> list[tuple]:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .textio import Lines, fmt, read_rows, row_format, write_lines
+from .textio import Lines, fmt, read_rows, refuse_pipe, row_format, write_lines
 
 __all__ = ["ModelFile", "write_model", "read_model", "sniff_model_kind"]
 
@@ -34,12 +34,13 @@ FORMAT_VERSION = "v1"
 
 
 class ModelFile(NamedTuple):
-    """A parsed model file: field name -> value tokens, block label -> 2-d array."""
+    """A parsed model file: field name -> value tokens, block label -> 2-d array, and the sha256 of its bytes."""
 
     path: str
     magic: str
     fields: dict[str, list[str]]
     blocks: dict[str, np.ndarray]
+    digest: str
 
     def ints(self, name: str) -> list[int]:
         """The values of field *name* as integers."""
@@ -77,11 +78,13 @@ class ModelFile(NamedTuple):
             raise ValidationError(f"{self.path}: model file has unexpected block {unexpected[0]!r}")
 
     def build(self, make, *args, **kwargs):
-        """``make(*args, **kwargs)``, naming this file in any ValidationError it raises."""
+        """``make(*args, **kwargs)`` carrying this file's digest; any ValidationError it raises names this file."""
         try:
-            return make(*args, **kwargs)
+            model = make(*args, **kwargs)
         except ValidationError as exc:
             raise ValidationError(f"{self.path}: {exc}") from None
+        model.digest = self.digest
+        return model
 
 
 def write_model(path, magic: str, fields, blocks) -> None:
@@ -148,7 +151,7 @@ def read_model(path, magics: tuple, names) -> ModelFile:
             if rows < 1 or cols < 1:
                 raise FileFormatError(path, lines.count, f"block shape must be positive, got {rows} {cols}")
             blocks[label] = read_rows(lines, rows, cols, path, label)
-    return ModelFile(str(path), magic, fields, blocks)
+    return ModelFile(str(path), magic, fields, blocks, lines.digest())  # read to the end
 
 
 def _split_fields(tokens: list[str], names: list[str], path) -> dict[str, list[str]]:
@@ -166,6 +169,7 @@ def _split_fields(tokens: list[str], names: list[str], path) -> dict[str, list[s
 
 
 def sniff_model_kind(path) -> str:
-    """First token of the header line, e.g. ``"GCCA"``."""
+    """First token of the header line, e.g. ``"GCCA"``; a pipe is refused."""
+    refuse_pipe(path)
     with Lines(path) as lines:
         return _header(lines.line(), path)[0]

@@ -39,6 +39,7 @@ from .textio import (
     check_trailing,
     file_digest,
     read_rows,
+    refuse_pipe,
     replace_file,
     row_format,
     truncated,
@@ -78,13 +79,14 @@ class EmbeddingTable:
 
     The table adopts *vectors* when it is already a C-ordered float64 matrix
     (see :func:`~metaembed.linalg.as_matrix`) and never writes into it; a
-    caller that goes on writing into the array hands the table a copy.
+    caller that goes on writing into the array hands the table a copy.  *digest*
+    is the sha256 of the file the table was read from, None for one built in memory.
     """
 
     KIND = "vector-table"
 
-    def __init__(self, ids, vectors):
-        self.vectors = as_matrix(vectors, "vectors")
+    def __init__(self, ids, vectors, digest: str | None = None):
+        self.vectors, self.digest = as_matrix(vectors, "vectors"), digest
         self.ids, self._index = _indexed(ids)
         if len(self.ids) != self.vectors.shape[0]:
             raise ValidationError(
@@ -132,12 +134,13 @@ class EmbeddingTable:
 
 
 class SequenceTable:
-    """An ordered id -> (S, D) matrix mapping, D shared; adopts each matrix as EmbeddingTable does."""
+    """An ordered id -> (S, D) matrix mapping, D shared; adopts each matrix, and has a digest, as EmbeddingTable."""
 
     KIND = "sequence-table"
 
-    def __init__(self, ids, matrices):
+    def __init__(self, ids, matrices, digest: str | None = None):
         self.ids, self._index = _indexed(ids)
+        self.digest = digest
         matrices = list(matrices)
         if len(self.ids) != len(matrices):
             raise ValidationError(f"{len(self.ids)} ids for {len(matrices)} sequences")
@@ -172,7 +175,7 @@ class SequenceTable:
     @classmethod
     def from_vector_table(cls, table: EmbeddingTable) -> "SequenceTable":
         """View each vector as a length-1 sequence."""
-        return cls(table.ids, [table.vectors[i : i + 1] for i in range(len(table))])
+        return cls(table.ids, [table.vectors[i : i + 1] for i in range(len(table))], table.digest)
 
 
 def _parse_header(line: str | None, path) -> tuple[int, int]:
@@ -194,10 +197,10 @@ def load_vector_table(path) -> EmbeddingTable:
     """Parse a vector table file, or read the same table from the cache if its bytes were parsed before."""
     table = _cached_vector_table(path)
     if table is None:
-        with Lines(path, digest=True) as lines:
+        with Lines(path) as lines:
             n, d = _parse_header(lines.line(), path)
-            table = EmbeddingTable(*read_rows(lines, n, d, path, keyed=True))
-        _cache_vector_table(lines.digest(), table)  # the bytes parsed, read to the end
+            table = EmbeddingTable(*read_rows(lines, n, d, path, keyed=True), lines.digest())  # read to the end
+        _cache_vector_table(table)
     return table
 
 
@@ -224,21 +227,22 @@ def _cached_vector_table(path) -> EmbeddingTable | None:
     try:
         if not os.path.isfile(path):
             return None
-        with open(_cache_entry(file_digest(path)), "rb") as f:
+        digest = file_digest(path)
+        with open(_cache_entry(digest), "rb") as f:
             values = np.load(f, allow_pickle=False)
             ids = np.load(f, allow_pickle=False)
             if f.read(1):
                 return None
         if values.dtype != np.float64 or ids.dtype != np.uint8 or ids.ndim != 1:
             return None
-        return EmbeddingTable(ids.tobytes().decode("utf-8").split("\n"), values)
+        return EmbeddingTable(ids.tobytes().decode("utf-8").split("\n"), values, digest)
     except (OSError, EOFError, ValueError, ValidationError):
         return None
 
 
-def _cache_vector_table(digest: str, table: EmbeddingTable) -> None:
-    """Write the cache entry of *table*, parsed from bytes of sha256 *digest*: its values, then its
-    ids as UTF-8 joined by LF; an entry that cannot be written is left out."""
+def _cache_vector_table(table: EmbeddingTable) -> None:
+    """Write the cache entry of *table*, keyed by the digest of the bytes it was parsed from: its
+    values, then its ids as UTF-8 joined by LF; an entry that cannot be written is left out."""
     ids = np.frombuffer("\n".join(table.ids).encode("utf-8"), dtype=np.uint8)
 
     def write(f):
@@ -246,7 +250,7 @@ def _cache_vector_table(digest: str, table: EmbeddingTable) -> None:
         np.save(f, ids, allow_pickle=False)
 
     try:
-        entry = _cache_entry(digest)
+        entry = _cache_entry(table.digest)
         os.makedirs(os.path.dirname(entry), mode=0o700, exist_ok=True)
         replace_file(entry, write, 0o600)
     except (OSError, ValidationError):
@@ -275,7 +279,7 @@ def load_sequence_table(path) -> SequenceTable:
         if faults:
             raise faults[0]
         check_trailing(lines)
-        return SequenceTable(steps, np.split(values, np.cumsum(list(steps.values()))[:-1]))
+        return SequenceTable(steps, np.split(values, np.cumsum(list(steps.values()))[:-1]), lines.digest())
 
 
 def _blocks(lines: Lines, n: int, steps: dict, faults: list, path):
@@ -318,6 +322,7 @@ def save_sequence_table(path, table: SequenceTable) -> None:
 
 def sniff_table_kind(path) -> str:
     """``"sequence"`` if the first data row is ``#id S`` (S all digits at D = 1), else ``"vector"``."""
+    refuse_pipe(path)
     with Lines(path) as lines:
         d = _parse_header(lines.line(), path)[1]
         first = lines.line()

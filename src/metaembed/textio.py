@@ -11,14 +11,14 @@ models, pair files and the first lines a sniffer looks at, is read through
 :class:`Lines` about 64 KiB of text at a time, so no reader holds a file's
 text whole, and :func:`read_rows` parses each chunk of rows of values into
 one array allocated for all of them, allocating nothing for rows the file
-does not hold.  :func:`file_digest` takes a file's sha256 the same 64 KiB
-at a time, and :class:`Lines` can hash the bytes it reads, so that a reader
-knows the digest of exactly what it parsed.  A write goes to a temporary
-file next to the destination, which then replaces it in one step: a write
-that fails leaves the old file as it was and no temporary file behind.
-Lines go out about 64 KiB of text at a time, so a writer that passes them
-lazily holds no more than that and its longest line, whatever the file's
-size or row width.
+does not hold.  :class:`Lines` hashes the bytes it reads, so a reader knows
+the sha256 of exactly what it parsed, even from a pipe; :func:`file_digest`
+hashes a file the same 64 KiB at a time, before a parse.  A write goes to a
+temporary file next to the destination, which then replaces it in one step:
+a write that fails leaves the old file as it was and no temporary file
+behind.  Lines go out about 64 KiB of text at a time, so a writer that
+passes them lazily holds no more than that and its longest line, whatever
+the file's size or row width.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import stat
 import sys
 import warnings
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import FileFormatError, ValidationError
 
-__all__ = ["fmt", "fmt_row", "row_format", "write_lines", "replace_file", "file_digest", "Lines",
+__all__ = ["fmt", "fmt_row", "row_format", "write_lines", "replace_file", "refuse_pipe", "file_digest", "Lines",
            "read_rows", "check_trailing", "truncated"]
 
 
@@ -118,6 +119,13 @@ def replace_file(path, write, mode: int = 0o666) -> None:
             os.unlink(tmp)
 
 
+def refuse_pipe(path) -> None:
+    """Raise :class:`FileFormatError` if *path* is a pipe, which a reader that opens it twice cannot read."""
+    with contextlib.suppress(OSError):  # a file that cannot be reached is named by the open that follows
+        if stat.S_ISFIFO(os.stat(path).st_mode):
+            raise FileFormatError(path, 1, "a pipe cannot be read twice, to find its kind and then to load it")
+
+
 def file_digest(path) -> str:
     """The sha256 of the bytes of *path*, in hex, read about 64 KiB at a time."""
     h = hashlib.sha256()
@@ -133,13 +141,12 @@ class Lines:
     A context manager; ``count`` lines have been handed out.  An OS error
     raises :class:`FileFormatError` naming line 1, and an error raised inside
     the ``with`` gives way to an undecodable byte further on, as if the whole
-    file had been decoded first.  With *digest*, the raw bytes are hashed as
-    they are read, and :meth:`digest` is the sha256 of those that were.
+    file had been decoded first.  The raw bytes are hashed as they are read,
+    and :meth:`digest` is the sha256 of those that were.
     """
 
-    def __init__(self, path, *, digest: bool = False):
-        self.path, self.count, self._chunk, self._pos = path, 0, [], 0
-        self._hash = hashlib.sha256() if digest else None
+    def __init__(self, path):
+        self.path, self.count, self._chunk, self._pos, self._hash = path, 0, [], 0, hashlib.sha256()
         try:
             self._f = open(path, "rb")
         except OSError as exc:
@@ -149,8 +156,7 @@ class Lines:
 
     def _read(self) -> list[bytes]:
         raw = self._f.readlines(_CHUNK_CHARS)
-        if self._hash is not None:
-            self._hash.update(b"".join(raw))
+        self._hash.update(b"".join(raw))
         return raw
 
     def digest(self) -> str:
@@ -192,7 +198,9 @@ class Lines:
             yield part
 
     def left(self) -> int:
-        """The characters not yet handed out, one per line end: the bytes left in the file, or fewer."""
+        """The characters not yet handed out, one per line end: the bytes left in the file, or fewer (0 in a pipe)."""
+        if not self._f.seekable():
+            return 0
         self._ready()
         return os.fstat(self._f.fileno()).st_size - self._f.tell() + sum(len(s) + 1 for s in self._chunk[self._pos :])
 

@@ -268,8 +268,9 @@ class TestOfficialFormat:
 
     def test_semeval_set_maps_to_splits(self, tmp_path):
         scores, classes = official_datasets(official_file(tmp_path, self.rows()))
-        assert scores.splits == Splits((0, 3), (1,), (2,))
-        assert classes.splits == scores.splits
+        assert [s.tolist() for s in scores.splits] == [[0, 3], [1], [2]]
+        assert {s.dtype for s in scores.splits} == {np.dtype(np.int64)}
+        assert [s.tolist() for s in classes.splits] == [[0, 3], [1], [2]]
 
     def test_splits_optional(self, tmp_path):
         header = OFFICIAL_HEADER.rsplit("\t", 1)[0]
@@ -385,18 +386,22 @@ class TestLoadDataset:
 class TestRandomSplits:
     def test_partitions_everything(self):
         s = random_splits(100, seed=3)
-        combined = sorted(s.train + s.dev + s.test)
+        assert {part.dtype for part in s} == {np.dtype(np.int64)}
+        combined = sorted(np.concatenate(s).tolist())
         assert combined == list(range(100))
         assert len(s.train) == 70 and len(s.dev) == 10 and len(s.test) == 20
 
     def test_deterministic_in_seed(self):
-        assert random_splits(50, seed=9) == random_splits(50, seed=9)
-        assert random_splits(50, seed=9) != random_splits(50, seed=10)
+        def drawn(seed):
+            return [part.tolist() for part in random_splits(50, seed=seed)]
+
+        assert drawn(9) == drawn(9)
+        assert drawn(9) != drawn(10)
 
     def test_permutation_comes_from_the_seed_sequence(self):
         order = np.random.default_rng(np.random.SeedSequence(4)).permutation(10)
         s = random_splits(10, seed=4)
-        assert s.train + s.dev + s.test == tuple(int(i) for i in order)
+        assert np.concatenate(s).tolist() == order.tolist()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):

@@ -60,9 +60,10 @@ def private_imports(tree):
     return sorted(found)
 
 
-# what cli.py reaches only through store.load_table and datasets.load_dataset, and the
-# feature matrix it leaves unbuilt: probes gather every split from the table
-CLI_FORBIDDEN = frozenset({"read_lines", "sniff_table_kind", "load_sequence_table", "pair_feature_matrix"})
+# what cli.py reaches only through store.load_table and datasets.load_dataset, the hash it takes
+# from their digests, and the feature matrix it leaves unbuilt: probes gather every split from the table
+CLI_FORBIDDEN = frozenset({"read_lines", "sniff_table_kind", "load_sequence_table", "pair_feature_matrix",
+                           "file_digest"})
 
 
 def imported_packages(tree) -> set:

@@ -1,10 +1,16 @@
 """The cache of parsed vector tables: a hit reads the same table a parse does, a bad entry is a miss,
-and no command's outputs, manifests or messages depend on the cache."""
+and no command's outputs, manifests or messages depend on the cache.  Every command reads each input
+once, a pipe included, and its manifest names the bytes that read parsed."""
 
+import builtins
+import contextlib
 import hashlib
 import io
+import json
 import os
+import shutil
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import empty_table_cache
-from metaembed import store
+from metaembed import cli, store
 from metaembed.cli import main
 from metaembed.errors import FileFormatError
-from metaembed.store import EmbeddingTable, load_table, load_vector_table, save_vector_table
+from metaembed.modelio import sniff_model_kind
+from metaembed.store import (EmbeddingTable, SequenceTable, load_table, load_vector_table, save_sequence_table,
+                             save_vector_table, sniff_table_kind)
 
 AWKWARD = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
            1.7976931348623157e308, -1.7976931348623157e308, 0.1, -2.5000000000000004]
@@ -101,7 +109,7 @@ class TestHits:
         # hashing a pipe would consume it, and the parse would then wait for a writer that is gone
         text = b"2 1\nx 1\ny 2\n"
         (tmp_path / "t.vec").write_bytes(text)
-        load_vector_table(tmp_path / "t.vec")  # a cached table with the pipe's bytes
+        expected = load_vector_table(tmp_path / "t.vec")  # a cached table with the pipe's bytes
         pipe = tmp_path / "pipe.vec"
         os.mkfifo(pipe)
         outcome = []
@@ -118,8 +126,9 @@ class TestHits:
             thread.start()
         for thread in threads:
             thread.join(timeout=10)
-        # the parse's own error: the reader asks for the file's size, which a pipe does not have
-        assert outcome == [f"{pipe}:1: cannot read file: [Errno 29] Illegal seek"]
+        # the parse reads the pipe once, growing its array as rows arrive, and hashes what it read
+        assert len(outcome) == 1 and same(outcome[0], expected)
+        assert outcome[0].digest == hashlib.sha256(text).hexdigest()
 
     def test_default_location_follows_xdg_cache_home_then_home(self, tmp_path, monkeypatch):
         monkeypatch.delenv("METAEMBED_CACHE")
@@ -314,15 +323,17 @@ def run_pipeline(directory, capsys) -> dict:
     return {"files": files, "streams": streams}
 
 
-class TestCommands:
-    @pytest.fixture
-    def work(self, tmp_path, monkeypatch):
-        work = tmp_path / "work"
-        work.mkdir()
-        monkeypatch.chdir(work)
-        write_pipeline_inputs(work)
-        return work
+@pytest.fixture
+def work(tmp_path, monkeypatch):
+    """The pipeline's inputs, in a working directory of the test's own."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    write_pipeline_inputs(work)
+    return work
 
+
+class TestCommands:
     def test_outputs_do_not_depend_on_the_cache(self, work, cache, capsys, monkeypatch):
         cold = run_pipeline(work, capsys)
         assert cold["streams"][-2][0].startswith("kind vector-table\nrows 29\n")
@@ -352,3 +363,149 @@ class TestCommands:
         assert run_pipeline(work, capsys) == expected
         if os.geteuid() != 0:  # root writes into a read-only directory
             assert entries(read_only) == []
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def manifest_inputs(argv) -> dict:
+    """The ``inputs`` of the manifest the command *argv* wrote."""
+    with open(f"{argv[argv.index('--out') + 1]}.manifest.json", encoding="utf-8") as f:
+        return json.load(f)["inputs"]
+
+
+@contextlib.contextmanager
+def counting_opens(directory):
+    """A dict that counts, by name, each open of a file in *directory* inside the ``with``."""
+    real, opened = builtins.open, {}
+
+    def counting(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.dirname(os.path.abspath(file)) == str(directory):
+            name = os.path.basename(file)
+            opened[name] = opened.get(name, 0) + 1
+        return real(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", counting):
+        yield opened
+
+
+def finishes(fn, *args, timeout=30):
+    """``fn(*args)``, run in a thread that must end within *timeout* seconds, which one left waiting
+    to open a pipe that no one writes to does not."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append((fn(*args), None))
+        except Exception as exc:
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert outcome, "still waiting on a pipe"
+    result, error = outcome[0]
+    if error is not None:
+        raise error
+    return result
+
+
+def feed(pipe, data: bytes) -> None:
+    """Write *data* into the FIFO *pipe* from a thread of its own."""
+    threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True).start()
+
+
+# the pipeline and a model applied to sequence tables, then, per command, the opens of each input with a
+# warm cache: a vector table's lookup hashes it, and a model, or a table read through load_table, is
+# sniffed in an open of its own before it is read
+def pipeline_with_sequences():
+    return pipeline() + [["apply", "dme.model", "--inputs", "t0.seq", "t1.seq", "--out", "seq.vec"]]
+
+
+WARM_OPENS = [
+    {"t0.vec": 1, "t1.vec": 1},
+    {"t0.vec": 1, "t1.vec": 1},
+    {"t0.vec": 1, "t1.vec": 1},
+    {"svd.model": 2, "t0.vec": 1, "t1.vec": 1},
+    {"gcca.model": 2, "t0.vec": 1, "t1.vec": 1},
+    {"t0.vec": 2, "t1.vec": 2, "cls.tsv": 1},
+    {"dme.model": 2, "t0.vec": 2, "t1.vec": 2},
+    {"svd.vec": 1, "sts.tsv": 1},
+    {"gcca.model": 2, "t0.vec": 1, "t1.vec": 1, "sts.tsv": 1},
+    {"con.vec": 1, "sts.tsv": 1},
+    {"dme.model": 2, "t0.vec": 2, "t1.vec": 2, "cls.tsv": 1},
+    {"con.vec": 3},  # info: the model sniff, the table sniff, then the lookup
+    {"svd.model": 2},
+    {"dme.model": 2, "t0.seq": 2, "t1.seq": 2},
+]
+PIPE_REFUSED = "x.pipe:1: a pipe cannot be read twice, to find its kind and then to load it"
+
+
+class TestInputs:
+    def test_each_manifest_names_its_inputs_bytes_and_each_input_is_read_once(self, work, cache, capsys):
+        for k in range(2):
+            table = SequenceTable.from_vector_table(load_vector_table(work / f"t{k}.vec"))
+            save_sequence_table(work / f"t{k}.seq", table)
+        shutil.rmtree(cache)
+        for warm in (False, True):
+            for argv, expected in zip(pipeline_with_sequences(), WARM_OPENS):
+                with counting_opens(work) as opened:
+                    code = main(argv)
+                assert code == 0, capsys.readouterr().err
+                if warm:
+                    assert opened == expected, argv
+                if "--out" in argv:
+                    assert manifest_inputs(argv) == {name: sha256(work / name) for name in expected}, argv
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("loader, command, swapped", [
+        ("load_vector_table", 0, "t0.vec"),
+        ("_load_model", 3, "svd.model"),
+        ("load_table", 5, "t1.vec"),
+        ("load_dataset", 5, "cls.tsv"),
+        ("load_dataset", 9, "sts.tsv"),
+    ])
+    def test_a_manifest_names_the_bytes_parsed_not_those_found_later(self, work, capsys, monkeypatch,
+                                                                     loader, command, swapped):
+        assert main(pipeline()[1]) == 0 and main(pipeline()[0]) == 0  # svd.model and con.vec, read below
+        parsed = sha256(work / swapped)
+        real = getattr(cli, loader)
+
+        def swapping(path, *args):
+            out = real(path, *args)
+            if str(path) == swapped:  # new bytes, once the loader has returned
+                (work / swapped).write_bytes((work / swapped).read_bytes() + b"\n")
+            return out
+
+        monkeypatch.setattr(cli, loader, swapping)
+        argv = pipeline()[command]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert sha256(work / swapped) != parsed
+        assert manifest_inputs(argv)[swapped] == parsed
+        capsys.readouterr()
+
+    def test_tables_and_pair_files_load_from_a_pipe(self, work, capsys):
+        assert main(pipeline()[0]) == 0 and main(pipeline()[9]) == 0
+        os.mkfifo("t0.pipe")
+        os.mkfifo("sts.pipe")
+        feed(work / "t0.pipe", (work / "t0.vec").read_bytes())
+        combine = ["combine", "--method", "con", "--inputs", "t0.pipe", "t1.vec", "--out", "piped.vec"]
+        assert finishes(main, combine) == 0
+        assert (work / "piped.vec").read_bytes() == (work / "con.vec").read_bytes()
+        assert manifest_inputs(combine)["t0.pipe"] == sha256(work / "t0.vec")
+        feed(work / "sts.pipe", (work / "sts.tsv").read_bytes())
+        probe = [{"sts.tsv": "sts.pipe", "probe.tsv": "piped.tsv"}.get(a, a) for a in pipeline()[9]]
+        assert finishes(main, probe) == 0
+        assert (work / "piped.tsv").read_bytes() == (work / "probe.tsv").read_bytes()
+        assert manifest_inputs(probe)["sts.pipe"] == sha256(work / "sts.tsv")
+        capsys.readouterr()
+
+    def test_a_sniffer_refuses_a_pipe_before_it_opens_it(self, work, capsys):
+        os.mkfifo("x.pipe")  # no one writes to it, so an open to read it would wait
+        for sniff in (sniff_table_kind, sniff_model_kind):
+            with pytest.raises(FileFormatError) as exc:
+                finishes(sniff, "x.pipe")
+            assert str(exc.value) == PIPE_REFUSED
+        assert finishes(main, ["info", "x.pipe"]) == 2
+        assert capsys.readouterr().err == f"error: {PIPE_REFUSED}\n"

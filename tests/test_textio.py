@@ -35,7 +35,7 @@ class TestDigests:
     def test_lines_hash_what_they_read(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"".join(b"row %d\r\n" % i for i in range(30000)) + b"no final newline")
-        with Lines(path, digest=True) as lines:
+        with Lines(path) as lines:
             assert lines.line() == "row 0"
             assert lines.digest() != file_digest(path)  # one chunk of several read so far
             assert list(iter(lines.line, None))[-1] == "no final newline"
