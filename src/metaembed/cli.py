@@ -35,11 +35,10 @@ from . import __version__
 from .datasets import TASKS, load_dataset, make_pair_examples, random_splits
 from .ensembles import DEFAULT_TAU, GccaModel, SvdMetaModel, concat_views, fit_gcca, fit_svd_meta
 from .errors import MetaEmbedError, NonFiniteLossError, ValidationError
-from .modelio import sniff_model_kind
+from .modelio import read_model, sniff_model_kind
 from .store import (
     EmbeddingTable,
     SequenceTable,
-    align_by_id,
     intersect_ids,
     load_table,
     load_vector_table,
@@ -57,13 +56,8 @@ _SVD_DEFAULT_CAP = 3072
 
 
 def _flag_values(args) -> dict:
-    skip = {"func", "command"}
-    out = {}
-    for key, value in vars(args).items():
-        if key.startswith("_") or key in skip:
-            continue
-        out[key] = value
-    return out
+    return {key: value for key, value in vars(args).items()
+            if not key.startswith("_") and key not in ("func", "command")}
 
 
 def _write_manifest(args, inputs, digests, outputs, metrics=None):
@@ -87,17 +81,13 @@ def _load_sequence_like(paths) -> list[SequenceTable]:
     return [t if isinstance(t, SequenceTable) else SequenceTable.from_vector_table(t) for t in tables]
 
 
-def _load_model(path, kind=None):
-    """``(kind, model)`` of the model file at *path*, whose kind, if known, is *kind*."""
-    kind = sniff_model_kind(path) if kind is None else kind
-    if kind not in _MODEL_KINDS:
-        raise ValidationError(
-            f"{path}: unknown model kind {kind!r}; expected one of {_MODEL_KINDS}"
-        )
-    if kind in _DYNAMIC_KINDS:
+def _load_model(path):
+    """``(kind, model)`` of the model file at *path*, of any kind, read once (so a pipe will do)."""
+    mf = read_model(path, _MODEL_KINDS)
+    if mf.magic in _DYNAMIC_KINDS:
         from .dynamic import DynamicModel
-        return kind, DynamicModel.load(path)
-    return kind, _ENSEMBLE_MODELS[kind].load(path)
+        return mf.magic, DynamicModel.from_file(mf)
+    return mf.magic, _ENSEMBLE_MODELS[mf.magic].from_file(mf)
 
 
 def _sentence_vectors(kind, model, paths, ids=None) -> tuple[EmbeddingTable, list]:
@@ -113,23 +103,22 @@ def _sentence_vectors(kind, model, paths, ids=None) -> tuple[EmbeddingTable, lis
                 f"{paths[0]}: missing vector(s) for {len(missing)} pair id(s), e.g. {missing[0]!r}"
             )
         return table, [table.digest]
-    dynamic = kind in _DYNAMIC_KINDS
-    tables = _load_sequence_like(paths) if dynamic else [load_vector_table(p) for p in paths]
-    shared = intersect_ids(tables)  # disjoint tables are refused even when *ids* is given
-    ids = shared if ids is None else ids
-    digests = [t.digest for t in tables]
-    if dynamic:
+    if kind in _DYNAMIC_KINDS:
+        tables = _load_sequence_like(paths)
+        shared = intersect_ids(tables)  # disjoint tables are refused even when *ids* is given
         from .evaluation import embed_table
-        return embed_table(model, tables, ids), digests
-    views = [t.lookup(ids) for t in tables]
-    del tables  # not held through the model's apply
+        return embed_table(model, tables, shared if ids is None else ids), [t.digest for t in tables]
+    ids, views, _, digests = _aligned_inputs(paths, ids)  # the tables are not held through the model's apply
     return EmbeddingTable(ids, model.apply(views)), digests
 
 
-def _aligned_inputs(paths):
+def _aligned_inputs(paths, ids=None):
+    """``(ids, views, dropped, digests)`` of the vector tables at *paths*: each one's rows for *ids*
+    (default: every id they share), the count of its ids that are not shared, and its digest."""
     tables = [load_vector_table(p) for p in paths]
-    ids, views = align_by_id(tables)
-    return ids, views, [len(t) - len(ids) for t in tables], [t.digest for t in tables]
+    shared = intersect_ids(tables)  # disjoint tables are refused even when *ids* is given
+    ids = shared if ids is None else ids
+    return ids, [t.lookup(ids) for t in tables], [len(t) - len(shared) for t in tables], [t.digest for t in tables]
 
 
 def cmd_combine(args) -> int:
@@ -292,11 +281,11 @@ def cmd_eval(args) -> int:
 
 def cmd_info(args) -> int:
     try:
-        kind = sniff_model_kind(args.path)
+        kind = sniff_model_kind(args.path)  # one chunk, so a table is not decoded whole to learn it is no model
     except MetaEmbedError:
         kind = None
     if kind in _MODEL_KINDS:
-        described = _load_model(args.path, kind)[1]
+        described = _load_model(args.path)[1]
     else:
         described = load_table(args.path)
         kind = described.KIND

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NonFiniteLossError, ValidationError
 from .lstm import PARAM_KEYS, BiLstm, pad
-from .modelio import read_model, write_model
+from .modelio import StoredModel, write_model
 from .optim import Adam, seeded_rngs, xavier_uniform
 from .probes import pair_features
 
@@ -52,9 +52,6 @@ DEFAULT_ATT_HIDDEN = 2
 # independent random streams per component, all spawned from one seed; the
 # same table is used at init and in training so the streams never collide
 _RNG_COMPONENTS = ("proj", "att", "enc", "head", "shuffle")
-
-# the hyperparameter fields of a DME or CDME file, in order
-_FIELDS = ("n", "dims", "proj", "att", "enc", "seed", "classes")
 
 
 def _check_classes(classes) -> tuple[str, ...]:
@@ -84,8 +81,10 @@ class _Mixture(NamedTuple):
     combined: np.ndarray    # (S, nblocks, R, d')
 
 
-class DynamicModel:
+class DynamicModel(StoredModel):
     """A DME or CDME combiner plus its sentence-pair classifier."""
+
+    MAGICS = ("DME", "CDME")
 
     def __init__(self, kind: str, dims, classes, proj_dim: int, enc_hidden: int,
                  att_hidden: int | None = None, seed: int = 0):
@@ -299,27 +298,25 @@ class DynamicModel:
                 f"sentence_dim {self.dim}", "classes " + " ".join(self.classes)]
 
     def save(self, path) -> None:
-        values = (len(self.dims), self.dims, self.proj_dim, self.att_hidden or 0, self.enc_hidden,
-                  self.seed, self.classes)
-        write_model(path, self.magic, zip(_FIELDS, values), self.params.items())
+        write_model(path, self.magic, (len(self.dims), self.dims, self.proj_dim, self.att_hidden or 0,
+                                       self.enc_hidden, self.seed, self.classes), self.params.items())
 
     @classmethod
-    def load(cls, path) -> "DynamicModel":
-        mf = read_model(path, ("DME", "CDME"), _FIELDS)
+    def from_file(cls, mf) -> "DynamicModel":
         kind = mf.magic.lower()
         n, dims = mf.one("n"), mf.ints("dims")
         if n != len(dims):
-            raise ValidationError(f"{path}: hyperparameter line claims {n} sources but lists {len(dims)} widths")
+            raise ValidationError(f"{mf.path}: hyperparameter line claims {n} sources but lists {len(dims)} widths")
         att = mf.one("att")
         if kind == "dme" and att != 0:
-            raise ValidationError(f"{path}: a DME model must record att 0, got {att}")
+            raise ValidationError(f"{mf.path}: a DME model must record att 0, got {att}")
         model = mf.build(cls, kind, dims, mf.fields["classes"], mf.one("proj"), mf.one("enc"),
                          att if kind == "cdme" else None, seed=mf.one("seed"))
         mf.expect_blocks(model.params)
         for key, p in model.params.items():
             block, expected = mf.blocks[key], np.atleast_2d(p).shape
             if block.shape != expected:
-                raise ValidationError(f"{path}: block {key!r} has shape {block.shape}, expected {expected}")
+                raise ValidationError(f"{mf.path}: block {key!r} has shape {block.shape}, expected {expected}")
             p[...] = block.reshape(p.shape)
         return model
 

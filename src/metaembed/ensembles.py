@@ -45,7 +45,7 @@ from .linalg import (
     sym_eig_desc,
     thin_svd,
 )
-from .modelio import read_model, write_model
+from .modelio import StoredModel, write_model
 from .textio import fmt, fmt_row
 
 __all__ = ["concat_views", "SvdMetaModel", "fit_svd_meta", "GccaModel", "fit_gcca", "DEFAULT_TAU"]
@@ -97,10 +97,10 @@ def concat_views(views) -> np.ndarray:
     return np.hstack(mats)
 
 
-class SvdMetaModel:
+class SvdMetaModel(StoredModel):
     """Centered-concatenation SVD compressor with unit-norm output rows."""
 
-    MAGIC = "SVDMETA"
+    MAGICS = ("SVDMETA",)
 
     def __init__(self, dims, mean, projection, singular_values):
         self.dims = _check_dims(dims)
@@ -136,12 +136,11 @@ class SvdMetaModel:
                 "singular_values " + fmt_row(self.singular_values)]
 
     def save(self, path) -> None:
-        write_model(path, self.MAGIC, [("dims", self.dims)],
+        write_model(path, self.MAGICS[0], [self.dims],
                     [("mean", self.mean), ("proj", self.projection), ("sing", self.singular_values)])
 
     @classmethod
-    def load(cls, path) -> "SvdMetaModel":
-        mf = read_model(path, (cls.MAGIC,), ["dims"])
+    def from_file(cls, mf) -> "SvdMetaModel":
         mf.expect_blocks(["mean", "proj", "sing"])
         return mf.build(cls, mf.ints("dims"), mf.row("mean"), mf.blocks["proj"], mf.row("sing"))
 
@@ -192,13 +191,13 @@ def fit_svd_meta(views, dim: int) -> SvdMetaModel:
     return SvdMetaModel([m.shape[1] for m in mats], mean, v[:, :dim].copy(), np.ldexp(s[:dim], e))
 
 
-class GccaModel:
+class GccaModel(StoredModel):
     """Per-view linear maps into a shared space, summed at apply time.
 
     ``residual_ratio``: the fit's largest residual over its bound; not saved, so None when loaded.
     """
 
-    MAGIC = "GCCA"
+    MAGICS = ("GCCA",)
 
     def __init__(self, dims, tau, means, projections, eigenvalues, residual_ratio=None):
         self.residual_ratio = residual_ratio
@@ -240,15 +239,12 @@ class GccaModel:
 
     def save(self, path) -> None:
         blocks = []
-        for j in range(len(self.dims)):
-            blocks.append((f"mean{j}", self.means[j]))
-            blocks.append((f"proj{j}", self.projections[j]))
-        blocks.append(("eigs", self.eigenvalues))
-        write_model(path, self.MAGIC, [("dims", self.dims), ("tau", self.tau)], blocks)
+        for j, (mean, projection) in enumerate(zip(self.means, self.projections)):
+            blocks += [(f"mean{j}", mean), (f"proj{j}", projection)]
+        write_model(path, self.MAGICS[0], [self.dims, self.tau], blocks + [("eigs", self.eigenvalues)])
 
     @classmethod
-    def load(cls, path) -> "GccaModel":
-        mf = read_model(path, (cls.MAGIC,), ["dims", "tau"])
+    def from_file(cls, mf) -> "GccaModel":
         views = range(len(mf.fields["dims"]))
         mf.expect_blocks([f"mean{j}" for j in views] + [f"proj{j}" for j in views] + ["eigs"])
         means = [mf.row(f"mean{j}") for j in views]

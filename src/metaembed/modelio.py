@@ -13,9 +13,11 @@ followed by its values, and the fields come in a fixed order per kind (for
 GCCA, ``dims 300 200 tau 10``).  A 1-D parameter is stored as a one-row
 block.  The text codec (encoding, line ends, 17-digit values, atomic writes)
 is :mod:`metaembed.textio`, and every block's rows are parsed by its
-:func:`~metaembed.textio.read_rows`.  The model classes own their magics,
-field names and block labels, and the checks that mean something for one
-kind only; this module is the only one that formats or splits the file itself.
+:func:`~metaembed.textio.read_rows`.  This module is the only one that formats
+or splits the file itself, and it owns every kind's field names (:data:`FIELDS`),
+so one read learns a file's kind and splits its fields.  The model classes own
+their magics, block labels and the checks that mean something for one kind
+only, and build themselves from a parsed :class:`ModelFile` (``from_file``).
 """
 
 from __future__ import annotations
@@ -28,9 +30,13 @@ import numpy as np
 from .errors import FileFormatError, ValidationError
 from .textio import Lines, fmt, read_rows, refuse_pipe, row_format, write_lines
 
-__all__ = ["ModelFile", "write_model", "read_model", "sniff_model_kind"]
+__all__ = ["FIELDS", "ModelFile", "StoredModel", "write_model", "read_model", "sniff_model_kind"]
 
 FORMAT_VERSION = "v1"
+
+# each kind's hyperparameter fields, in the order its header line holds them
+FIELDS = {"SVDMETA": ("dims",), "GCCA": ("dims", "tau"),
+          **dict.fromkeys(("DME", "CDME"), ("n", "dims", "proj", "att", "enc", "seed", "classes"))}
 
 
 class ModelFile(NamedTuple):
@@ -87,18 +93,29 @@ class ModelFile(NamedTuple):
         return model
 
 
-def write_model(path, magic: str, fields, blocks) -> None:
+class StoredModel:
+    """A model class kept in model files whose magic is one of its ``MAGICS``; ``from_file`` builds one."""
+
+    MAGICS: tuple = ()
+
+    @classmethod
+    def load(cls, path):
+        """The model in the file at *path*, read once."""
+        return cls.from_file(read_model(path, cls.MAGICS))
+
+
+def write_model(path, magic: str, values, blocks) -> None:
     """Write a model file, one row formatted at a time.
 
-    *fields* is an iterable of (name, values) pairs in the kind's order; a
+    *values* holds one entry per field of ``FIELDS[magic]``, in that order; a
     value is an int, a float (written with :func:`metaembed.textio.fmt`) or
-    a string, and *values* is one value or a sequence of them.  *blocks* is
+    a string, and an entry is one value or a sequence of them.  *blocks* is
     an iterable of (label, 1-d or 2-d array).
     """
     hyper = []
-    for name, values in fields:
+    for name, entry in zip(FIELDS[magic], values, strict=True):
         hyper.append(name)
-        for v in values if isinstance(values, (list, tuple)) else [values]:
+        for v in entry if isinstance(entry, (list, tuple)) else [entry]:
             hyper.append(fmt(v) if isinstance(v, float) else str(v))
     body = itertools.chain.from_iterable(itertools.starmap(_block_lines, blocks))
     write_lines(path, itertools.chain([f"{magic} {FORMAT_VERSION}", " ".join(hyper)], body))
@@ -120,19 +137,19 @@ def _header(line: str | None, path) -> list[str]:
     return line.split()
 
 
-def read_model(path, magics: tuple, names) -> ModelFile:
-    """Parse a model file whose magic is one of *magics* and whose fields are *names*, in order."""
+def read_model(path, magics: tuple) -> ModelFile:
+    """Parse a model file whose magic is one of *magics* (another is refused at line 1), split by its magic's fields."""
     with Lines(path) as lines:
         line = lines.line()
         magic, *version = _header(line, path)
-        if version != [FORMAT_VERSION]:
-            raise FileFormatError(path, 1, f"expected '<KIND> {FORMAT_VERSION}' header, got {line!r}")
         if magic not in magics:
             raise FileFormatError(path, 1, f"expected a {' or '.join(magics)} model, found {magic}")
+        if version != [FORMAT_VERSION]:
+            raise FileFormatError(path, 1, f"expected '<KIND> {FORMAT_VERSION}' header, got {line!r}")
         line = lines.line()
         if line is None:
             raise FileFormatError(path, 1, "file ends before the hyperparameter line")
-        fields = _split_fields(line.split(), list(names), path)
+        fields = _split_fields(line.split(), FIELDS[magic], path)
         blocks: dict[str, np.ndarray] = {}
         for raw in iter(lines.line, None):
             if not raw.strip():
@@ -154,7 +171,7 @@ def read_model(path, magics: tuple, names) -> ModelFile:
     return ModelFile(str(path), magic, fields, blocks, lines.digest())  # read to the end
 
 
-def _split_fields(tokens: list[str], names: list[str], path) -> dict[str, list[str]]:
+def _split_fields(tokens: list[str], names: tuple, path) -> dict[str, list[str]]:
     """Each field's value tokens: those between its name and the next field's name."""
     missing = [name for name in names if name not in tokens]
     if missing:

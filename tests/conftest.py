@@ -104,3 +104,16 @@ def traced_live_at(module, name, fn, *args):
     finally:
         tracemalloc.stop()
         setattr(module, name, inner)
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "large_corpus: a larger reader-oracle corpus, run only with -m large_corpus")
+
+
+def pytest_collection_modifyitems(config, items):
+    if "large_corpus" in (config.getoption("markexpr") or ""):
+        return
+    skip = pytest.mark.skip(reason="opt-in: run with -m large_corpus")
+    for item in items:
+        if "large_corpus" in item.keywords:
+            item.add_marker(skip)

@@ -868,7 +868,8 @@ class TestInfo:
             assert (code, stdout, stderr.splitlines()) == (2, "", [f"error: {path}:3: invalid UTF-8 byte 0xff"])
 
     def test_undecodable_byte_is_reported_before_an_unknown_model_kind(self, tmp_path, rng, capsys):
-        # info, apply and eval sniff a model's kind through the same reader, so they name the same fault
+        # info sniffs a model's kind, and apply and eval read the model, through the same reader, so they
+        # name the same fault
         path = tmp_path / "foo.model"
         path.write_bytes(b"FOO v1\n\xff\n")
         ids, tables = write_vec_tables(tmp_path, rng)
@@ -877,6 +878,27 @@ class TestInfo:
                      ["eval", "sts", path, "--inputs", *tables, "--dataset", pairs]):
             code, stdout, stderr = run(capsys, *argv)
             assert (code, stdout, stderr.splitlines()) == (2, "", [f"error: {path}:2: invalid UTF-8 byte 0xff"])
+
+    def test_undecodable_byte_past_the_first_chunk_beats_an_unknown_model_kind(self, tmp_path, rng, capsys):
+        # apply and eval check the kind inside their one read, which goes on to the byte, as info's load does
+        path = tmp_path / "foo.model"
+        path.write_bytes(b"FOO v1\n" + b"x" * 70_000 + b"\n\xff\n")
+        ids, tables = write_vec_tables(tmp_path, rng)
+        pairs = write_canonical(tmp_path / "p.tsv", [(ids[0], ids[1], 1.0), (ids[2], ids[3], 2.0)])
+        for argv in (["info", path], ["apply", path, "--inputs", *tables, "--out", tmp_path / "o.vec"],
+                     ["eval", "sts", path, "--inputs", *tables, "--dataset", pairs]):
+            code, stdout, stderr = run(capsys, *argv)
+            assert (code, stdout, stderr.splitlines()) == (2, "", [f"error: {path}:3: invalid UTF-8 byte 0xff"])
+
+    def test_a_table_given_as_the_model_is_refused_naming_the_model_kinds(self, tmp_path, rng, capsys):
+        ids, tables = write_vec_tables(tmp_path, rng)
+        pairs = write_canonical(tmp_path / "p.tsv", [(ids[0], ids[1], 1.0), (ids[2], ids[3], 2.0)])
+        model = tables[0]  # its header is "8 3"
+        for argv in (["apply", model, "--inputs", *tables, "--out", tmp_path / "o.vec"],
+                     ["eval", "sts", model, "--inputs", *tables, "--dataset", pairs]):
+            code, stdout, stderr = run(capsys, *argv)
+            assert (code, stdout) == (2, "") and stderr.splitlines() == [
+                f"error: {model}:1: expected a SVDMETA or GCCA or DME or CDME model, found 8"]
 
     def test_info_opens_a_model_file_twice(self, tmp_path, capsys):
         # once to sniff its kind and once to load it

@@ -115,19 +115,18 @@ def test_write_peak_memory_stays_below_the_text_written(tmp_path):
     # one 300 x 3000 block: 256 of its 60 KB rows are most of the file, so chunks of a fixed
     # number of lines held 2.5 times the text
     wide = [("proj", rng.normal(size=(300, 3000)))]
-    cases = [("GCCA", [("dims", [600, 400, 200]), ("tau", 10.0)], gcca,
-              {"dims": ["600", "400", "200"], "tau": ["10"]}),
-             ("SVDMETA", [("dims", [3000])], wide, {"dims": ["3000"]})]
-    for magic, fields, blocks, expected in cases:
+    cases = [("GCCA", [[600, 400, 200], 10.0], gcca, {"dims": ["600", "400", "200"], "tau": ["10"]}),
+             ("SVDMETA", [[3000]], wide, {"dims": ["3000"]})]
+    for magic, values, blocks, expected in cases:
         path = tmp_path / f"{magic}.model"
         tracemalloc.start()
         try:
-            write_model(path, magic, fields, blocks)
+            write_model(path, magic, values, blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size
-        back = read_model(path, (magic,), list(expected))
+        back = read_model(path, (magic,))
         assert back.fields == expected
         for label, arr in blocks:
             assert back.blocks[label].tobytes() == np.atleast_2d(arr).tobytes()

@@ -1,6 +1,7 @@
 """Checks on the package's structure: one text codec, no private imports,
-input layouts known only to the modules that read them, one owner each of
-id alignment and manifest paths, and no scipy."""
+input layouts and model fields known only to the modules that read them, one
+owner each of id alignment and manifest paths, one caller of the model sniff,
+and no scipy."""
 
 import ast
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 import metaembed
+from metaembed.modelio import FIELDS
 
 PACKAGE = pathlib.Path(metaembed.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -144,11 +146,16 @@ def test_only_store_refuses_disjoint_tables():
     assert set(offenders(lambda tree: literal_lines(tree, "no shared ids"), MODULES)) == {"store.py"}
 
 
+def function_lines(tree, function: str) -> set:
+    """The line numbers of the function *function*."""
+    return {ln for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function
+            for ln in range(node.lineno, node.end_lineno + 1)}
+
+
 def lines_outside(tree, text: str, function: str) -> list:
     """Lines of code literals containing *text* outside the function *function*; the module docstring
     does not count."""
-    inside = {ln for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function
-              for ln in range(node.lineno, node.end_lineno + 1)}
+    inside = function_lines(tree, function)
     docstring = tree.body[0].lineno if ast.get_docstring(tree) is not None else None
     return [ln for ln in literal_lines(tree, text) if ln not in inside and ln != docstring]
 
@@ -157,6 +164,49 @@ def test_cli_names_manifest_paths_only_in_the_manifest_writer():
     tree = parsed(PACKAGE / "cli.py")
     assert literal_lines(tree, ".manifest.json") != []
     assert lines_outside(tree, ".manifest.json", "_write_manifest") == []
+
+
+def field_lists(tree) -> list:
+    """Lines of list or tuple literals that list a model kind's hyperparameter field names in order, as
+    strings (``("dims", "tau")``) or as the first items of pairs (``[("dims", dims), ("tau", tau)]``)."""
+    kinds = set(FIELDS.values())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.List, ast.Tuple)):
+            firsts = [e.elts[0] if isinstance(e, ast.Tuple) and e.elts else e for e in node.elts]
+            if tuple(n.value for n in firsts if isinstance(n, ast.Constant) and isinstance(n.value, str)) in kinds:
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_modelio_lists_a_model_kinds_fields():
+    assert set(offenders(field_lists, MODULES)) == {"modelio.py"}
+    tree = ast.parse(
+        '_FIELDS = ("n", "dims", "proj", "att", "enc", "seed", "classes")\n'
+        'write_model(p, "GCCA", [("dims", d), ("tau", t)], b)\n'
+        'read_model(p, ("SVDMETA",), ["dims"])\n'
+        'mf.one("tau", float)\n'
+        'write_model(p, "GCCA", [dims, tau], [("mean0", m), ("proj0", p)])\n'
+    )
+    assert field_lists(tree) == [1, 2, 3]
+
+
+def calls_outside(tree, name: str, function: str) -> list:
+    """Lines of calls to *name* outside the function *function*."""
+    inside = function_lines(tree, function)
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == name and node.lineno not in inside)
+
+
+def test_cli_sniffs_a_model_kind_only_in_info():
+    # apply and eval read a model once, its kind checked inside the read; info sniffs first, so that it
+    # never decodes a whole table only to learn that it is not a model
+    tree = parsed(PACKAGE / "cli.py")
+    assert "sniff_model_kind" in names_used(tree)
+    assert calls_outside(tree, "sniff_model_kind", "cmd_info") == []
+    assert calls_outside(ast.parse("def cmd_info(p):\n    sniff_model_kind(p)\n"
+                                   "def _load_model(p):\n    sniff_model_kind(p)\n"),
+                         "sniff_model_kind", "cmd_info") == [4]
 
 
 def test_guard_catches_what_it_forbids():

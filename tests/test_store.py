@@ -204,7 +204,7 @@ class TestVectorTableFormat:
 
 
 def read_model_blocks(path):
-    return read_model(path, ("SVDMETA", "GCCA"), ["dims"])
+    return read_model(path, ("SVDMETA", "GCCA"))
 
 
 def loaded(obj):
@@ -435,7 +435,7 @@ def test_readers_peak_near_the_array(rng, tmp_path, rows, cols):
     save_vector_table(vec, make_vector_table(rng, rows, cols))
     save_sequence_table(seq, SequenceTable([f"s{i}" for i in range(rows // 2)],
                                            [rng.normal(size=(2, cols)) for _ in range(rows // 2)]))
-    write_model(model, "SVDMETA", [("dims", [1])], [("proj", rng.normal(size=(rows, cols)))])
+    write_model(model, "SVDMETA", [[1]], [("proj", rng.normal(size=(rows, cols)))])
     for path, load in [(vec, load_vector_table), (seq, load_sequence_table), (model, read_model_blocks)]:
         with empty_table_cache():
             assert traced_peak(load, path) < 1.5 * rows * cols * 8 + 4 * textio._CHUNK_CHARS, path.name

@@ -417,8 +417,8 @@ def feed(pipe, data: bytes) -> None:
 
 
 # the pipeline and a model applied to sequence tables, then, per command, the opens of each input with a
-# warm cache: a vector table's lookup hashes it, and a model, or a table read through load_table, is
-# sniffed in an open of its own before it is read
+# warm cache: a vector table's lookup hashes it, a table read through load_table is sniffed in an open of
+# its own before it is read, and so is a model that info describes; apply and eval read a model once
 def pipeline_with_sequences():
     return pipeline() + [["apply", "dme.model", "--inputs", "t0.seq", "t1.seq", "--out", "seq.vec"]]
 
@@ -427,17 +427,17 @@ WARM_OPENS = [
     {"t0.vec": 1, "t1.vec": 1},
     {"t0.vec": 1, "t1.vec": 1},
     {"t0.vec": 1, "t1.vec": 1},
-    {"svd.model": 2, "t0.vec": 1, "t1.vec": 1},
-    {"gcca.model": 2, "t0.vec": 1, "t1.vec": 1},
+    {"svd.model": 1, "t0.vec": 1, "t1.vec": 1},
+    {"gcca.model": 1, "t0.vec": 1, "t1.vec": 1},
     {"t0.vec": 2, "t1.vec": 2, "cls.tsv": 1},
-    {"dme.model": 2, "t0.vec": 2, "t1.vec": 2},
+    {"dme.model": 1, "t0.vec": 2, "t1.vec": 2},
     {"svd.vec": 1, "sts.tsv": 1},
-    {"gcca.model": 2, "t0.vec": 1, "t1.vec": 1, "sts.tsv": 1},
+    {"gcca.model": 1, "t0.vec": 1, "t1.vec": 1, "sts.tsv": 1},
     {"con.vec": 1, "sts.tsv": 1},
-    {"dme.model": 2, "t0.vec": 2, "t1.vec": 2, "cls.tsv": 1},
+    {"dme.model": 1, "t0.vec": 2, "t1.vec": 2, "cls.tsv": 1},
     {"con.vec": 3},  # info: the model sniff, the table sniff, then the lookup
-    {"svd.model": 2},
-    {"dme.model": 2, "t0.seq": 2, "t1.seq": 2},
+    {"svd.model": 2},  # info: the model sniff, then the read
+    {"dme.model": 1, "t0.seq": 2, "t1.seq": 2},
 ]
 PIPE_REFUSED = "x.pipe:1: a pipe cannot be read twice, to find its kind and then to load it"
 
@@ -499,6 +499,23 @@ class TestInputs:
         assert finishes(main, probe) == 0
         assert (work / "piped.tsv").read_bytes() == (work / "probe.tsv").read_bytes()
         assert manifest_inputs(probe)["sts.pipe"] == sha256(work / "sts.tsv")
+        capsys.readouterr()
+
+    def test_apply_and_eval_read_a_model_from_a_pipe(self, work, capsys):
+        for k in (1, 2, 3, 8):  # fit svd and gcca, apply svd.model, and eval sts with gcca.model
+            assert main(pipeline()[k]) == 0
+        os.mkfifo("svd.pipe")
+        os.mkfifo("gcca.pipe")
+        feed(work / "svd.pipe", (work / "svd.model").read_bytes())
+        apply = [{"svd.model": "svd.pipe", "svd.vec": "piped.vec"}.get(a, a) for a in pipeline()[3]]
+        assert finishes(main, apply) == 0
+        assert (work / "piped.vec").read_bytes() == (work / "svd.vec").read_bytes()
+        assert manifest_inputs(apply)["svd.pipe"] == sha256(work / "svd.model")
+        feed(work / "gcca.pipe", (work / "gcca.model").read_bytes())
+        evaluate = [{"gcca.model": "gcca.pipe", "gcca.sts": "piped.sts"}.get(a, a) for a in pipeline()[8]]
+        assert finishes(main, evaluate) == 0
+        assert (work / "piped.sts").read_bytes() == (work / "gcca.sts").read_bytes()
+        assert manifest_inputs(evaluate)["gcca.pipe"] == sha256(work / "gcca.model")
         capsys.readouterr()
 
     def test_a_sniffer_refuses_a_pipe_before_it_opens_it(self, work, capsys):
