@@ -10,6 +10,9 @@ Subcommands:
 * info:    describe a model or table file.
 
 Input tables are always aligned over the sorted intersection of their ids.
+``train`` and ``eval`` check each pair id against every input table before
+any work, naming the first table that lacks one.  Every command refuses a
+negative ``--seed`` before it reads a file.
 Every command that writes an output also writes ``<output>.manifest.json``
 recording the command line, resolved flag values, the package version,
 the sha256 of each input's bytes as its loader parsed them (each input is
@@ -90,22 +93,28 @@ def _load_model(path):
     return mf.magic, _ENSEMBLE_MODELS[mf.magic].from_file(mf)
 
 
+def _check_pair_ids(paths, tables, ids) -> None:
+    """Refuse pair *ids* unless every table holds them all, naming the first table that lacks one; None
+    (the ids the tables share) needs no check."""
+    for path, table in zip(paths, tables):
+        missing = [i for i in ids or () if i not in table]
+        if missing:
+            raise ValidationError(f"{path}: missing vector(s) for {len(missing)} pair id(s), e.g. {missing[0]!r}")
+
+
 def _sentence_vectors(kind, model, paths, ids=None) -> tuple[EmbeddingTable, list]:
     """*model*'s vectors for *ids* (default: every shared id) from the tables at *paths*, and their digests.
 
-    With no model, *paths* holds one table of sentence vectors that must cover *ids*; it is returned.
+    Each table must hold all of *ids*.  With no model, *paths* holds one table of sentence vectors; it is returned.
     """
     if model is None:
         table = load_vector_table(paths[0])
-        missing = [i for i in ids if i not in table]
-        if missing:
-            raise ValidationError(
-                f"{paths[0]}: missing vector(s) for {len(missing)} pair id(s), e.g. {missing[0]!r}"
-            )
+        _check_pair_ids(paths, [table], ids)
         return table, [table.digest]
     if kind in _DYNAMIC_KINDS:
         tables = _load_sequence_like(paths)
         shared = intersect_ids(tables)  # disjoint tables are refused even when *ids* is given
+        _check_pair_ids(paths, tables, ids)
         from .evaluation import embed_table
         return embed_table(model, tables, shared if ids is None else ids), [t.digest for t in tables]
     ids, views, _, digests = _aligned_inputs(paths, ids)  # the tables are not held through the model's apply
@@ -117,6 +126,7 @@ def _aligned_inputs(paths, ids=None):
     (default: every id they share), the count of its ids that are not shared, and its digest."""
     tables = [load_vector_table(p) for p in paths]
     shared = intersect_ids(tables)  # disjoint tables are refused even when *ids* is given
+    _check_pair_ids(paths, tables, ids)
     ids = shared if ids is None else ids
     return ids, [t.lookup(ids) for t in tables], [len(t) - len(shared) for t in tables], [t.digest for t in tables]
 
@@ -172,31 +182,31 @@ def cmd_train(args) -> int:
         raise ValidationError("--m only applies to cdme (the attention recurrence width)")
     tables = _load_sequence_like(args.inputs)
     dataset = load_dataset(args.dataset)
-    if dataset.splits is not None:
-        train_idx = dataset.splits.train
-        dev_idx = dataset.splits.dev
-        if not len(train_idx):
-            raise ValidationError(f"{args.dataset}: no pairs in the train split")
-    else:
-        drawn = random_splits(len(dataset.pairs), seed=args.seed, ratios=(0.9, 0.1, 0.0))
-        train_idx, dev_idx = drawn.train, drawn.dev
-    examples = make_pair_examples(dataset, tables, train_idx)
+    splits = dataset.splits
+    if splits is None:
+        splits = random_splits(len(dataset.pairs), seed=args.seed, ratios=(0.9, 0.1, 0.0))
+    elif not len(splits.train):
+        raise ValidationError(f"{args.dataset}: no pairs in the train split")
+    parts = [(part, [dataset.pairs[i] for i in indices])
+             for part, indices in (("train", splits.train), ("dev", splits.dev)) if len(indices)]
+    ids = pair_ids(p for _, pairs in parts for p in pairs)
+    _check_pair_ids(args.inputs, tables, ids)
+    examples = make_pair_examples(dataset, tables, splits.train)
     model = new_dynamic_model(args.mode, [t.dim for t in tables], dataset.classes,
                               args.d_prime, args.m_enc, args.m, seed=args.seed)
     config = TrainConfig(epochs=args.epochs, lr=args.lr, batch_size=args.batch, seed=args.seed)
     history = train_dynamic(model, examples, config)
-    model.save(args.out)
-    loss_csv = f"{args.out}.loss.csv"
-    write_lines(loss_csv, ["epoch,mean_loss"]
-                + [f"{i},{fmt(loss)}" for i, loss in enumerate(history, start=1)])
     metrics: dict = {"epoch_losses": history}
-    parts = [(part, [dataset.pairs[i] for i in indices])
-             for part, indices in (("train", train_idx), ("dev", dev_idx)) if len(indices)]
-    table = embed_table(model, tables, pair_ids(p for _, pairs in parts for p in pairs))
+    table = embed_table(model, tables, ids)
     for part, pairs in parts:
         report, _ = evaluate_classification(model, table, pairs, task=part)
         metrics[f"{part}_accuracy"] = report.value
         print(f"{part}_accuracy {report.value:.6f}")
+    # every output is written once everything is computed, so a failure leaves the previous ones
+    model.save(args.out)
+    loss_csv = f"{args.out}.loss.csv"
+    write_lines(loss_csv, ["epoch,mean_loss"]
+                + [f"{i},{fmt(loss)}" for i, loss in enumerate(history, start=1)])
     _write_manifest(args, args.inputs + [args.dataset], [t.digest for t in tables] + [dataset.digest],
                     [args.out, loss_csv], metrics)
     print(f"wrote {args.out}: {args.mode} model, {len(examples)} training pairs, "
@@ -372,6 +382,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._argv = list(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # before any input is read or output written
+            raise ValidationError(f"seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)

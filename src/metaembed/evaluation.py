@@ -221,14 +221,6 @@ def pair_ids(pairs) -> list[str]:
     return list(dict.fromkeys(ident for p in pairs for ident in (p.id_a, p.id_b)))
 
 
-def _check_pair_ids(table: EmbeddingTable, pairs) -> None:
-    missing = sorted({i for p in pairs for i in (p.id_a, p.id_b) if i not in table})
-    if missing:
-        shown = ", ".join(repr(m) for m in missing[:10])
-        more = "" if len(missing) <= 10 else f" (and {len(missing) - 10} more)"
-        raise ValidationError(f"{len(missing)} pair id(s) have no vector: {shown}{more}")
-
-
 def _pair_cosines(table: EmbeddingTable, pairs: list) -> np.ndarray:
     """Cosine of each pair's two vectors, gathered :data:`_COSINE_ROWS` pairs at a time."""
     rows_a, rows_b = table.indices(p.id_a for p in pairs), table.indices(p.id_b for p in pairs)
@@ -256,16 +248,16 @@ def evaluate_similarity(table: EmbeddingTable, pairs, lo: float = 0.0, hi: float
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("no pairs to evaluate")
-    _check_pair_ids(table, pairs)
+    ids = pair_ids(pairs)
+    index = table.indices(ids)  # an unknown id of any pair is named here
     golds = [_gold_score(p) for p in pairs]
     preds = scale_similarity(_pair_cosines(table, pairs), lo, hi)
     value = pearson(preds, golds)
     rows = [(p.id_a, p.id_b, g, pred) for p, g, pred in zip(pairs, golds, preds.tolist())]
-    ids = pair_ids(pairs)
     fingerprint = config_fingerprint(
         task, "pearson", lo, hi,
         [(p.id_a, p.id_b, g) for p, g in zip(pairs, golds)],
-        ids, _Rows(table.vectors, table.indices(ids)),
+        ids, _Rows(table.vectors, index),
     )
     return EvalReport(task, "pearson", value, len(pairs), fingerprint), rows
 
@@ -296,7 +288,7 @@ def evaluate_classification(model, table: EmbeddingTable, pairs, task: str = "cl
             raise ValidationError(
                 f"gold label {p.label!r} is not among the model classes {list(model.classes)}"
             )
-    _check_pair_ids(table, pairs)
+    table.indices(pair_ids(pairs))  # an unknown id of any pair is named here
     logits, _ = model.pair_logits(table.lookup(p.id_a for p in pairs), table.lookup(p.id_b for p in pairs))
     preds = [model.classes[k] for k in np.argmax(logits, axis=1)]
     golds = [p.label for p in pairs]

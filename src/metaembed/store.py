@@ -103,30 +103,23 @@ class EmbeddingTable:
     def __contains__(self, ident) -> bool:
         return ident in self._index
 
-    def index(self, ident: str) -> int:
-        try:
-            return self._index[ident]
-        except KeyError:
-            raise ValidationError(f"unknown embedding id {ident!r}") from None
-
     def indices(self, ids) -> np.ndarray:
-        """Row index of each of *ids*, in order."""
+        """Row index of each of *ids*, in order; the error for unknown ids names five and counts the rest."""
         ids = list(ids)
-        return np.fromiter((self.index(i) for i in ids), dtype=np.intp, count=len(ids))
+        try:
+            return np.fromiter(map(self._index.__getitem__, ids), dtype=np.intp, count=len(ids))
+        except KeyError:
+            missing = list(dict.fromkeys(i for i in ids if i not in self._index))
+        shown = ", ".join(repr(m) for m in missing[:5])
+        more = "" if len(missing) <= 5 else f" (and {len(missing) - 5} more)"
+        raise ValidationError(f"unknown embedding id(s): {shown}{more}")
 
     def row(self, ident: str) -> np.ndarray:
-        return self.vectors[self.index(ident)]
+        return self.vectors[self.indices([ident])[0]]
 
     def lookup(self, ids) -> np.ndarray:
         """Rows for *ids*, in order, as a new (len(ids), D) matrix."""
-        ids = list(ids)
-        missing = [i for i in ids if i not in self._index]
-        if missing:
-            shown = ", ".join(repr(m) for m in missing[:5])
-            more = "" if len(missing) <= 5 else f" (and {len(missing) - 5} more)"
-            raise ValidationError(f"unknown embedding id(s): {shown}{more}")
-        rows = np.fromiter((self._index[i] for i in ids), dtype=np.intp, count=len(ids))
-        return self.vectors[rows]
+        return self.vectors[self.indices(ids)]
 
     def describe(self) -> list[str]:
         """The ``info`` lines after the kind line."""

@@ -2,7 +2,8 @@
 makes of each one.
 
 The corpus starts from the golden models and tables, a vector table over 64 KiB, canonical score and
-class pair files, an official export and a model of an unknown kind, and damages each of them in fixed
+class pair files, an official export, a model of an unknown kind, and a sequence table and a canonical
+score pair file over 64 KiB, and damages each of them in fixed
 ways: 1-3 byte edits; line faults in the first, a middle and the last 64 KiB chunk; a non-finite value
 with a fault near it; lines repeated past the end, or copied over a later line; a label cut short; a
 count, shape or field value changed, dropped or given twice; a file cut after its first lines; and an
@@ -75,6 +76,20 @@ def sources() -> dict[str, bytes]:
     foo = ["FOO v1", "dims 6", "mean 1 6", *_rows(rng, 1, 6), "proj 600 6", *_rows(rng, 600, 6),
            "sing 1 6", *_rows(rng, 1, 6)]
     out["foo.model"] = ("\n".join(foo) + "\n").encode()
+    # 700 blocks of 1-3 rows of 5 values, and 1600 pairs of longer sentences: each about 140 KB, so a
+    # first, a middle and a last chunk
+    seq = ["700 5"]
+    for i in range(700):
+        steps = rng.randint(1, 3)
+        seq += [f"#q{i} {steps}", *_rows(rng, steps, 5)]
+    out["big.seq"] = ("\n".join(seq) + "\n").encode()
+
+    def long_sentence():
+        return " ".join(rng.choice(words) for _ in range(rng.randint(4, 12)))
+
+    pairs = [f"s{2 * i}\ts{2 * i + 1}\t{rng.uniform(0, 5):.3f}\t{long_sentence()}\t{long_sentence()}"
+             for i in range(1600)]
+    out["big.tsv"] = ("\n".join(pairs) + "\n").encode()
     return out
 
 

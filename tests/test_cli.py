@@ -11,6 +11,7 @@ import pytest
 from conftest import counted_opens
 from metaembed import __version__
 from metaembed.cli import main
+from metaembed.errors import ValidationError
 from metaembed.store import (
     EmbeddingTable,
     SequenceTable,
@@ -309,6 +310,24 @@ class TestTrain:
             assert code == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert (tmp_path / "a.model.loss.csv").read_bytes() == (tmp_path / "b.model.loss.csv").read_bytes()
+
+    def test_train_that_fails_scoring_leaves_the_previous_outputs(self, tmp_path, rng, capsys, monkeypatch):
+        tables, pairs = self.train_fixture(tmp_path, rng)
+        out = tmp_path / "m.model"
+        argv = ("train", "--mode", "dme", "--inputs", *tables, "--dataset", pairs, "--d-prime", 4,
+                "--m-enc", 3, "--epochs", 1, "--out", out)
+        assert run(capsys, *argv)[0] == 0
+        outputs = [out, tmp_path / "m.model.loss.csv", tmp_path / "m.model.manifest.json"]
+        before = [p.read_bytes() for p in outputs]
+        import metaembed.evaluation as evaluation
+
+        def failing(*args, **kwargs):
+            raise ValidationError("scoring failed")
+
+        monkeypatch.setattr(evaluation, "evaluate_classification", failing)
+        code, _, stderr = run(capsys, *argv[:-2], "--seed", 1, "--out", out)
+        assert (code, stderr) == (2, "error: scoring failed\n")
+        assert [p.read_bytes() for p in outputs] == before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_lr_exits_3(self, tmp_path, rng, capsys):
@@ -744,6 +763,64 @@ class TestEval:
                               "--dataset", extra)
         assert code == 2
         assert "missing vector" in stderr and "zz_A" in stderr
+
+
+class TestMissingPairIds:
+    """A pair id that an input table lacks is refused before any work, naming that table."""
+
+    @pytest.mark.parametrize("model, widths", [
+        (None, (4,)), ("svdmeta", (2, 1)), ("gcca", (1, 1)), ("cdme", (3, 4)),
+    ])
+    def test_eval_names_the_table(self, tmp_path, rng, capsys, monkeypatch, model, widths):
+        monkeypatch.chdir(tmp_path)
+        ids = [f"s{i}" for i in range(8)]
+        paths = []
+        for k, d in enumerate(widths):
+            kept = ids[:6] if k == len(widths) - 1 else ids  # the last table lacks s6 and s7
+            paths.append(tmp_path / f"t{k}.vec")
+            save_vector_table(paths[-1], EmbeddingTable(kept, rng.normal(size=(len(kept), d))))
+        pairs = write_canonical(tmp_path / "pairs.tsv", [("s0", "s7", 1.0), ("s6", "s1", 2.0), ("s2", "s3", 3.0)])
+        models = [] if model is None else [GOLDEN / f"{model}.model"]
+        code, stdout, stderr = run(capsys, "eval", "sts", *models, "--inputs", *paths, "--dataset", pairs)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {paths[-1]}: missing vector(s) for 2 pair id(s), e.g. 's7'\n"
+        assert not (tmp_path / "metaembed-eval.manifest.json").exists()
+
+    @pytest.mark.parametrize("missing", ["1_A", "9_B"], ids=["train", "dev"])
+    def test_train_names_the_table_before_training(self, tmp_path, rng, capsys, monkeypatch, missing):
+        official, n = write_official(tmp_path / "official.txt")  # pairs 1-8 train, 9 dev
+        ids = [f"{k}_{side}" for k in range(1, n + 1) for side in ("A", "B")]
+        tables = write_seq_tables(tmp_path, rng, [i for i in ids if i != missing])
+        import metaembed.dynamic as dynamic
+
+        monkeypatch.setattr(dynamic, "train_dynamic", lambda *args: pytest.fail("trained"))
+        out = tmp_path / "m.model"
+        code, stdout, stderr = run(capsys, "train", "--mode", "dme", "--inputs", *tables,
+                                   "--dataset", official, "--epochs", 1, "--out", out)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {tables[0]}: missing vector(s) for 1 pair id(s), e.g. '{missing}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["official.txt", "q0.seq", "q1.seq"]
+
+
+class TestNegativeSeed:
+    """Every command with --seed refuses a negative one before it reads or writes anything."""
+
+    @pytest.mark.parametrize("command", ["combine", "fit", "apply", "train", "eval sts", "eval sick-r"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, rng, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        ids, paths = write_vec_tables(tmp_path, rng, dims=(2, 1))
+        pairs = write_canonical(tmp_path / "pairs.tsv", [(f"s{i}", f"s{i + 1}", f"{1 + i % 4}") for i in range(7)])
+        argv = {
+            "combine": ["combine", "--method", "con", "--inputs", *paths],
+            "fit": ["fit", "--method", "svd", "--inputs", *paths],
+            "apply": ["apply", GOLDEN / "svdmeta.model", "--inputs", *paths],
+            "train": ["train", "--mode", "dme", "--inputs", *write_seq_tables(tmp_path, rng, ids),
+                      "--dataset", pairs],
+        }.get(command, [*command.split(), "--inputs", paths[0], "--dataset", pairs])
+        before = sorted(tmp_path.iterdir())
+        code, stdout, stderr = run(capsys, *argv, "--seed", -1, "--out", tmp_path / "out")
+        assert (code, stdout, stderr) == (2, "", "error: seed must be a non-negative integer, got -1\n")
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestInfo:

@@ -1,7 +1,7 @@
 """Checks on the package's structure: one text codec, no private imports,
 input layouts and model fields known only to the modules that read them, one
-owner each of id alignment and manifest paths, one caller of the model sniff,
-and no scipy."""
+owner each of id alignment, manifest paths and the missing pair id message, one
+caller of the model sniff, and no scipy."""
 
 import ast
 import os
@@ -164,6 +164,19 @@ def test_cli_names_manifest_paths_only_in_the_manifest_writer():
     tree = parsed(PACKAGE / "cli.py")
     assert literal_lines(tree, ".manifest.json") != []
     assert lines_outside(tree, ".manifest.json", "_write_manifest") == []
+
+
+def test_one_check_names_a_pair_id_without_a_vector():
+    # the CLI checks every pair id against every table, naming the file; the drivers and probes rely on
+    # EmbeddingTable.indices, the one row lookup, which names the unknown ids
+    tree = parsed(PACKAGE / "cli.py")
+    assert literal_lines(tree, "missing vector") != []
+    assert lines_outside(tree, "missing vector", "_check_pair_ids") == []
+    drivers = [PACKAGE / "evaluation.py", PACKAGE / "probes.py"]
+    for phrase in ("no vector", "missing vector"):
+        assert offenders(lambda tree: literal_lines(tree, phrase), drivers) == {}
+    assert set(offenders(lambda tree: literal_lines(tree, "unknown embedding id"), MODULES)) == {"store.py"}
+    assert lines_outside(parsed(PACKAGE / "store.py"), "unknown embedding id", "indices") == []
 
 
 def field_lists(tree) -> list:

@@ -273,7 +273,7 @@ class TestPairFeatures:
 
     def test_unknown_id(self):
         table = EmbeddingTable(["a"], np.ones((1, 2)))
-        with pytest.raises(ValidationError, match="unknown embedding id 'zz'"):
+        with pytest.raises(ValidationError, match=r"unknown embedding id\(s\): 'zz'$"):
             pair_feature_matrix(table, [Pair("a", "zz", None)])
 
     def test_empty(self):
@@ -456,7 +456,7 @@ class TestPerMinibatchFeatures:
         assert rows.vectors is table.vectors
         assert rows.a.tolist() == [2, 1] and rows.b.tolist() == [0, 1]
         assert rows.shape == (2, 8)
-        with pytest.raises(ValidationError, match="unknown embedding id 'zz'"):
+        with pytest.raises(ValidationError, match=r"unknown embedding id\(s\): 'zz'$"):
             pair_rows(table, [Pair("a", "zz", None)])
         with pytest.raises(ValidationError, match="no pairs"):
             pair_rows(table, [])

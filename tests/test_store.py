@@ -97,7 +97,7 @@ class TestEmbeddingTable:
         t = EmbeddingTable(["a", "b", "c"], np.zeros((3, 1)))
         assert t.indices(iter(["c", "a", "c"])).tolist() == [2, 0, 2]
         assert t.indices([]).dtype == np.intp
-        with pytest.raises(ValidationError, match="unknown embedding id 'x'"):
+        with pytest.raises(ValidationError, match=r"unknown embedding id\(s\): 'x'$"):
             t.indices(["a", "x"])
 
 
